@@ -7,6 +7,7 @@ Stochastic commands require an explicit seed (from the config or --seed).
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from xpop.eventlog import format_schema_config, parse_csv, parse_schema_config
 from xpop.guidelines import QUESTION_ORDER, Questionnaire, interactive_guide, recommend
 from xpop.harness import (
     BenchmarkConfig,
+    format_table,
     load_config,
     load_log,
     prepare_matrices,
@@ -130,18 +132,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
-    lines = [l for l in text.splitlines() if l]
-    header = lines[0].split(",")
-    rows = [l.split(",") for l in lines[1:]]
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    print("  ".join("-" * w for w in widths))
-    for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    with open(args.input, encoding="utf-8", newline="") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    sys.stdout.write(format_table(header, rows))
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -54,18 +54,77 @@ def _mse(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(np.mean((labels - scores) ** 2))
 
 
+# Float64 cells per stacked scoring call. Batching saves one call per copy
+# (for an external model, a process launch); the bound caps the memory a
+# batch adds, which an external call holds again as CSV text.
+CHUNK_CELLS = 1 << 15
+
+
+def perturbed_scores(
+    predictor, m: EncodedMatrix, copies: Iterable[Mapping[int, np.ndarray]]
+) -> Iterator[np.ndarray]:
+    """Scores of perturbed copies of ``m``, one array per copy, in order.
+
+    Each copy maps column indices to replacement values; the other columns
+    keep ``m``'s values. Copies are drawn lazily and stacked into a buffer
+    of at most ``CHUNK_CELLS`` cells (a copy larger than that goes alone),
+    and each full buffer is scored by one ``predictor.predict`` call on an
+    ``EncodedMatrix`` with tiled labels and provenance. The predictor must
+    score each row independently of the others in the call; if it returns
+    a view of its input rows, a yielded array changes when the next chunk
+    is drawn.
+    """
+    n, p = m.rows.shape
+    per_chunk = max(1, CHUNK_CELLS // max(1, n * p))
+    buffer = np.empty((per_chunk * n, p), dtype=np.float64)
+
+    def score(k: int) -> list[np.ndarray]:
+        stacked = EncodedMatrix(
+            m.columns, buffer[: k * n], np.tile(m.labels, k), m.provenance * k
+        )
+        out = np.asarray(predictor.predict(stacked), dtype=np.float64)
+        if out.shape != (k * n,):
+            raise ValueError(f"predictor returned {out.shape} scores for {k * n} rows")
+        return [out[c * n : (c + 1) * n] for c in range(k)]
+
+    k = 0
+    for copy in copies:
+        block = buffer[k * n : (k + 1) * n]
+        block[:] = m.rows
+        for column, values in copy.items():
+            block[:, column] = values
+        k += 1
+        if k == per_chunk:
+            yield from score(k)
+            k = 0
+    if k:
+        yield from score(k)
+
+
+def _base_scores(predictor, m: EncodedMatrix, base_scores) -> np.ndarray:
+    """The unperturbed scores: ``base_scores`` when given, else one predict."""
+    if base_scores is None:
+        return np.asarray(predictor.predict(m), dtype=np.float64)
+    base = np.asarray(base_scores, dtype=np.float64)
+    if base.shape != (m.n_rows,):
+        raise ValueError("base_scores must hold one score per matrix row")
+    return base
+
+
 def permutation_importance(
     predictor,
     m: EncodedMatrix,
     labels: np.ndarray,
     seed: int,
     repeats: int = 1,
+    base_scores: Optional[np.ndarray] = None,
 ) -> WeightVector:
     """Per-column change in MSE after an excluded-value permutation.
 
     The draw for each row excludes the row's current value; the effect is
     averaged over `repeats` independent permutations. Per-column seeds are
     derived as seed + column index, so columns can run in parallel.
+    ``base_scores``, when given, are the predictor's scores of ``m``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -74,19 +133,22 @@ def permutation_importance(
         raise ValueError("labels contain a single class")
     if getattr(predictor, "columns", m.column_names) != m.column_names:
         raise ValueError("column signature mismatch between predictor and matrix")
-    base = _mse(y, np.asarray(predictor.predict(m), dtype=np.float64))
+    base = _mse(y, _base_scores(predictor, m, base_scores))
+    distinct = [np.unique(m.rows[:, i]) for i in range(m.n_columns)]
+    active = [i for i in range(m.n_columns) if len(distinct[i]) >= 2]
+
+    def copies():
+        for i in active:
+            rng = np.random.default_rng(seed + i)
+            for _ in range(repeats):
+                yield {i: permute_column(m.rows[:, i], distinct[i], rng)}
+
+    scores = perturbed_scores(predictor, m, copies())
     weights = np.zeros(m.n_columns)
-    for i in range(m.n_columns):
-        distinct = np.unique(m.rows[:, i])
-        if len(distinct) < 2:
-            continue
-        rng = np.random.default_rng(seed + i)
+    for i in active:
         total = 0.0
         for _ in range(repeats):
-            rows = m.rows.copy()
-            rows[:, i] = permute_column(m.rows[:, i], distinct, rng)
-            permuted = np.asarray(predictor.predict(m.with_rows(rows)), dtype=np.float64)
-            total += _mse(y, permuted) - base
+            total += _mse(y, next(scores)) - base
         weights[i] = total / repeats
     return WeightVector(weights, m.column_names, "permutation", seed=seed, repeats=repeats)
 

@@ -11,6 +11,7 @@ model does not perturb the randomness of other cells.
 from __future__ import annotations
 
 import configparser
+import csv
 import io
 import math
 import re
@@ -238,11 +239,15 @@ def model_weights(spec: ModelSpec, model: TrainedModel):
     raise ValueError(f"model {spec.name!r} has no weight source (set 'weights')")
 
 
-def _fc_metric(model: TrainedModel, test_m: EncodedMatrix, seed: int) -> TypedMetric:
+def _fc_metric(
+    model: TrainedModel, test_m: EncodedMatrix, seed: int, scores: np.ndarray
+) -> TypedMetric:
     values = {}
     for attr_type in (CONTROL, CASE, EVENT):
         if test_m.columns_of_type(attr_type):
-            values[attr_type] = functional_complexity(model, test_m, attr_type, seed)
+            values[attr_type] = functional_complexity(
+                model, test_m, attr_type, seed, base_scores=scores
+            )
         else:
             values[attr_type] = math.nan
     present = [v for v in values.values() if not math.isnan(v)]
@@ -253,21 +258,23 @@ def _fc_metric(model: TrainedModel, test_m: EncodedMatrix, seed: int) -> TypedMe
 def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
     train_m, test_m = prepare_matrices(cfg)
 
-    cells: list[tuple[ModelSpec, Optional[TrainedModel], Optional[float], str]] = []
+    # Each model scores the test matrix once; AUC, PI and FC share the scores.
+    cells: list[tuple[ModelSpec, Optional[TrainedModel], Optional[np.ndarray],
+                      Optional[float], str]] = []
     for idx, spec in enumerate(cfg.models):
         model_seed = derive_seed(cfg.seed, idx)
         try:
             model = train_model(spec, train_m, model_seed)
             scores = model.predict(test_m)
-            cells.append((spec, model, auc(test_m.labels, scores), ""))
+            cells.append((spec, model, scores, auc(test_m.labels, scores), ""))
         except Exception as exc:  # per-cell fault isolation
-            cells.append((spec, None, None, f"error: {exc}"))
+            cells.append((spec, None, None, None, f"error: {exc}"))
 
-    aucs = [a for _, _, a, _ in cells if a is not None]
+    aucs = [a for _, _, _, a, _ in cells if a is not None]
     mean_auc = float(np.mean(aucs)) if aucs else math.nan
 
     reports = []
-    for idx, (spec, model, model_auc, error) in enumerate(cells):
+    for idx, (spec, model, scores, model_auc, error) in enumerate(cells):
         model_seed = derive_seed(cfg.seed, idx)
         base = MetricsReport(
             log_id=cfg.log_id, model_id=spec.name, auc=model_auc, seed=model_seed
@@ -293,11 +300,11 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
         try:
             w_pi = permutation_importance(
                 model, test_m, test_m.labels, seed=derive_seed(model_seed, 1),
-                repeats=cfg.pi_repeats,
+                repeats=cfg.pi_repeats, base_scores=scores,
             )
             w_e = model_weights(spec, model)
             pars = parsimony(w_e, test_m.columns)
-            fc = _fc_metric(model, test_m, derive_seed(model_seed, 2))
+            fc = _fc_metric(model, test_m, derive_seed(model_seed, 2), scores)
             try:
                 rank_corr = irc(w_pi, w_e)
             except ValueError:
@@ -342,24 +349,29 @@ def _report_row(r: MetricsReport) -> list[str]:
     ]
 
 
+def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned text table with a dashed rule under the header."""
+    widths = [
+        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
+        for i in range(len(header))
+    ]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def render_report(reports: Sequence[MetricsReport], fmt: str = "table") -> str:
-    """Render reports as machine-parseable CSV or an aligned text table."""
+    """Render reports as RFC 4180 CSV (LF line ends) or an aligned text table."""
     header = REPORT_HEADER.split(",")
     rows = [_report_row(r) for r in reports]
     if fmt == "csv":
         out = io.StringIO()
-        out.write(REPORT_HEADER + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
         return out.getvalue()
     if fmt == "table":
-        widths = [
-            max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        return "\n".join(lines) + "\n"
+        return format_table(header, rows)
     raise ValueError(f"unknown report format {fmt!r}")

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from xpop.explain import WeightVector, permute_column
+from xpop.explain import WeightVector, _base_scores, perturbed_scores, permute_column
+from xpop.models import average_ranks
 from xpop.preprocess import CASE, CONTROL, EVENT, ColumnMeta, EncodedMatrix
 
 BINARIZE_THRESHOLD = 0.5
@@ -60,10 +61,15 @@ def parsimony(
 
 
 def functional_complexity(
-    predictor, m: EncodedMatrix, attribute_type: str, seed: int
+    predictor,
+    m: EncodedMatrix,
+    attribute_type: str,
+    seed: int,
+    base_scores: Optional[np.ndarray] = None,
 ) -> float:
     """Fraction of binarized predictions that change after simultaneously
-    permuting every column of one attribute type."""
+    permuting every column of one attribute type. ``base_scores``, when
+    given, are the predictor's scores of ``m``."""
     if attribute_type not in _TYPE_ORDINAL:
         raise ValueError(f"unknown attribute type {attribute_type!r}")
     cols = m.columns_of_type(attribute_type)
@@ -71,29 +77,12 @@ def functional_complexity(
         raise ValueError(f"matrix has no columns of type {attribute_type!r}")
     if getattr(predictor, "columns", m.column_names) != m.column_names:
         raise ValueError("column signature mismatch between predictor and matrix")
-    rows = m.rows.copy()
     rng = np.random.default_rng(seed + _TYPE_ORDINAL[attribute_type])
-    for i in cols:
-        distinct = np.unique(m.rows[:, i])
-        rows[:, i] = permute_column(m.rows[:, i], distinct, rng)
-    original = np.asarray(predictor.predict(m), dtype=np.float64)
-    permuted = np.asarray(predictor.predict(m.with_rows(rows)), dtype=np.float64)
+    copy = {i: permute_column(m.rows[:, i], np.unique(m.rows[:, i]), rng) for i in cols}
+    original = _base_scores(predictor, m, base_scores)
+    (permuted,) = perturbed_scores(predictor, m, [copy])
     flips = (original >= BINARIZE_THRESHOLD) != (permuted >= BINARIZE_THRESHOLD)
     return float(flips.mean())
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    n = len(values)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
@@ -106,8 +95,8 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError("need at least 2 observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("degenerate ranking")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
+    rx = average_ranks(x)
+    ry = average_ranks(y)
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float((rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry)))

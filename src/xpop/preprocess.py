@@ -11,14 +11,13 @@ row. Columns are tagged with the attribute type they derive from:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from xpop.eventlog import MISSING, AttributeSchema, Event, EventLog, Trace
+from xpop.eventlog import AttributeSchema, Event, EventLog, Trace
 
 CONTROL = "control"
 CASE = "case"
@@ -93,23 +92,16 @@ class EncodedMatrix:
     def columns_of_type(self, attribute_type: str) -> list[int]:
         return [i for i, c in enumerate(self.columns) if c.attribute_type == attribute_type]
 
-    def with_rows(self, rows: np.ndarray) -> "EncodedMatrix":
-        rows = np.array(rows, dtype=np.float64)
-        if rows.shape != self.rows.shape:
-            raise ValueError("replacement rows must keep the matrix shape")
-        return EncodedMatrix(self.columns, rows, self.labels, self.provenance)
-
     def export_csv(self, include_label: bool = True) -> str:
         """Bridge wire format: ``name:type`` header, shortest-form decimals."""
         header = [f"{c.name}:{c.attribute_type}" for c in self.columns]
         if include_label:
             header.append("label")
         lines = [",".join(header)]
-        for j in range(self.n_rows):
-            cells = [repr(float(v)) for v in self.rows[j]]
-            if include_label:
-                cells.append(str(int(self.labels[j])))
-            lines.append(",".join(cells))
+        labels = self.labels.tolist()
+        for j, row in enumerate(self.rows.tolist()):
+            cells = ",".join(map(repr, row))
+            lines.append(f"{cells},{int(labels[j])}" if include_label else cells)
         return "\n".join(lines) + "\n"
 
 

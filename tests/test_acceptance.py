@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import StubPredictor, make_matrix
+from conftest import BRIDGE_SCRIPT, StubPredictor, make_matrix
 from xpop.eventlog import parse_csv
 from xpop.explain import WeightVector, coefficient_weights, permutation_importance
 from xpop.guidelines import MODEL_LABELS, QUESTION_ORDER, QUESTION_TEXT, Questionnaire, interactive_guide, recommend
@@ -470,31 +470,6 @@ def test_criterion_10_bench_determinism_and_runtime():
 # --- criterion 11: bridge round-trip ---------------------------------------------------------
 
 
-_BRIDGE_SCRIPT = """\
-import math
-import sys
-
-params = {}
-intercept = 0.0
-with open(sys.argv[1], encoding="utf-8") as fh:
-    for line in fh.read().splitlines()[1:]:
-        parts = line.split("\\t")
-        if parts[0] == "intercept":
-            intercept = float(parts[1])
-        else:
-            params[parts[0]] = (float(parts[1]), float(parts[2]), float(parts[3]))
-
-lines = sys.stdin.read().splitlines()
-names = [h.split(":")[0] for h in lines[0].split(",")]
-for line in lines[1:]:
-    z = intercept
-    for name, cell in zip(names, line.split(",")):
-        mean, std, coef = params[name]
-        z += (float(cell) - mean) / std * coef
-    print(1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z)))
-"""
-
-
 def test_criterion_11_bridge_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(200, 6))
@@ -505,7 +480,7 @@ def test_criterion_11_bridge_round_trip(tmp_path):
     export_path = tmp_path / "logreg.txt"
     export_path.write_text(export_model(model), encoding="utf-8")
     script_path = tmp_path / "scorer.py"
-    script_path.write_text(_BRIDGE_SCRIPT, encoding="utf-8")
+    script_path.write_text(BRIDGE_SCRIPT, encoding="utf-8")
 
     external = external_predict(
         f"{sys.executable} {script_path} {export_path}", m

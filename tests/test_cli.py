@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,32 @@ def test_cli_bench_writes_report_and_table(tmp_path, config_path, capsys):
     assert main(["report", "--input", str(out / "report.csv")]) == 0
     rendered = capsys.readouterr().out
     assert rendered.splitlines()[0].startswith("log")
+
+
+FAILING_SCORER = """\
+import sys
+sys.stderr.write('bad "input", row 3\\nsecond line\\n')
+sys.exit(1)
+"""
+
+
+def test_cli_report_quotes_bridge_error_text(tmp_path, capsys):
+    script = tmp_path / "fail.py"
+    script.write_text(FAILING_SCORER, encoding="utf-8")
+    config = tmp_path / "bench.cfg"
+    command = shlex.join([sys.executable, str(script)])
+    config.write_text(CONFIG + f"\n[model ext]\nkind = external\ncommand = {command}\n",
+                      encoding="utf-8")
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "report.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [12] * 4
+    assert rows[3][:2] == ["log", "ext"]
+    assert rows[3][11] == 'error: external command exited with 1: bad "input", row 3\nsecond line'
+    capsys.readouterr()
+    assert main(["report", "--input", str(out / "report.csv")]) == 0
+    assert 'bad "input", row 3' in capsys.readouterr().out
 
 
 def test_cli_bench_is_deterministic(tmp_path, config_path, capsys):

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from conftest import StubPredictor, make_matrix
+from conftest import StubPredictor, bridge_config, make_matrix
 from xpop.explain import (
+    CHUNK_CELLS,
     WeightVector,
     coefficient_weights,
     impurity_weights,
     load_external_weights,
     permutation_importance,
     permute_column,
+    perturbed_scores,
 )
+from xpop.harness import prepare_matrices, run_benchmark
 from xpop.models import train_forest, train_llm, train_logreg, train_tree
 
 # --- excluded-value permutation ----------------------------------------------
@@ -131,6 +137,135 @@ def test_pi_rejects_bad_arguments():
     stranger = StubPredictor(lambda row: 0.5, ("other",))
     with pytest.raises(ValueError, match="signature"):
         permutation_importance(stranger, m, y, seed=0)
+
+
+# --- batched perturbation engine --------------------------------------------------
+
+
+def _per_chunk(m):
+    return max(1, CHUNK_CELLS // (m.n_rows * m.n_columns))
+
+
+def _tie_heavy_matrix(n, p, seed):
+    """Small-integer columns (many ties), labels driven by the first two."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, p)) / 3.0
+    y = (X[:, 0] + 0.5 * X[:, 1] + 0.3 * rng.normal(size=n) > 0.8).astype(int)
+    return make_matrix(X, y)
+
+
+SMALL = _tie_heavy_matrix(60, 6, seed=21)  # many copies per chunk
+WIDE = _tie_heavy_matrix(400, 90, seed=22)  # one copy is over the budget
+assert _per_chunk(SMALL) > 10 and WIDE.n_rows * WIDE.n_columns > CHUNK_CELLS
+
+
+def _stub(m):
+    w = np.linspace(-1.0, 1.0, m.n_columns)
+    return StubPredictor(lambda row: 1.0 / (1.0 + math.exp(-float(row @ w))), m.column_names)
+
+
+def _forest(m):
+    return train_forest(m, {"n_trees": 5, "max_depth": 4}, seed=3)
+
+
+def _pi_reference(predictor, m, y, seed, repeats):
+    """Permutation importance as a per-column loop, one predict per copy."""
+    y = np.asarray(y, dtype=np.float64)
+    base = float(np.mean((y - predictor.predict(m)) ** 2))
+    weights = np.zeros(m.n_columns)
+    for i in range(m.n_columns):
+        distinct = np.unique(m.rows[:, i])
+        if len(distinct) < 2:
+            continue
+        rng = np.random.default_rng(seed + i)
+        total = 0.0
+        for _ in range(repeats):
+            rows = m.rows.copy()
+            rows[:, i] = permute_column(m.rows[:, i], distinct, rng)
+            permuted = predictor.predict(dataclasses.replace(m, rows=rows))
+            total += float(np.mean((y - permuted) ** 2)) - base
+        weights[i] = total / repeats
+    return weights
+
+
+@pytest.mark.parametrize("m", [SMALL, WIDE], ids=["small", "wide"])
+@pytest.mark.parametrize("make", [_stub, _forest], ids=["stub", "forest"])
+def test_batched_pi_equals_per_column_loop(m, make):
+    predictor = make(m)
+    rows, labels = m.rows.copy(), m.labels.copy()
+    expected = _pi_reference(predictor, m, m.labels, seed=17, repeats=3)
+    wv = permutation_importance(predictor, m, m.labels, seed=17, repeats=3)
+    assert wv.weights.tobytes() == expected.tobytes()
+    shared = permutation_importance(
+        predictor, m, m.labels, seed=17, repeats=3, base_scores=predictor.predict(m)
+    )
+    assert shared.weights.tobytes() == expected.tobytes()
+    assert np.array_equal(m.rows, rows) and np.array_equal(m.labels, labels)
+
+
+class CountingPredictor:
+    """Scores row sums modulo 1 and records the row count of every call."""
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+        self.calls = []
+
+    def predict(self, m):
+        self.calls.append(m.n_rows)
+        return m.rows.sum(axis=1) % 1.0
+
+
+@pytest.mark.parametrize("m", [SMALL, WIDE], ids=["small", "wide"])
+def test_engine_makes_one_call_per_chunk_within_budget(m):
+    per_chunk = _per_chunk(m)
+    for n_copies in (1, per_chunk, per_chunk + 1, 2 * per_chunk + 3):
+        predictor = CountingPredictor(m.column_names)
+        copies = ({0: np.full(m.n_rows, c / 7.0)} for c in range(n_copies))
+        scores = list(perturbed_scores(predictor, m, copies))
+        assert len(predictor.calls) == math.ceil(n_copies / per_chunk)
+        for rows in predictor.calls:
+            assert rows * m.n_columns <= CHUNK_CELLS or rows == m.n_rows
+        assert len(scores) == n_copies
+        for c, got in enumerate(scores):
+            rows = m.rows.copy()
+            rows[:, 0] = c / 7.0
+            assert got.tobytes() == (rows.sum(axis=1) % 1.0).tobytes()
+
+
+def test_pi_with_base_scores_calls_once_per_chunk():
+    m = SMALL
+    predictor = CountingPredictor(m.column_names)
+    permutation_importance(
+        predictor, m, m.labels, seed=0, repeats=3, base_scores=np.full(m.n_rows, 0.5)
+    )
+    assert len(predictor.calls) == math.ceil(m.n_columns * 3 / _per_chunk(m))
+
+
+class ShortPredictor(CountingPredictor):
+    def predict(self, m):
+        return np.zeros(3)
+
+
+def test_engine_rejects_wrong_score_count_and_bad_base():
+    m = SMALL
+    with pytest.raises(ValueError, match="scores for"):
+        list(perturbed_scores(ShortPredictor(m.column_names), m, [{}]))
+    with pytest.raises(ValueError, match="base_scores"):
+        permutation_importance(_stub(m), m, m.labels, seed=0, base_scores=np.zeros(2))
+
+
+def test_bridge_cell_launches_one_process_per_chunk(tmp_path):
+    launches = tmp_path / "launches.txt"
+    cfg = bridge_config(tmp_path, launch_log=launches)
+    cfg = dataclasses.replace(cfg, models=cfg.models[:1], pi_repeats=2)
+    _, test_m = prepare_matrices(cfg)
+    (report,) = run_benchmark(cfg)
+    assert report.excluded_reason == "" and report.fc is not None
+    varying = sum(len(np.unique(test_m.rows[:, i])) >= 2 for i in range(test_m.n_columns))
+    fc_types = sum(bool(test_m.columns_of_type(t)) for t in ("control", "case", "event"))
+    # one launch for AUC (whose scores PI and FC reuse), the PI chunks, one per FC type
+    expected = 1 + math.ceil(varying * 2 / _per_chunk(test_m)) + fc_types
+    assert len(launches.read_text(encoding="utf-8").splitlines()) == expected
 
 
 # --- intrinsic weights -----------------------------------------------------------

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import StubPredictor, make_matrix
-from xpop.explain import WeightVector
+from xpop.explain import CHUNK_CELLS, WeightVector, permute_column
+from xpop.models import average_ranks, train_forest
 from xpop.metrics import (
     functional_complexity,
     irc,
@@ -245,3 +249,64 @@ def test_fc_does_not_mutate_matrix():
     predictor = StubPredictor(lambda row: float(row[0]), m.column_names)
     functional_complexity(predictor, m, "control", seed=0)
     assert np.array_equal(np.asarray(m.rows), before)
+
+
+def _fc_reference(predictor, m, attribute_type, seed):
+    """Functional complexity with its own predict calls on an unbatched copy."""
+    ordinal = {"control": 0, "case": 1, "event": 2}[attribute_type]
+    rng = np.random.default_rng(seed + ordinal)
+    rows = m.rows.copy()
+    for i in m.columns_of_type(attribute_type):
+        rows[:, i] = permute_column(m.rows[:, i], np.unique(m.rows[:, i]), rng)
+    original = predictor.predict(m)
+    permuted = predictor.predict(dataclasses.replace(m, rows=rows))
+    return float(((original >= 0.5) != (permuted >= 0.5)).mean())
+
+
+def _typed_matrix(n, p, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, p)) / 3.0
+    y = (X[:, 0] + 0.5 * X[:, -1] + 0.3 * rng.normal(size=n) > 0.8).astype(int)
+    types = [("control", "case", "event")[i % 3] for i in range(p)]
+    return make_matrix(X, y, types=types)
+
+
+@pytest.mark.parametrize("shape", [(60, 6), (400, 90)], ids=["small", "wide"])
+def test_fc_equals_unbatched_reference(shape):
+    m = _typed_matrix(*shape, seed=shape[1])
+    assert (m.n_rows * m.n_columns > CHUNK_CELLS) == (shape[1] == 90)
+    w = np.linspace(-1.0, 1.0, m.n_columns)
+    stub = StubPredictor(lambda row: 1.0 / (1.0 + math.exp(-float(row @ w))), m.column_names)
+    forest = train_forest(m, {"n_trees": 5, "max_depth": 4}, seed=3)
+    rows = m.rows.copy()
+    for predictor in (stub, forest):
+        base = predictor.predict(m)
+        for attribute_type in ("control", "case", "event"):
+            expected = _fc_reference(predictor, m, attribute_type, seed=29)
+            assert functional_complexity(predictor, m, attribute_type, seed=29) == expected
+            assert functional_complexity(
+                predictor, m, attribute_type, seed=29, base_scores=base
+            ) == expected
+    assert np.array_equal(m.rows, rows)
+
+
+# --- average ranks --------------------------------------------------------------
+
+
+_tied_values = st.lists(
+    st.one_of(
+        st.integers(-3, 3).map(float),
+        st.sampled_from([-0.0, 0.5, 5e-324]),
+        st.floats(allow_nan=False, width=64),
+    ),
+    max_size=40,
+)
+
+
+@given(_tied_values)
+def test_average_ranks_match_counting_definition(values):
+    v = np.array(values, dtype=np.float64)
+    expected = [
+        float((v < x).sum()) + (float((v == x).sum()) + 1.0) / 2.0 for x in v
+    ]
+    assert average_ranks(v).tolist() == expected
