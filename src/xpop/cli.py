@@ -9,43 +9,32 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from xpop.eventlog import format_schema_config, parse_csv, parse_schema_config
+from xpop.eventlog import format_schema_config, parse_csv, parse_schema_config, serialize_csv
 from xpop.guidelines import QUESTION_ORDER, Questionnaire, interactive_guide, recommend
 from xpop.harness import (
     BenchmarkConfig,
     format_table,
     load_config,
-    load_log,
     prepare_matrices,
     render_report,
     run_benchmark,
     train_model,
 )
-from xpop.metrics import MetricsReport
 from xpop.models import auc, export_model
 from xpop.preprocess import aggregate_encode, extract_prefixes, fit_vocabulary
+from xpop.seeds import derive_seed
 from xpop.synth import generate_log, synth_schema
-from xpop.eventlog import serialize_csv
 
 
 def _load_cfg(args) -> BenchmarkConfig:
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = BenchmarkConfig(
-            seed=args.seed, max_prefix=cfg.max_prefix, models=cfg.models,
-            log_path=cfg.log_path, schema_path=cfg.schema_path, synth=cfg.synth,
-            label_rule=cfg.label_rule, train_ratio=cfg.train_ratio,
-            pi_repeats=cfg.pi_repeats, out_dir=cfg.out_dir, log_id=cfg.log_id,
-        )
-    if getattr(args, "out", None) is not None:
-        cfg = BenchmarkConfig(
-            seed=cfg.seed, max_prefix=cfg.max_prefix, models=cfg.models,
-            log_path=cfg.log_path, schema_path=cfg.schema_path, synth=cfg.synth,
-            label_rule=cfg.label_rule, train_ratio=cfg.train_ratio,
-            pi_repeats=cfg.pi_repeats, out_dir=str(args.out), log_id=cfg.log_id,
-        )
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.out is not None:
+        cfg = replace(cfg, out_dir=str(args.out))
     return cfg
 
 
@@ -85,8 +74,6 @@ def cmd_train(args) -> int:
     train_m, _ = prepare_matrices(cfg)
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    from xpop.seeds import derive_seed
-
     for idx, spec in enumerate(cfg.models):
         model = train_model(spec, train_m, derive_seed(cfg.seed, idx))
         path = out / f"{spec.name}.model.txt"
@@ -99,8 +86,6 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     train_m, test_m = prepare_matrices(cfg)
-    from xpop.seeds import derive_seed
-
     for idx, spec in enumerate(cfg.models):
         try:
             model = train_model(spec, train_m, derive_seed(cfg.seed, idx))
@@ -111,21 +96,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
-    cfg = _load_cfg(args)
-    reports = run_benchmark(cfg)
-    sys.stdout.write(render_report(reports, "table"))
-    return 0
-
-
 def cmd_bench(args) -> int:
+    """``bench`` and ``metrics``: run the benchmark and print its table.
+    Only ``bench`` writes ``report.csv``, into the output directory."""
     cfg = _load_cfg(args)
     reports = run_benchmark(cfg)
-    csv_text = render_report(reports, "csv")
-    if cfg.out_dir:
+    if args.command == "bench" and cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_text(csv_text, encoding="utf-8")
+        (out / "report.csv").write_text(render_report(reports, "csv"), encoding="utf-8")
         print(f"wrote {out / 'report.csv'}")
     sys.stdout.write(render_report(reports, "table"))
     return 0
@@ -133,8 +112,17 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     with open(args.input, encoding="utf-8", newline="") as fh:
-        header, *rows = [row for row in csv.reader(fh) if row]
-    sys.stdout.write(format_table(header, rows))
+        records = [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row]
+    if not records:
+        print(f"{args.input}: row 1: no header", file=sys.stderr)
+        return 2
+    (_, header), *records = records
+    for n, row in records:
+        if len(row) != len(header):
+            print(f"{args.input}: row {n}: {len(row)} fields, header has {len(header)}",
+                  file=sys.stderr)
+            return 2
+    sys.stdout.write(format_table(header, [row for _, row in records]))
     return 0
 
 
@@ -186,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="full metric run, rendered as a table")
     with_config(p)
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bench", help="full benchmark; writes report.csv")
     with_config(p)

@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import IO, Iterable, Mapping, Union
+from typing import IO, Mapping, Union
 
 MISSING = "__missing__"
 
@@ -110,18 +110,6 @@ class AttributeSchema:
     @property
     def dynamic_numeric(self) -> tuple[str, ...]:
         return self.columns_with_role(ROLE_DYNAMIC_NUM)
-
-    @property
-    def static_columns(self) -> tuple[str, ...]:
-        return tuple(
-            c for c, r in self.column_roles.items() if r in (ROLE_STATIC_CAT, ROLE_STATIC_NUM)
-        )
-
-    @property
-    def dynamic_columns(self) -> tuple[str, ...]:
-        return tuple(
-            c for c, r in self.column_roles.items() if r in (ROLE_DYNAMIC_CAT, ROLE_DYNAMIC_NUM)
-        )
 
 
 @dataclass(frozen=True)

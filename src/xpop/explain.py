@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from xpop.models import ConstantLeaf, TrainedModel, _tree_leaf_ids, iter_leaves
+from xpop.models import ConstantLeaf, TrainedModel, iter_leaves
 from xpop.preprocess import EncodedMatrix
 
 

@@ -62,7 +62,38 @@ REPORT_HEADER = (
     "FC_control,FC_case,FC_event,IRC,LOD@10,excluded_reason"
 )
 
-MODEL_KINDS = ("logreg", "tree", "forest", "llm", "external")
+
+def _external_weights(spec: ModelSpec, model: TrainedModel):
+    if not spec.weights_path:
+        raise ValueError(f"model {spec.name!r} has no weight source (set 'weights')")
+    return load_external_weights(spec.weights_path, model.columns)
+
+
+# kind -> (train(spec, train matrix, seed), weights(spec, model)). The entries
+# look the trainers and weight sources up by name when called, so a name
+# rebound in this module (a tracer's wrapper) is the one that runs.
+MODELS = {
+    "logreg": (
+        lambda spec, m, seed: train_logreg(m, spec.hyper),
+        lambda spec, model: coefficient_weights(model),
+    ),
+    "tree": (
+        lambda spec, m, seed: train_tree(m, spec.hyper),
+        lambda spec, model: impurity_weights(model),
+    ),
+    "forest": (
+        lambda spec, m, seed: train_forest(m, spec.hyper, seed=seed),
+        lambda spec, model: impurity_weights(model),
+    ),
+    "llm": (
+        lambda spec, m, seed: train_llm(m, spec.hyper),
+        lambda spec, model: coefficient_weights(model),
+    ),
+    "external": (
+        lambda spec, m, seed: external_model(spec.command, m.column_names),
+        _external_weights,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -74,7 +105,7 @@ class ModelSpec:
     weights_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in MODELS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "external" and not self.command:
             raise ValueError("external model needs a command")
@@ -216,27 +247,7 @@ def prepare_matrices(cfg: BenchmarkConfig) -> tuple[EncodedMatrix, EncodedMatrix
 
 
 def train_model(spec: ModelSpec, train_m: EncodedMatrix, seed: int) -> TrainedModel:
-    if spec.kind == "logreg":
-        return train_logreg(train_m, spec.hyper)
-    if spec.kind == "tree":
-        return train_tree(train_m, spec.hyper)
-    if spec.kind == "forest":
-        return train_forest(train_m, spec.hyper, seed=seed)
-    if spec.kind == "llm":
-        return train_llm(train_m, spec.hyper)
-    if spec.kind == "external":
-        return external_model(spec.command, train_m.column_names)
-    raise ValueError(f"unknown model kind {spec.kind!r}")
-
-
-def model_weights(spec: ModelSpec, model: TrainedModel):
-    if spec.kind in ("logreg", "llm"):
-        return coefficient_weights(model)
-    if spec.kind in ("tree", "forest"):
-        return impurity_weights(model)
-    if spec.weights_path:
-        return load_external_weights(spec.weights_path, model.columns)
-    raise ValueError(f"model {spec.name!r} has no weight source (set 'weights')")
+    return MODELS[spec.kind][0](spec, train_m, seed)
 
 
 def _fc_metric(
@@ -273,52 +284,42 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
     aucs = [a for _, _, _, a, _ in cells if a is not None]
     mean_auc = float(np.mean(aucs)) if aucs else math.nan
 
+    if math.isnan(mean_auc) or mean_auc < AUC_FLOOR:
+        low_auc = "avg AUC below 50"
+    elif mean_auc < XAI_FLOOR:
+        low_auc = "avg AUC below 75"
+    else:
+        low_auc = ""
+
     reports = []
     for idx, (spec, model, scores, model_auc, error) in enumerate(cells):
         model_seed = derive_seed(cfg.seed, idx)
-        base = MetricsReport(
-            log_id=cfg.log_id, model_id=spec.name, auc=model_auc, seed=model_seed
-        )
-        if error:
-            reports.append(
-                MetricsReport(cfg.log_id, spec.name, None, excluded_reason=error,
-                              seed=model_seed)
-            )
-            continue
-        if math.isnan(mean_auc) or mean_auc < AUC_FLOOR:
-            reports.append(
-                MetricsReport(cfg.log_id, spec.name, model_auc,
-                              excluded_reason="avg AUC below 50", seed=model_seed)
-            )
-            continue
-        if mean_auc < XAI_FLOOR:
-            reports.append(
-                MetricsReport(cfg.log_id, spec.name, model_auc,
-                              excluded_reason="avg AUC below 75", seed=model_seed)
-            )
-            continue
-        try:
-            w_pi = permutation_importance(
-                model, test_m, test_m.labels, seed=derive_seed(model_seed, 1),
-                repeats=cfg.pi_repeats, base_scores=scores,
-            )
-            w_e = model_weights(spec, model)
-            pars = parsimony(w_e, test_m.columns)
-            fc = _fc_metric(model, test_m, derive_seed(model_seed, 2), scores)
+        reason = error or low_auc
+        if not reason:
             try:
-                rank_corr = irc(w_pi, w_e)
-            except ValueError:
-                rank_corr = None  # degenerate ranking: reported as undefined
-            lod = lod_at_k(w_pi, w_e, test_m.columns, k=10)
-            reports.append(
-                MetricsReport(cfg.log_id, spec.name, model_auc, parsimony=pars,
-                              fc=fc, irc=rank_corr, lod_at_10=lod, seed=model_seed)
-            )
-        except Exception as exc:
-            reports.append(
-                MetricsReport(cfg.log_id, spec.name, model_auc,
-                              excluded_reason=f"error: {exc}", seed=model_seed)
-            )
+                w_pi = permutation_importance(
+                    model, test_m, test_m.labels, seed=derive_seed(model_seed, 1),
+                    repeats=cfg.pi_repeats, base_scores=scores,
+                )
+                w_e = MODELS[spec.kind][1](spec, model)
+                pars = parsimony(w_e, test_m.columns)
+                fc = _fc_metric(model, test_m, derive_seed(model_seed, 2), scores)
+                try:
+                    rank_corr = irc(w_pi, w_e)
+                except ValueError:
+                    rank_corr = None  # degenerate ranking: reported as undefined
+                lod = lod_at_k(w_pi, w_e, test_m.columns, k=10)
+                reports.append(
+                    MetricsReport(cfg.log_id, spec.name, model_auc, parsimony=pars,
+                                  fc=fc, irc=rank_corr, lod_at_10=lod, seed=model_seed)
+                )
+                continue
+            except Exception as exc:
+                reason = f"error: {exc}"
+        reports.append(
+            MetricsReport(cfg.log_id, spec.name, model_auc, excluded_reason=reason,
+                          seed=model_seed)
+        )
     return reports
 
 
@@ -350,7 +351,9 @@ def _report_row(r: MetricsReport) -> list[str]:
 
 
 def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Left-aligned text table with a dashed rule under the header."""
+    """Left-aligned text table with a dashed rule under the header; a line
+    break inside a cell is shown as the two characters ``\\n``."""
+    header, *rows = [[re.sub(r"\r\n|\r|\n", r"\\n", c) for c in row] for row in (header, *rows)]
     widths = [
         max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
         for i in range(len(header))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -73,7 +73,6 @@ class TreeNode:
 class TrainedModel:
     kind: str
     columns: tuple[str, ...]
-    scaler: Scaler
     logreg: Optional[LogRegParams] = None
     tree: Optional[TreeNode] = None
     trees: tuple[TreeNode, ...] = ()
@@ -149,14 +148,15 @@ def train_logreg(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> 
         raise ValueError("need at least 2 rows")
     _check_two_classes(m.labels)
     params = _fit_logreg_arrays(m.rows, y, float(h["l2"]), int(h["max_iter"]), float(h["tol"]))
-    model = TrainedModel(
-        "logreg", m.column_names, params.scaler, logreg=params
-    )
-    scores = predict_proba(model, m)
-    return TrainedModel(
-        "logreg", m.column_names, params.scaler, logreg=params,
-        training_auc=auc(m.labels, scores),
-    )
+    return _with_training_auc(TrainedModel("logreg", m.column_names, logreg=params), m)
+
+
+def _with_training_auc(model: TrainedModel, m: EncodedMatrix) -> TrainedModel:
+    """``model`` with its AUC on its training matrix ``m``; a single-class
+    ``m`` leaves ``training_auc`` unset."""
+    if len(np.unique(m.labels)) < 2:
+        return model
+    return replace(model, training_auc=auc(m.labels, predict_proba(model, m)))
 
 
 def _gini(n_pos: float, n: float) -> float:
@@ -249,35 +249,26 @@ def _grow_tree(
     return node
 
 
+def _route(node: TreeNode, X: np.ndarray):
+    """Yield ``(leaf, row indices)`` for each leaf that rows of ``X`` reach,
+    leaves left to right, indices ascending."""
+    stack = [(node, np.arange(len(X)))]
+    while stack:
+        current, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if current.is_leaf:
+            yield current, idx
+            continue
+        mask = X[idx, current.column] <= current.threshold
+        stack.append((current.right, idx[~mask]))
+        stack.append((current.left, idx[mask]))
+
+
 def _tree_scores(node: TreeNode, X: np.ndarray) -> np.ndarray:
     out = np.empty(len(X), dtype=np.float64)
-    stack = [(node, np.arange(len(X)))]
-    while stack:
-        current, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if current.is_leaf:
-            out[idx] = current.prob
-            continue
-        mask = X[idx, current.column] <= current.threshold
-        stack.append((current.left, idx[mask]))
-        stack.append((current.right, idx[~mask]))
-    return out
-
-
-def _tree_leaf_ids(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.int64)
-    stack = [(node, np.arange(len(X)))]
-    while stack:
-        current, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if current.is_leaf:
-            out[idx] = current.leaf_id
-            continue
-        mask = X[idx, current.column] <= current.threshold
-        stack.append((current.left, idx[mask]))
-        stack.append((current.right, idx[~mask]))
+    for leaf, idx in _route(node, X):
+        out[idx] = leaf.prob
     return out
 
 
@@ -295,13 +286,7 @@ def train_tree(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tr
     X = np.asarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
     root = _grow_tree(X, y, 0, int(h["max_depth"]), int(h["min_samples_leaf"]))
-    model = TrainedModel("tree", m.column_names, Scaler.fit(X), tree=root)
-    train_auc = None
-    if len(np.unique(m.labels)) == 2:
-        train_auc = auc(m.labels, predict_proba(model, m))
-    return TrainedModel(
-        "tree", m.column_names, model.scaler, tree=root, training_auc=train_auc
-    )
+    return _with_training_auc(TrainedModel("tree", m.column_names, tree=root), m)
 
 
 def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
@@ -322,13 +307,7 @@ def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
                 rng=rng, mtry=mtry,
             )
         )
-    model = TrainedModel("forest", m.column_names, Scaler.fit(X), trees=tuple(trees))
-    train_auc = None
-    if len(np.unique(m.labels)) == 2:
-        train_auc = auc(m.labels, predict_proba(model, m))
-    return TrainedModel(
-        "forest", m.column_names, model.scaler, trees=tuple(trees), training_auc=train_auc
-    )
+    return _with_training_auc(TrainedModel("forest", m.column_names, trees=tuple(trees)), m)
 
 
 @dataclass(frozen=True)
@@ -350,10 +329,8 @@ def train_llm(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tra
     root = _grow_tree(X, y, 0, int(h["max_depth"]), min_leaf, force_root=True)
     for i, leaf in enumerate(iter_leaves(root)):
         leaf.leaf_id = i
-    leaf_ids = _tree_leaf_ids(root, X)
     leaf_models: dict[int, object] = {}
-    for leaf in iter_leaves(root):
-        rows = leaf_ids == leaf.leaf_id
+    for leaf, rows in _route(root, X):
         y_leaf = y[rows]
         if y_leaf.min() == y_leaf.max():
             leaf_models[leaf.leaf_id] = ConstantLeaf(float(y_leaf[0]))
@@ -361,19 +338,13 @@ def train_llm(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tra
             leaf_models[leaf.leaf_id] = _fit_logreg_arrays(
                 X[rows], y_leaf, float(h["l2"]), int(h["max_iter"]), float(h["tol"])
             )
-    model = TrainedModel(
-        "llm", m.column_names, Scaler.fit(X), tree=root, leaf_models=leaf_models
-    )
-    return TrainedModel(
-        "llm", m.column_names, model.scaler, tree=root, leaf_models=leaf_models,
-        training_auc=auc(m.labels, predict_proba(model, m)),
-    )
+    model = TrainedModel("llm", m.column_names, tree=root, leaf_models=leaf_models)
+    return _with_training_auc(model, m)
 
 
 def external_model(command: str, columns: Sequence[str]) -> TrainedModel:
     """Wrap an external scoring command as a predictor."""
-    dummy = Scaler(np.zeros(len(columns)), np.ones(len(columns)))
-    return TrainedModel("external", tuple(columns), dummy, command=command)
+    return TrainedModel("external", tuple(columns), command=command)
 
 
 def predict_proba(model: TrainedModel, m: EncodedMatrix) -> np.ndarray:
@@ -392,11 +363,8 @@ def predict_proba(model: TrainedModel, m: EncodedMatrix) -> np.ndarray:
         return scores.mean(axis=0)
     if model.kind == "llm":
         out = np.empty(len(X), dtype=np.float64)
-        leaf_ids = _tree_leaf_ids(model.tree, X)
-        for leaf_id, leaf_model in model.leaf_models.items():
-            rows = leaf_ids == leaf_id
-            if not rows.any():
-                continue
+        for leaf, rows in _route(model.tree, X):
+            leaf_model = model.leaf_models[leaf.leaf_id]
             if isinstance(leaf_model, ConstantLeaf):
                 out[rows] = leaf_model.prob
             else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 

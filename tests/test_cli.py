@@ -97,7 +97,37 @@ def test_cli_report_quotes_bridge_error_text(tmp_path, capsys):
     assert rows[3][11] == 'error: external command exited with 1: bad "input", row 3\nsecond line'
     capsys.readouterr()
     assert main(["report", "--input", str(out / "report.csv")]) == 0
-    assert 'bad "input", row 3' in capsys.readouterr().out
+    table = capsys.readouterr().out
+    assert 'bad "input", row 3\\nsecond line' in table
+    assert len(table.splitlines()) == (len(rows) - 1) + 2  # rows, header, rule
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [("", 1), ("a,b,c\n1\n", 2), ("a,b\n1,2\n\n3,4,5\n", 4)],
+    ids=["empty", "short_row", "long_row_after_blank_line"],
+)
+def test_cli_report_rejects_malformed_csv(tmp_path, capsys, text, row):
+    path = tmp_path / "report.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: row {row}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_metrics_prints_the_bench_table_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "from_config"
+    config = tmp_path / "bench.cfg"
+    config.write_text(CONFIG.replace("[data]\n", f"[data]\nout = {out}\n"), encoding="utf-8")
+    assert main(["metrics", "--config", str(config)]) == 0
+    metrics_out = capsys.readouterr().out
+    assert not out.exists()
+    assert main(["bench", "--config", str(config)]) == 0
+    bench_out = capsys.readouterr().out
+    assert bench_out == f"wrote {out / 'report.csv'}\n" + metrics_out
+    assert metrics_out.startswith("log  ") and len(metrics_out.splitlines()) == 4
 
 
 def test_cli_bench_is_deterministic(tmp_path, config_path, capsys):

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import shlex
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import make_matrix
+from xpop import harness
+from xpop.explain import WeightVector
 from xpop.harness import (
+    MODELS,
     REPORT_HEADER,
     BenchmarkConfig,
     ModelSpec,
@@ -14,8 +20,10 @@ from xpop.harness import (
     prepare_matrices,
     render_report,
     run_benchmark,
+    train_model,
 )
 from xpop.metrics import MetricsReport, TypedMetric
+from xpop.models import export_model
 from xpop.synth import CaseThreshold, ControlFollows, ControlPresence, EventMeanThreshold, SynthSpec
 
 
@@ -23,6 +31,61 @@ def _cfg(models, synth=None, **kw):
     synth = synth or SynthSpec(n_cases=120, label_noise=0.05, seed=3)
     return BenchmarkConfig(seed=kw.pop("seed", 7), max_prefix=kw.pop("max_prefix", 4),
                            models=tuple(models), synth=synth, **kw)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_every_model_kind_end_to_end(tmp_path, kind):
+    rng = np.random.default_rng(11)
+    X = rng.random((60, 3))
+    labels = ((X[:, 0] + 0.3 * rng.random(60)) > 0.65).astype(np.int64)
+    m = make_matrix(X, labels)
+    scorer = tmp_path / "scorer.py"
+    scorer.write_text(
+        "import sys\nfor line in sys.stdin.read().splitlines()[1:]:\n"
+        "    print(min(1.0, max(0.0, float(line.split(',')[0]))))\n",
+        encoding="utf-8",
+    )
+    weights = tmp_path / "weights.csv"
+    weights.write_text("x0,2.0\nx1,-0.5\nx2,0\n", encoding="utf-8")
+    spec = ModelSpec("m", kind, hyper={"n_trees": 3.0}, weights_path=str(weights),
+                     command=shlex.join([sys.executable, str(scorer)]))
+
+    model = train_model(spec, m, seed=5)
+    scores = model.predict(m)
+    w = MODELS[kind][1](spec, model)
+    text = export_model(model)
+
+    assert model.kind == kind and model.columns == m.column_names
+    assert scores.shape == (60,) and np.all((scores >= 0.0) & (scores <= 1.0))
+    if kind == "external":
+        assert np.array_equal(scores, np.clip(X[:, 0], 0.0, 1.0))
+        assert model.training_auc is None
+        assert w.weights.tolist() == [2.0, 0.5, 0.0]
+    else:
+        assert 0.5 < model.training_auc <= 1.0
+    assert isinstance(w, WeightVector) and w.columns == m.column_names
+    assert np.all(w.weights >= 0.0) and w.weights.sum() > 0.0
+    assert text.startswith(f"kind\t{kind}\n")
+
+
+def test_model_table_looks_functions_up_when_called(monkeypatch):
+    # A tracer rebinds these names in the harness module; every cell must
+    # reach the rebound function, not one captured when the table was built.
+    expected = {
+        "logreg": ("train_logreg", "coefficient_weights"),
+        "tree": ("train_tree", "impurity_weights"),
+        "forest": ("train_forest", "impurity_weights"),
+        "llm": ("train_llm", "coefficient_weights"),
+        "external": ("external_model", "load_external_weights"),
+    }
+    for names in expected.values():
+        for name in names:
+            monkeypatch.setattr(harness, name, lambda *a, name=name, **k: name)
+    m = make_matrix(np.zeros((2, 1)), [0, 1])
+    for kind, (train_name, weights_name) in expected.items():
+        spec = ModelSpec("m", kind, command="scorer", weights_path="w.csv")
+        assert train_model(spec, m, 0) == train_name
+        assert MODELS[kind][1](spec, SimpleNamespace(columns=m.column_names)) == weights_name
 
 
 # --- config parsing -----------------------------------------------------------------
@@ -94,8 +157,12 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_model_spec_validation():
-    with pytest.raises(ValueError, match="unknown model kind"):
-        ModelSpec("m", "svm")
+    assert set(MODELS) == {"logreg", "tree", "forest", "llm", "external"}
+    for kind in MODELS:
+        assert ModelSpec("m", kind, command="scorer").kind == kind
+    for kind in ("svm", "Logreg", "", "model"):
+        with pytest.raises(ValueError, match="unknown model kind"):
+            ModelSpec("m", kind, command="scorer")
     with pytest.raises(ValueError, match="needs a command"):
         ModelSpec("m", "external")
     with pytest.raises(ValueError, match="at least one model"):
