@@ -12,13 +12,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from xpop.eventlog import format_schema_config, parse_csv, parse_schema_config, serialize_csv
+from xpop.eventlog import format_schema_config, serialize_csv
 from xpop.guidelines import QUESTION_ORDER, Questionnaire, interactive_guide, recommend
 from xpop.harness import (
     BenchmarkConfig,
     format_table,
     load_config,
     prepare_matrices,
+    read_log,
+    reading,
     render_report,
     run_benchmark,
     train_model,
@@ -30,7 +32,8 @@ from xpop.synth import generate_log, synth_schema
 
 
 def _load_cfg(args) -> BenchmarkConfig:
-    cfg = load_config(args.config)
+    with reading(args.config):
+        cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
@@ -55,9 +58,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    schema = parse_schema_config(Path(args.schema).read_text(encoding="utf-8"))
-    with open(args.log, "rb") as fh:
-        log = parse_csv(fh, schema)
+    schema, log = read_log(args.log, args.schema)
     vocab = fit_vocabulary(log)
     matrix = aggregate_encode(extract_prefixes(log, args.max_prefix), schema, vocab)
     text = matrix.export_csv(include_label=True)
@@ -111,17 +112,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input, encoding="utf-8", newline="") as fh:
+    with reading(args.input), open(args.input, encoding="utf-8", newline="") as fh:
         records = [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row]
-    if not records:
-        print(f"{args.input}: row 1: no header", file=sys.stderr)
-        return 2
-    (_, header), *records = records
-    for n, row in records:
-        if len(row) != len(header):
-            print(f"{args.input}: row {n}: {len(row)} fields, header has {len(header)}",
-                  file=sys.stderr)
-            return 2
+        if not records:
+            raise ValueError("row 1: no header")
+        (_, header), *records = records
+        for n, row in records:
+            if len(row) != len(header):
+                raise ValueError(f"row {n}: {len(row)} fields, header has {len(header)}")
     sys.stdout.write(format_table(header, [row for _, row in records]))
     return 0
 
@@ -194,8 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. An error that names a file (a missing or unreadable
+    file, or a decode or parse error raised in ``reading``) prints one line
+    ``<file>: <reason>`` to stderr and exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        if getattr(exc, "filename", None) is None:
+            raise
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"{exc.filename}: {reason}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

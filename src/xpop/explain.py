@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from xpop.models import ConstantLeaf, TrainedModel, iter_leaves
+from xpop.models import ConstantLeaf, TrainedModel
 from xpop.preprocess import EncodedMatrix
 
 
@@ -159,43 +159,25 @@ def coefficient_weights(model: TrainedModel) -> WeightVector:
     if model.kind == "logreg":
         return WeightVector(np.abs(model.logreg.coef), model.columns, "coefficients")
     if model.kind == "llm":
-        p = len(model.columns)
-        total = np.zeros(p)
-        support = 0
-        for leaf in iter_leaves(model.tree):
-            leaf_model = model.leaf_models[leaf.leaf_id]
+        total = np.zeros(len(model.columns))
+        leaf_n = model.tree.n[model.tree.leaves]
+        for n, leaf_model in zip(leaf_n, model.leaf_models):
             if not isinstance(leaf_model, ConstantLeaf):
-                total += leaf.n * np.abs(leaf_model.coef)
-            support += leaf.n
-        return WeightVector(total / support, model.columns, "coefficients")
+                total += n * np.abs(leaf_model.coef)
+        return WeightVector(total / leaf_n.sum(), model.columns, "coefficients")
     raise ValueError(f"coefficient weights undefined for model kind {model.kind!r}")
-
-
-def _accumulate_impurity(node, total_n: int, out: np.ndarray) -> None:
-    if node.is_leaf:
-        return
-    child_gini = (
-        node.left.n / node.n * node.left.gini + node.right.n / node.n * node.right.gini
-    )
-    out[node.column] += node.n / total_n * (node.gini - child_gini)
-    _accumulate_impurity(node.left, total_n, out)
-    _accumulate_impurity(node.right, total_n, out)
 
 
 def impurity_weights(model: TrainedModel) -> WeightVector:
     """Total Gini impurity decrease per column, node-fraction weighted;
     forests average over member trees."""
-    p = len(model.columns)
-    if model.kind == "tree":
-        out = np.zeros(p)
-        _accumulate_impurity(model.tree, model.tree.n, out)
-        return WeightVector(out, model.columns, "impurity")
-    if model.kind == "forest":
-        out = np.zeros(p)
-        for tree in model.trees:
-            _accumulate_impurity(tree, tree.n, out)
-        return WeightVector(out / len(model.trees), model.columns, "impurity")
-    raise ValueError(f"impurity weights undefined for model kind {model.kind!r}")
+    trees = {"tree": (model.tree,), "forest": model.trees}.get(model.kind)
+    if trees is None:
+        raise ValueError(f"impurity weights undefined for model kind {model.kind!r}")
+    out = np.zeros(len(model.columns))
+    for tree in trees:  # one running sum in preorder, tree after tree
+        np.add.at(out, *tree.split_gains())
+    return WeightVector(out / len(trees), model.columns, "impurity")
 
 
 def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:

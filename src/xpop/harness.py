@@ -15,13 +15,20 @@ import csv
 import io
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from xpop.eventlog import EventLog, label_eventually_followed_by, parse_csv, parse_schema_config
+from xpop.eventlog import (
+    AttributeSchema,
+    EventLog,
+    label_eventually_followed_by,
+    parse_csv,
+    parse_schema_config,
+)
 from xpop.explain import coefficient_weights, impurity_weights, load_external_weights, permutation_importance
 from xpop.metrics import MetricsReport, TypedMetric, functional_complexity, irc, lod_at_k, parsimony
 from xpop.models import (
@@ -174,9 +181,8 @@ _HYPER_KEYS = {
 def load_config(path: str | Path) -> BenchmarkConfig:
     """Read a plain-text ``key = value`` config with one section per model."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
+    with open(path, encoding="utf-8") as fh:
+        parser.read_file(fh)
     if "data" not in parser:
         raise ValueError("config needs a [data] section")
     data = parser["data"]
@@ -225,12 +231,30 @@ def load_config(path: str | Path) -> BenchmarkConfig:
     )
 
 
+@contextmanager
+def reading(path):
+    """Name ``path`` on a ValueError (a decode or parse error) raised in the
+    block, as ``filename`` like an OSError's; ``cli.main`` reports an error
+    that names a file as one line."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.filename = str(path)
+        raise
+
+
+def read_log(log_path, schema_path) -> tuple[AttributeSchema, EventLog]:
+    """The schema config at ``schema_path`` and the CSV log it describes."""
+    with reading(schema_path):
+        schema = parse_schema_config(Path(schema_path).read_text(encoding="utf-8"))
+    with reading(log_path), open(log_path, "rb") as fh:
+        return schema, parse_csv(fh, schema)
+
+
 def load_log(cfg: BenchmarkConfig) -> EventLog:
     if cfg.synth is not None:
         return generate_log(cfg.synth)
-    schema = parse_schema_config(Path(cfg.schema_path).read_text(encoding="utf-8"))
-    with open(cfg.log_path, "rb") as fh:
-        log = parse_csv(fh, schema)
+    _, log = read_log(cfg.log_path, cfg.schema_path)
     if cfg.label_rule is not None:
         log = label_eventually_followed_by(log, *cfg.label_rule)
     return log

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import shlex
 import subprocess
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -52,21 +52,51 @@ class LogRegParams:
     intercept: float
     scaler: Scaler
 
+    def score(self, X: np.ndarray) -> np.ndarray:
+        return _sigmoid(self.scaler.transform(X) @ self.coef + self.intercept)
 
-@dataclass
-class TreeNode:
-    n: int
-    gini: float
-    prob: float
-    column: Optional[int] = None
-    threshold: Optional[float] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    leaf_id: Optional[int] = None
+
+@dataclass(frozen=True)
+class Tree:
+    """A fitted CART tree: one array per field, one entry per node in
+    preorder, left subtree first. So a split's left child is the next node,
+    leaves in array order run left to right, and array order is export
+    order. At a leaf, ``column`` is -1, ``threshold`` is NaN, and ``left``
+    and ``right`` point back at the leaf."""
+
+    depth: np.ndarray
+    column: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    n: np.ndarray
+    gini: np.ndarray
+    prob: np.ndarray
 
     @property
-    def is_leaf(self) -> bool:
-        return self.column is None
+    def leaves(self) -> np.ndarray:
+        """Leaf node indices, left to right."""
+        return np.flatnonzero(self.column < 0)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """The leaf each row of ``X`` reaches; ``x <= threshold`` goes left.
+        All rows step together as deep as the tree goes; a row that reached
+        its leaf steps back onto it."""
+        rows = np.arange(len(X))
+        column = np.maximum(self.column, 0)  # any valid column: a leaf's test is moot
+        node = np.zeros(len(X), dtype=np.intp)
+        for _ in range(self.depth.max()):
+            go_left = X[rows, column[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return node
+
+    def split_gains(self) -> tuple[np.ndarray, np.ndarray]:
+        """(column, Gini decrease weighted by the node's share of the root's
+        rows) of each split, in preorder."""
+        s = np.flatnonzero(self.column >= 0)
+        left, right, n = self.left[s], self.right[s], self.n[s]
+        child_gini = self.n[left] / n * self.gini[left] + self.n[right] / n * self.gini[right]
+        return self.column[s], n / self.n[0] * (self.gini[s] - child_gini)
 
 
 @dataclass(frozen=True)
@@ -74,9 +104,9 @@ class TrainedModel:
     kind: str
     columns: tuple[str, ...]
     logreg: Optional[LogRegParams] = None
-    tree: Optional[TreeNode] = None
-    trees: tuple[TreeNode, ...] = ()
-    leaf_models: Mapping[int, object] = field(default_factory=dict)
+    tree: Optional[Tree] = None
+    trees: tuple[Tree, ...] = ()
+    leaf_models: tuple = ()  # llm: one ConstantLeaf or LogRegParams per leaf, in leaf order
     command: Optional[str] = None
     training_auc: Optional[float] = None
 
@@ -211,73 +241,46 @@ def _best_split(
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
-    depth: int,
     max_depth: int,
     min_samples_leaf: int,
     rng: Optional[np.random.Generator] = None,
     mtry: Optional[int] = None,
     force_root: bool = False,
-) -> TreeNode:
-    n = len(y)
-    n_pos = float(y.sum())
-    node = TreeNode(n=n, gini=_gini(n_pos, n), prob=n_pos / n)
-    pure = n_pos == 0 or n_pos == n
-    # Split whenever the node is impure and a legal split exists; equal-gain
-    # candidates break ties by lowest column index, then lowest threshold.
-    if depth >= max_depth or n < 2 * min_samples_leaf or (pure and not force_root):
-        return node
-    p = X.shape[1]
-    if rng is not None and mtry is not None and mtry < p:
-        cols = np.sort(rng.choice(p, size=mtry, replace=False))
-    else:
-        cols = range(p)
-    split = _best_split(X, y, list(cols), min_samples_leaf)
-    if split is None:
-        if force_root:
-            raise ValueError("no legal forced split")
-        return node
-    _, col, threshold = split
-    mask = X[:, col] <= threshold
-    node.column = col
-    node.threshold = threshold
-    node.left = _grow_tree(
-        X[mask], y[mask], depth + 1, max_depth, min_samples_leaf, rng, mtry
-    )
-    node.right = _grow_tree(
-        X[~mask], y[~mask], depth + 1, max_depth, min_samples_leaf, rng, mtry
-    )
-    return node
+) -> Tree:
+    # one [depth, column, threshold, right, n, gini, prob] per node, preorder
+    nodes: list[list] = []
 
+    def grow(X: np.ndarray, y: np.ndarray, depth: int, forced: bool = False) -> None:
+        n = len(y)
+        n_pos = float(y.sum())
+        node = [depth, -1, np.nan, len(nodes), n, _gini(n_pos, n), n_pos / n]
+        nodes.append(node)
+        pure = n_pos == 0 or n_pos == n
+        # Split whenever the node is impure and a legal split exists; equal-gain
+        # candidates break ties by lowest column index, then lowest threshold.
+        if depth >= max_depth or n < 2 * min_samples_leaf or (pure and not forced):
+            return
+        p = X.shape[1]
+        if rng is not None and mtry is not None and mtry < p:
+            cols = np.sort(rng.choice(p, size=mtry, replace=False))
+        else:
+            cols = range(p)
+        split = _best_split(X, y, list(cols), min_samples_leaf)
+        if split is None:
+            if forced:
+                raise ValueError("no legal forced split")
+            return
+        _, column, threshold = split
+        node[1:3] = column, threshold
+        mask = X[:, column] <= threshold
+        grow(X[mask], y[mask], depth + 1)
+        node[3] = len(nodes)
+        grow(X[~mask], y[~mask], depth + 1)
 
-def _route(node: TreeNode, X: np.ndarray):
-    """Yield ``(leaf, row indices)`` for each leaf that rows of ``X`` reach,
-    leaves left to right, indices ascending."""
-    stack = [(node, np.arange(len(X)))]
-    while stack:
-        current, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if current.is_leaf:
-            yield current, idx
-            continue
-        mask = X[idx, current.column] <= current.threshold
-        stack.append((current.right, idx[~mask]))
-        stack.append((current.left, idx[mask]))
-
-
-def _tree_scores(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.float64)
-    for leaf, idx in _route(node, X):
-        out[idx] = leaf.prob
-    return out
-
-
-def iter_leaves(node: TreeNode):
-    if node.is_leaf:
-        yield node
-    else:
-        yield from iter_leaves(node.left)
-        yield from iter_leaves(node.right)
+    grow(X, y, 0, force_root)
+    depth, column, threshold, right, n, gini, prob = map(np.array, zip(*nodes))
+    left = np.arange(len(nodes)) + (column >= 0)
+    return Tree(depth, column, threshold, left, right, n, gini, prob)
 
 
 def train_tree(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> TrainedModel:
@@ -285,8 +288,8 @@ def train_tree(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tr
     h = {**DEFAULT_TREE, **(hyper or {})}
     X = np.asarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
-    root = _grow_tree(X, y, 0, int(h["max_depth"]), int(h["min_samples_leaf"]))
-    return _with_training_auc(TrainedModel("tree", m.column_names, tree=root), m)
+    tree = _grow_tree(X, y, int(h["max_depth"]), int(h["min_samples_leaf"]))
+    return _with_training_auc(TrainedModel("tree", m.column_names, tree=tree), m)
 
 
 def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
@@ -303,7 +306,7 @@ def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
         idx = rng.integers(0, n, size=n)
         trees.append(
             _grow_tree(
-                X[idx], y[idx], 0, int(h["max_depth"]), int(h["min_samples_leaf"]),
+                X[idx], y[idx], int(h["max_depth"]), int(h["min_samples_leaf"]),
                 rng=rng, mtry=mtry,
             )
         )
@@ -313,6 +316,9 @@ def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
 @dataclass(frozen=True)
 class ConstantLeaf:
     prob: float
+
+    def score(self, X: np.ndarray) -> np.ndarray:
+        return np.full(len(X), self.prob)
 
 
 def train_llm(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> TrainedModel:
@@ -326,19 +332,19 @@ def train_llm(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tra
     min_leaf = int(h["min_samples_leaf"])
     if len(y) < 2 * min_leaf:
         raise ValueError("no legal forced split: too few rows")
-    root = _grow_tree(X, y, 0, int(h["max_depth"]), min_leaf, force_root=True)
-    for i, leaf in enumerate(iter_leaves(root)):
-        leaf.leaf_id = i
-    leaf_models: dict[int, object] = {}
-    for leaf, rows in _route(root, X):
+    tree = _grow_tree(X, y, int(h["max_depth"]), min_leaf, force_root=True)
+    reached = tree.apply(X)
+    leaf_models = []
+    for leaf in tree.leaves:
+        rows = reached == leaf
         y_leaf = y[rows]
         if y_leaf.min() == y_leaf.max():
-            leaf_models[leaf.leaf_id] = ConstantLeaf(float(y_leaf[0]))
+            leaf_models.append(ConstantLeaf(float(y_leaf[0])))
         else:
-            leaf_models[leaf.leaf_id] = _fit_logreg_arrays(
+            leaf_models.append(_fit_logreg_arrays(
                 X[rows], y_leaf, float(h["l2"]), int(h["max_iter"]), float(h["tol"])
-            )
-    model = TrainedModel("llm", m.column_names, tree=root, leaf_models=leaf_models)
+            ))
+    model = TrainedModel("llm", m.column_names, tree=tree, leaf_models=tuple(leaf_models))
     return _with_training_auc(model, m)
 
 
@@ -352,26 +358,17 @@ def predict_proba(model: TrainedModel, m: EncodedMatrix) -> np.ndarray:
         raise ValueError("column signature mismatch between model and matrix")
     X = np.asarray(m.rows, dtype=np.float64)
     if model.kind == "logreg":
-        params = model.logreg
-        return _sigmoid(params.scaler.transform(X) @ params.coef + params.intercept)
+        return model.logreg.score(X)
     if model.kind == "tree":
-        return _tree_scores(model.tree, X)
+        return model.tree.prob[model.tree.apply(X)]
     if model.kind == "forest":
-        if m.n_rows == 0:
-            return np.zeros(0)
-        scores = np.stack([_tree_scores(t, X) for t in model.trees])
-        return scores.mean(axis=0)
+        return np.stack([t.prob[t.apply(X)] for t in model.trees]).mean(axis=0)
     if model.kind == "llm":
+        reached = model.tree.apply(X)
         out = np.empty(len(X), dtype=np.float64)
-        for leaf, rows in _route(model.tree, X):
-            leaf_model = model.leaf_models[leaf.leaf_id]
-            if isinstance(leaf_model, ConstantLeaf):
-                out[rows] = leaf_model.prob
-            else:
-                out[rows] = _sigmoid(
-                    leaf_model.scaler.transform(X[rows]) @ leaf_model.coef
-                    + leaf_model.intercept
-                )
+        for leaf, leaf_model in zip(model.tree.leaves, model.leaf_models):
+            rows = reached == leaf
+            out[rows] = leaf_model.score(X[rows])
         return out
     if model.kind == "external":
         return external_predict(model.command, m)
@@ -441,20 +438,20 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _format_tree(node: TreeNode, columns: Sequence[str], indent: int) -> list[str]:
-    pad = "  " * indent
-    if node.is_leaf:
-        suffix = f" leaf_id={node.leaf_id}" if node.leaf_id is not None else ""
-        return [
-            f"{pad}leaf n={node.n} gini={float(node.gini)!r} "
-            f"prob={float(node.prob)!r}{suffix}"
-        ]
-    lines = [
-        f"{pad}split column={columns[node.column]} "
-        f"threshold={float(node.threshold)!r} n={node.n} gini={float(node.gini)!r}"
-    ]
-    lines.extend(_format_tree(node.left, columns, indent + 1))
-    lines.extend(_format_tree(node.right, columns, indent + 1))
+def _format_tree(tree: Tree, columns: Sequence[str], indent: int, leaf_ids=False) -> list[str]:
+    """One line per node in array order, indented by depth; ``leaf_ids``
+    numbers the leaves left to right."""
+    lines = []
+    leaf_id = np.cumsum(tree.column < 0) - 1
+    for i in range(len(tree.n)):
+        pad = "  " * (indent + int(tree.depth[i]))
+        stats = f"n={tree.n[i]} gini={float(tree.gini[i])!r}"
+        if tree.column[i] >= 0:
+            lines.append(f"{pad}split column={columns[tree.column[i]]} "
+                         f"threshold={float(tree.threshold[i])!r} {stats}")
+        else:
+            suffix = f" leaf_id={leaf_id[i]}" if leaf_ids else ""
+            lines.append(f"{pad}leaf {stats} prob={float(tree.prob[i])!r}{suffix}")
     return lines
 
 
@@ -479,9 +476,8 @@ def export_model(model: TrainedModel) -> str:
             lines.append(f"tree\t{t}")
             lines.extend(_format_tree(tree, model.columns, 1))
     elif model.kind == "llm":
-        lines.extend(_format_tree(model.tree, model.columns, 0))
-        for leaf_id in sorted(model.leaf_models):
-            leaf_model = model.leaf_models[leaf_id]
+        lines.extend(_format_tree(model.tree, model.columns, 0, leaf_ids=True))
+        for leaf_id, leaf_model in enumerate(model.leaf_models):
             lines.append(f"leaf_model\t{leaf_id}")
             if isinstance(leaf_model, ConstantLeaf):
                 lines.append(f"constant\t{leaf_model.prob!r}")

@@ -117,6 +117,44 @@ def test_cli_report_rejects_malformed_csv(tmp_path, capsys, text, row):
     assert len(captured.err.splitlines()) == 1
 
 
+def _assert_file_error(capsys, argv, path, reason):
+    """``argv`` exits 2 with one stderr line ``<path>: ...<reason>...``."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: ") and reason in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_report_missing_input(tmp_path, capsys):
+    path = tmp_path / "missing.csv"
+    _assert_file_error(capsys, ["report", "--input", str(path)], path, "No such file")
+
+
+def test_cli_report_input_not_utf8(tmp_path, capsys):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"a,b\n\xff,1\n")
+    _assert_file_error(capsys, ["report", "--input", str(path)], path, "can't decode byte 0xff")
+
+
+def test_cli_bench_missing_config(tmp_path, capsys):
+    path = tmp_path / "nope.cfg"
+    _assert_file_error(capsys, ["bench", "--config", str(path)], path, "No such file")
+
+
+def test_cli_encode_bad_timestamp_names_log_and_row(tmp_path, config_path, capsys):
+    out = tmp_path / "synth"
+    main(["synth", "--config", config_path, "--out", str(out)])
+    log = out / "log.csv"
+    header, first, *rest = log.read_text(encoding="utf-8").splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index("time")] = "notatime"
+    log.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
+    argv = ["encode", "--log", str(log), "--schema", str(out / "schema.cfg"), "--max-prefix", "3"]
+    _assert_file_error(capsys, argv, log, "row 2: unparseable timestamp 'notatime'")
+
+
 def test_cli_metrics_prints_the_bench_table_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "from_config"
     config = tmp_path / "bench.cfg"

@@ -294,7 +294,7 @@ def test_llm_weights_are_support_weighted_leaf_means():
     model = train_llm(m, {"max_depth": 1, "min_samples_leaf": 5})
     wv = coefficient_weights(model)
     # one constant leaf (all zeros) and one fitted leaf of 10 rows out of 20
-    fitted = [lm for lm in model.leaf_models.values() if not hasattr(lm, "prob")]
+    fitted = [lm for lm in model.leaf_models if not hasattr(lm, "prob")]
     assert len(fitted) == 1
     assert np.allclose(wv.weights, 10 * np.abs(fitted[0].coef) / 20)
 
@@ -330,6 +330,28 @@ def test_forest_impurity_weights_average_and_rank():
     assert len(single) == 1
     with pytest.raises(ValueError, match="undefined"):
         impurity_weights(train_logreg(m))
+
+
+def test_forest_impurity_weights_are_one_running_sum_in_preorder():
+    # oracle: descend each tree from its root, adding every split's weighted
+    # Gini decrease to one running total per column, tree after tree; the
+    # report's bytes depend on this summation order
+    m, _ = _signal_matrix(seed=5, n=300)
+    model = train_forest(m, {"n_trees": 15}, seed=2)
+    total = np.zeros(m.n_columns)
+
+    def visit(tree, i):
+        if tree.column[i] < 0:
+            return
+        left, right = tree.left[i], tree.right[i]
+        child = tree.n[left] / tree.n[i] * tree.gini[left] + tree.n[right] / tree.n[i] * tree.gini[right]
+        total[tree.column[i]] += tree.n[i] / tree.n[0] * (tree.gini[i] - child)
+        visit(tree, left)
+        visit(tree, right)
+
+    for tree in model.trees:
+        visit(tree, 0)
+    assert np.array_equal(impurity_weights(model).weights, total / len(model.trees))
 
 
 # --- external weights --------------------------------------------------------------

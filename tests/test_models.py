@@ -4,6 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_matrix
 from xpop.models import (
@@ -13,7 +16,6 @@ from xpop.models import (
     export_model,
     external_model,
     external_predict,
-    iter_leaves,
     train_forest,
     train_llm,
     train_logreg,
@@ -131,7 +133,7 @@ def test_tree_threshold_is_midpoint():
     X = np.array([[1.0], [2.0], [2.0], [5.0]])
     y = np.array([0, 0, 1, 1])
     model = train_tree(make_matrix(X, y), {"max_depth": 1, "min_samples_leaf": 1})
-    assert model.tree.threshold in (1.5, 3.5)
+    assert model.tree.threshold[0] in (1.5, 3.5)
 
 
 def test_tree_tie_break_prefers_lowest_column_then_threshold():
@@ -139,12 +141,12 @@ def test_tree_tie_break_prefers_lowest_column_then_threshold():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
     model = train_tree(make_matrix(X, y), {"max_depth": 1, "min_samples_leaf": 1})
-    assert model.tree.column == 0
+    assert model.tree.column[0] == 0
     # two exactly equal-gain thresholds inside one column: lower one wins
     X2 = np.array([[0.0], [1.0], [2.0]])
     y2 = np.array([0, 1, 0])
     m2 = train_tree(make_matrix(X2, y2), {"max_depth": 1, "min_samples_leaf": 1})
-    assert m2.tree.threshold == 0.5
+    assert m2.tree.threshold[0] == 0.5
 
 
 def test_tree_respects_depth_and_leaf_size():
@@ -153,18 +155,14 @@ def test_tree_respects_depth_and_leaf_size():
     y = rng.integers(0, 2, size=120)
     y[:2] = [0, 1]
     model = train_tree(make_matrix(X, y), {"max_depth": 3, "min_samples_leaf": 10})
-
-    def depth(node):
-        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-
-    assert depth(model.tree) <= 3
-    assert all(leaf.n >= 10 for leaf in iter_leaves(model.tree))
+    assert model.tree.depth.max() <= 3
+    assert (model.tree.n[model.tree.leaves] >= 10).all()
 
 
 def test_tree_single_class_gives_constant_leaf():
     X = np.arange(10.0).reshape(-1, 1)
     model = train_tree(make_matrix(X, np.zeros(10, dtype=int)))
-    assert model.tree.is_leaf
+    assert model.tree.leaves.tolist() == [0]
     assert model.predict(make_matrix(X, np.zeros(10, dtype=int))).tolist() == [0.0] * 10
 
 
@@ -200,9 +198,7 @@ def test_forest_is_mean_of_trees():
     m = make_matrix(X, y)
     model = train_forest(m, {"n_trees": 7}, seed=1)
     assert len(model.trees) == 7
-    from xpop.models import _tree_scores
-
-    stacked = np.stack([_tree_scores(t, np.asarray(m.rows)) for t in model.trees])
+    stacked = np.stack([t.prob[t.apply(m.rows)] for t in model.trees])
     assert np.allclose(model.predict(m), stacked.mean(axis=0))
 
 
@@ -224,8 +220,7 @@ def test_llm_forces_root_split_and_fits_leaves():
     # then linearly separable on column 1
     m = _xor_matrix()
     model = train_llm(m, {"max_depth": 1, "min_samples_leaf": 5})
-    assert not model.tree.is_leaf
-    assert model.tree.column == 0 and model.tree.threshold == 0.5
+    assert model.tree.column[0] == 0 and model.tree.threshold[0] == 0.5
     assert len(model.leaf_models) == 2
     assert model.training_auc == pytest.approx(1.0)
     # plain logreg cannot express the interaction
@@ -237,9 +232,8 @@ def test_llm_pure_leaf_becomes_constant():
     y = np.array([0] * 10 + [1] * 10)
     m = make_matrix(X, y)
     model = train_llm(m, {"max_depth": 1, "min_samples_leaf": 5})
-    kinds = {type(lm).__name__ for lm in model.leaf_models.values()}
-    assert kinds == {"ConstantLeaf"}
-    assert sorted(lm.prob for lm in model.leaf_models.values()) == [0.0, 1.0]
+    assert all(isinstance(lm, ConstantLeaf) for lm in model.leaf_models)
+    assert [lm.prob for lm in model.leaf_models] == [0.0, 1.0]
 
 
 def test_llm_no_legal_forced_split_is_error():
@@ -252,6 +246,73 @@ def test_llm_no_legal_forced_split_is_error():
     y2 = np.array([0, 1, 0, 1, 0, 1])
     with pytest.raises(ValueError, match="no legal forced split"):
         train_llm(make_matrix(X2, y2), {"min_samples_leaf": 5})
+
+
+# --- flat tree layout -------------------------------------------------------------
+
+
+def _descend(tree, row) -> int:
+    """Oracle: walk one row from the root; ``x <= threshold`` goes left."""
+    i = 0
+    while tree.column[i] >= 0:
+        i = tree.left[i] if row[tree.column[i]] <= tree.threshold[i] else tree.right[i]
+    return int(i)
+
+
+def _preorder(tree, i=0) -> list[int]:
+    """Oracle: node indices in a recursive left-first preorder from the root."""
+    if tree.column[i] < 0:
+        return [i]
+    return [i, *_preorder(tree, tree.left[i]), *_preorder(tree, tree.right[i])]
+
+
+@st.composite
+def _tied_problem(draw):
+    """A small matrix of few distinct values (many ties), labels and hyper."""
+    n = draw(st.integers(4, 40))
+    p = draw(st.integers(1, 3))
+    X = draw(hnp.arrays(np.float64, (n, p), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    hyper = {
+        "max_depth": draw(st.integers(1, 4)),
+        "min_samples_leaf": draw(st.integers(1, 3)),
+        "n_trees": 2,
+    }
+    return X, y, hyper, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tied_problem())
+def test_tree_apply_matches_descent_and_layout_invariants(problem):
+    X, y, hyper, forest = problem
+    m = make_matrix(X, y)
+    trees = train_forest(m, hyper, seed=1).trees if forest else (train_tree(m, hyper).tree,)
+    for tree in trees:
+        splits = np.flatnonzero(tree.column >= 0)
+        left, right = tree.left[splits], tree.right[splits]
+        assert np.array_equal(left, splits + 1)
+        assert np.array_equal(tree.left[tree.leaves], tree.leaves)
+        assert np.array_equal(tree.right[tree.leaves], tree.leaves)
+        assert np.array_equal(tree.n[left] + tree.n[right], tree.n[splits])
+        assert np.array_equal(tree.depth[left], tree.depth[splits] + 1)
+        assert np.array_equal(tree.depth[right], tree.depth[splits] + 1)
+        visited = _preorder(tree)
+        assert visited == list(range(len(tree.n)))
+        assert tree.leaves.tolist() == [i for i in visited if tree.column[i] < 0]  # left to right
+        # training values plus rows that sit exactly on each split threshold
+        on_threshold = np.repeat(tree.threshold[splits], X.shape[1]).reshape(-1, X.shape[1])
+        queries = np.vstack([X, on_threshold, X + 0.5])
+        assert tree.apply(queries).tolist() == [_descend(tree, row) for row in queries]
+        if not forest:  # a single tree is grown on X itself: its rows reach the leaves' n
+            reached = np.bincount(tree.apply(X), minlength=len(tree.n))
+            assert np.array_equal(reached[tree.leaves], tree.n[tree.leaves])
+
+
+@pytest.mark.parametrize("trainer", [train_tree, train_forest, train_llm])
+def test_zero_row_matrix_scores_to_empty(trainer):
+    model = trainer(_xor_matrix())
+    empty = make_matrix(np.empty((0, 2)), np.empty(0, dtype=int))
+    assert model.predict(empty).shape == (0,)
 
 
 # --- predictor contract ----------------------------------------------------------
