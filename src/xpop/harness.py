@@ -178,11 +178,33 @@ _HYPER_KEYS = {
 }
 
 
+def _config_error(exc: configparser.Error) -> str:
+    """A config parser error as one line, ``line <n>: <reason>`` where the
+    parser knows the line."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: expected a [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: expected 'key = value' or a [section] header"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: duplicate key {exc.option!r} in [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: duplicate section [{exc.section}]"
+    return " ".join(str(exc).split())
+
+
 def load_config(path: str | Path) -> BenchmarkConfig:
-    """Read a plain-text ``key = value`` config with one section per model."""
+    """Read a plain-text ``key = value`` config with one section per model.
+    A parser error becomes a one-line ValueError."""
     parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        return _read_config(parser)
+    except configparser.Error as exc:
+        raise ValueError(_config_error(exc)) from None
+
+
+def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
     if "data" not in parser:
         raise ValueError("config needs a [data] section")
     data = parser["data"]

@@ -277,6 +277,8 @@ def _grow_tree(
         node[3] = len(nodes)
         grow(X[~mask], y[~mask], depth + 1)
 
+    if len(y) == 0:
+        raise ValueError("cannot grow a tree on 0 rows")
     grow(X, y, 0, force_root)
     depth, column, threshold, right, n, gini, prob = map(np.array, zip(*nodes))
     left = np.arange(len(nodes)) + (column >= 0)

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from xpop.eventlog import AttributeSchema, Event, EventLog, Trace
+from xpop.eventlog import AttributeSchema, EventLog, Trace
 
 CONTROL = "control"
 CASE = "case"
@@ -28,20 +28,14 @@ STATS = ("min", "max", "mean", "sum", "std")
 
 
 @dataclass(frozen=True)
-class Prefix:
-    case_id: str
-    events: tuple[Event, ...]
-    length: int
-    label: int | None
-
-
-@dataclass(frozen=True)
 class PrefixLog:
-    prefixes: tuple[Prefix, ...]
-    schema: AttributeSchema
+    """Every prefix of length 1..min(|trace|, max_prefix) of every trace."""
+
+    log: EventLog
+    max_prefix: int
 
     def __len__(self) -> int:
-        return len(self.prefixes)
+        return sum(min(len(t), self.max_prefix) for t in self.log.traces)
 
 
 @dataclass(frozen=True)
@@ -131,14 +125,10 @@ def temporal_split(log: EventLog, train_ratio: float) -> tuple[EventLog, EventLo
 
 
 def extract_prefixes(log: EventLog, max_prefix: int) -> PrefixLog:
-    """Emit every prefix of length 1..min(|trace|, max_prefix), gap 1."""
+    """Every prefix of length 1..min(|trace|, max_prefix), gap 1."""
     if max_prefix < 1:
         raise ValueError("max_prefix must be >= 1")
-    prefixes = []
-    for trace in log.traces:
-        for k in range(1, min(len(trace), max_prefix) + 1):
-            prefixes.append(Prefix(trace.case_id, trace.events[:k], k, trace.label))
-    return PrefixLog(tuple(prefixes), log.schema)
+    return PrefixLog(log, max_prefix)
 
 
 def fit_vocabulary(train: EventLog) -> Vocabulary:
@@ -181,18 +171,12 @@ def _columns(schema: AttributeSchema, vocab: Vocabulary) -> tuple[ColumnMeta, ..
         cols.extend(
             ColumnMeta(f"{attr}={v}", EVENT, attr, "frequency") for v in vocab.categorical[attr]
         )
+    seen: set[str] = set()
+    for c in cols:
+        if c.name in seen:
+            raise ValueError(f"encoded column {c.name!r} appears twice; rename {c.source!r}")
+        seen.add(c.name)
     return tuple(cols)
-
-
-def _summary(values: np.ndarray) -> tuple[float, float, float, float, float]:
-    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return (
-        float(values.min()),
-        float(values.max()),
-        float(values.mean()),
-        float(values.sum()),
-        std,
-    )
 
 
 def aggregate_encode(
@@ -203,58 +187,63 @@ def aggregate_encode(
     Unseen categorical values contribute to no column; std is the sample
     standard deviation (0 for single-event prefixes). Rows are ordered by
     (case_id, prefix length).
+
+    Each trace is walked once into one block of rows; frequencies are a
+    running sum of per-event hits. Prefix k's statistics reduce the rows of
+    ``values[:, :k]``, summed pairwise as a 1-D array of its k values is: a
+    running sum or Welford update would round differently.
     """
     columns = _columns(schema, vocab)
     name_index = {c.name: i for i, c in enumerate(columns)}
     act_col = schema.activity_column
+    # stat_cols[s, f]: the column of statistic s of series f (a row of values)
+    series = TIMESTAMP_FEATURES + schema.dynamic_numeric
+    stat_cols = np.array([[name_index[f"{f}_{stat}"] for f in series] for stat in STATS])
 
-    ordered = sorted(prefixes.prefixes, key=lambda p: (p.case_id, p.length))
-    rows = np.zeros((len(ordered), len(columns)), dtype=np.float64)
-    labels = np.zeros(len(ordered), dtype=np.int64)
+    traces = sorted(prefixes.log.traces, key=lambda t: t.case_id)
+    rows = np.zeros((len(prefixes), len(columns)), dtype=np.float64)
+    labels = np.zeros(len(rows), dtype=np.int64)
     provenance = []
 
-    for j, prefix in enumerate(ordered):
-        events = prefix.events
-        row = rows[j]
-        for event in events:
-            key = f"{act_col}={event.activity}"
-            if key in name_index:
-                row[name_index[key]] += 1.0
+    j = 0
+    for trace in traces:
+        events = trace.events[: prefixes.max_prefix]
+        n = len(events)
+        if n == 0:
+            continue
+        if trace.label is None:
+            raise ValueError(f"case {trace.case_id!r} is unlabelled")
+        block = rows[j : j + n]
+        for i, event in enumerate(events):
+            dynamic = (f"{a}={event.dynamics[a]}" for a in schema.dynamic_categorical)
+            for key in (f"{act_col}={event.activity}", *dynamic):
+                if key in name_index:
+                    block[i, name_index[key]] += 1.0
+        np.cumsum(block, axis=0, out=block)
+
         first = events[0]
         for attr in schema.static_categorical:
             key = f"{attr}={first.statics[attr]}"
             if key in name_index:
-                row[name_index[key]] = 1.0
+                block[:, name_index[key]] = 1.0
         for attr in schema.static_numeric:
-            row[name_index[attr]] = float(first.statics[attr])
+            block[:, name_index[attr]] = float(first.statics[attr])
 
         times = [e.timestamp for e in events]
-        since_last = np.array(
-            [0.0] + [(times[i] - times[i - 1]).total_seconds() for i in range(1, len(times))]
-        )
-        since_start = np.array([(t - times[0]).total_seconds() for t in times])
-        since_midnight = np.array(
-            [t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6 for t in times]
-        )
-        derived = dict(
-            zip(TIMESTAMP_FEATURES, (since_last, since_start, since_midnight))
-        )
-        for feature, values in derived.items():
-            for stat, value in zip(STATS, _summary(values)):
-                row[name_index[f"{feature}_{stat}"]] = value
-        for attr in schema.dynamic_numeric:
-            values = np.array([float(e.dynamics[attr]) for e in events])
-            for stat, value in zip(STATS, _summary(values)):
-                row[name_index[f"{attr}_{stat}"]] = value
-        for attr in schema.dynamic_categorical:
-            for event in events:
-                key = f"{attr}={event.dynamics[attr]}"
-                if key in name_index:
-                    row[name_index[key]] += 1.0
+        values = np.array([
+            [0.0] + [(b - a).total_seconds() for a, b in zip(times, times[1:])],
+            [(t - times[0]).total_seconds() for t in times],
+            [t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6 for t in times],
+            *([float(e.dynamics[a]) for e in events] for a in schema.dynamic_numeric),
+        ])
+        for k in range(1, n + 1):
+            head = values[:, :k]
+            block[k - 1, stat_cols[:4]] = head.min(1), head.max(1), head.mean(1), head.sum(1)
+            if k > 1:
+                block[k - 1, stat_cols[4]] = head.std(1, ddof=1)
 
-        if prefix.label is None:
-            raise ValueError(f"prefix of case {prefix.case_id!r} is unlabelled")
-        labels[j] = int(prefix.label)
-        provenance.append((prefix.case_id, prefix.length))
+        labels[j : j + n] = int(trace.label)
+        provenance.extend((trace.case_id, k) for k in range(1, n + 1))
+        j += n
 
     return EncodedMatrix(columns, rows, labels, tuple(provenance))

@@ -40,3 +40,27 @@ def test_install_then_uninstall_restores_each_original():
         t.uninstall()
     for module, attr, fn in originals:
         assert getattr(module, attr) is fn, f"{module.__name__}.{attr} not restored"
+
+
+def test_prepare_matrices_calls_each_wrapped_preprocess_hook():
+    from xpop import harness
+    from xpop.synth import SynthSpec
+
+    cfg = harness.BenchmarkConfig(
+        seed=3, max_prefix=4, models=(harness.ModelSpec("lr", "logreg"),),
+        synth=SynthSpec(n_cases=30, seed=3),
+    )
+    t = _tracer().Tracer()
+    t.install(run_id=0)
+    try:
+        matrices = harness.prepare_matrices(cfg)
+    finally:
+        t.uninstall()
+    names = [s["name"] for s in t.spans]
+    for name, calls in [("temporal_split", 1), ("fit_vocabulary", 1),
+                        ("extract_prefixes", 2), ("aggregate_encode", 2)]:
+        assert names.count(f"preprocess.{name}") == calls, name
+    encoded = [s for s in t.spans if s["name"] == "preprocess.aggregate_encode"]
+    assert [(s["rows"], s["cols"]) for s in encoded] == [
+        (m.n_rows, m.n_columns) for m in matrices
+    ]

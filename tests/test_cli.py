@@ -143,6 +143,18 @@ def test_cli_bench_missing_config(tmp_path, capsys):
     _assert_file_error(capsys, ["bench", "--config", str(path)], path, "No such file")
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [("[data\nseed = 1\n", "line 1: expected a [section] header"),
+     ("[data]\nseed = 1\nseed = 2\n", "line 3: duplicate key 'seed' in [data]")],
+    ids=["missing_section_header", "duplicate_key"],
+)
+def test_cli_bench_config_syntax_error_names_file_and_line(tmp_path, capsys, text, reason):
+    path = tmp_path / "bench.cfg"
+    path.write_text(text, encoding="utf-8")
+    _assert_file_error(capsys, ["bench", "--config", str(path)], path, reason)
+
+
 def test_cli_encode_bad_timestamp_names_log_and_row(tmp_path, config_path, capsys):
     out = tmp_path / "synth"
     main(["synth", "--config", config_path, "--out", str(out)])

@@ -315,6 +315,13 @@ def test_zero_row_matrix_scores_to_empty(trainer):
     assert model.predict(empty).shape == (0,)
 
 
+@pytest.mark.parametrize("trainer", [train_logreg, train_tree, train_forest, train_llm])
+def test_training_on_zero_rows_is_a_value_error(trainer):
+    empty = make_matrix(np.empty((0, 2)), np.empty(0, dtype=int))
+    with pytest.raises(ValueError):
+        trainer(empty)
+
+
 # --- predictor contract ----------------------------------------------------------
 
 

@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_matrix
-from xpop.eventlog import parse_csv
+from xpop.eventlog import AttributeSchema, Event, EventLog, Trace, parse_csv
 from xpop.preprocess import (
     CASE,
     CONTROL,
     EVENT,
+    STATS,
     aggregate_encode,
     extract_prefixes,
     fit_vocabulary,
@@ -97,7 +99,9 @@ def test_prefix_counts(basic_schema):
     log = _parse(rows, basic_schema)
     prefixes = extract_prefixes(log, 3)
     assert len(prefixes) == 12
-    lengths = sorted(p.length for p in prefixes.prefixes)
+    matrix = aggregate_encode(prefixes, basic_schema, fit_vocabulary(log))
+    assert matrix.n_rows == 12
+    lengths = sorted(k for _, k in matrix.provenance)
     assert lengths == [1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3]
 
 
@@ -106,10 +110,12 @@ def test_prefix_events_are_true_prefixes(basic_schema):
         f"c1,{a},2024-01-01 10:0{i}:00,ok,web,1.0,r1,1.0"
         for i, a in enumerate("ABC")
     ]
-    prefixes = extract_prefixes(_parse(rows, basic_schema), 10)
-    acts = [tuple(e.activity for e in p.events) for p in prefixes.prefixes]
-    assert acts == [("A",), ("A", "B"), ("A", "B", "C")]
-    assert all(p.label == prefixes.prefixes[0].label for p in prefixes.prefixes)
+    log = _parse(rows, basic_schema)
+    matrix = aggregate_encode(extract_prefixes(log, 10), basic_schema, fit_vocabulary(log))
+    acts = matrix.rows[:, [matrix.column_names.index(f"act={a}") for a in "ABC"]]
+    assert acts.tolist() == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
+    assert matrix.provenance == (("c1", 1), ("c1", 2), ("c1", 3))
+    assert all(label == matrix.labels[0] for label in matrix.labels)
 
 
 def test_extract_prefixes_rejects_bad_max(basic_schema):
@@ -231,6 +237,19 @@ def test_unseen_categories_contribute_nothing(basic_schema):
     assert _col(matrix, "amount")[0] == 2.0
 
 
+def test_duplicate_encoded_column_names_are_rejected():
+    # Preprocessed benchmark logs carry derived timestamp features as numeric
+    # columns; encoding one would shadow the encoder's own feature.
+    schema = AttributeSchema({
+        "case": "case_id", "act": "activity", "time": "timestamp", "outcome": "label",
+        "timesincecasestart": "dynamic_numeric",
+    })
+    log = parse_csv("case,act,time,outcome,timesincecasestart\n"
+                    "c1,A,2024-01-01 10:00:00,ok,0\n", schema)
+    with pytest.raises(ValueError, match="'timesincecasestart_min' appears twice"):
+        aggregate_encode(extract_prefixes(log, 1), schema, fit_vocabulary(log))
+
+
 def test_control_frequencies_monotone_in_prefix_length():
     log = generate_log(SynthSpec(n_cases=30, label_noise=0.0, seed=7))
     vocab = fit_vocabulary(log)
@@ -252,6 +271,101 @@ def test_encoding_is_deterministic():
     b = aggregate_encode(extract_prefixes(log, 4), log.schema, vocab)
     assert np.array_equal(a.rows, b.rows)
     assert a.columns == b.columns
+
+
+_ORACLE_SCHEMA = AttributeSchema({
+    "case": "case_id", "act": "activity", "time": "timestamp", "outcome": "label",
+    "channel": "static_categorical", "amount": "static_numeric",
+    "resource": "dynamic_categorical", "cost": "dynamic_numeric", "load": "dynamic_numeric",
+})
+
+_numbers = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([-0.0, 0.0, 0.1, -3.0, 1e16]),
+)
+
+
+@st.composite
+def _oracle_log(draw):
+    """Traces of 1-40 events with tied timestamps (gap 0), -0.0 numerics and
+    categorical values outside the vocabulary fitted on the first trace."""
+    n_traces = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(n_traces)))
+    traces = []
+    for i in ids:
+        statics = {"channel": draw(st.sampled_from(["web", "fax"])), "amount": draw(_numbers)}
+        t = datetime(2024, 1, 1, 23, 0, 0)
+        events = []
+        for _ in range(draw(st.integers(1, 40))):
+            t += timedelta(seconds=draw(st.sampled_from([0, 0, 0.25, 1, 61, 3600, 5000.123456])))
+            dynamics = {
+                "resource": draw(st.sampled_from(["r1", "r2", "r3"])),
+                "cost": draw(_numbers),
+                "load": draw(_numbers),
+            }
+            events.append(Event(f"c{i}", draw(st.sampled_from("ABCD")), t, statics, dynamics))
+        traces.append(Trace(f"c{i}", tuple(events), draw(st.integers(0, 1))))
+    return EventLog(tuple(traces), _ORACLE_SCHEMA)
+
+
+def _reference_encode(log, max_prefix, names):
+    """Every prefix rebuilt from its events, statistics by 1-D reductions."""
+    schema = log.schema
+    index = {name: i for i, name in enumerate(names)}
+    rows, labels, provenance = [], [], []
+    for trace in sorted(log.traces, key=lambda t: t.case_id):
+        for k in range(1, min(len(trace), max_prefix) + 1):
+            events = trace.events[:k]
+            row = np.zeros(len(names))
+            for e in events:
+                keys = [f"{schema.activity_column}={e.activity}"]
+                keys += [f"{a}={e.dynamics[a]}" for a in schema.dynamic_categorical]
+                for key in keys:
+                    if key in index:
+                        row[index[key]] += 1.0
+            first = events[0]
+            for a in schema.static_categorical:
+                if f"{a}={first.statics[a]}" in index:
+                    row[index[f"{a}={first.statics[a]}"]] = 1.0
+            for a in schema.static_numeric:
+                row[index[a]] = float(first.statics[a])
+            times = [e.timestamp for e in events]
+            series = {
+                "timesincelastevent":
+                    [0.0] + [(times[i] - times[i - 1]).total_seconds() for i in range(1, k)],
+                "timesincecasestart": [(t - times[0]).total_seconds() for t in times],
+                "timesincemidnight":
+                    [t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6 for t in times],
+            }
+            series.update({a: [float(e.dynamics[a]) for e in events] for a in schema.dynamic_numeric})
+            for name, values in series.items():
+                v = np.array(values)
+                std = v.std(ddof=1) if k > 1 else 0.0
+                for stat, value in zip(STATS, (v.min(), v.max(), v.mean(), v.sum(), std)):
+                    row[index[f"{name}_{stat}"]] = value
+            rows.append(row)
+            labels.append(trace.label)
+            provenance.append((trace.case_id, k))
+    return np.array(rows), labels, tuple(provenance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_log(), st.integers(1, 40))
+def test_aggregate_encode_equals_per_prefix_reference_bitwise(log, max_prefix):
+    vocab = fit_vocabulary(EventLog(log.traces[:1], log.schema))
+    matrix = aggregate_encode(extract_prefixes(log, max_prefix), log.schema, vocab)
+    rows, labels, provenance = _reference_encode(log, max_prefix, matrix.column_names)
+    assert matrix.rows.tobytes() == rows.tobytes()
+    assert matrix.labels.tolist() == labels
+    assert matrix.provenance == provenance
+
+
+def test_unlabelled_trace_is_rejected_naming_the_case(basic_schema):
+    event = Event("c7", "A", datetime(2024, 1, 1), {"channel": "web", "amount": 1.0},
+                  {"resource": "r1", "cost": 1.0})
+    log = EventLog((Trace("c7", (event,), None),), basic_schema)
+    with pytest.raises(ValueError, match="'c7'"):
+        aggregate_encode(extract_prefixes(log, 2), basic_schema, fit_vocabulary(log))
 
 
 def test_matrix_is_read_only(golden):
