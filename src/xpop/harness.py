@@ -103,6 +103,18 @@ MODELS = {
 }
 
 
+_WHOLE = ("a whole number >= 1", lambda v: float(v).is_integer() and v >= 1)
+# hyperparameter -> (rule, check), checked when a ModelSpec is built
+_HYPER_RULES = {
+    "l2": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+    "tol": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
+    "max_iter": _WHOLE,
+    "max_depth": _WHOLE,
+    "min_samples_leaf": _WHOLE,
+    "n_trees": _WHOLE,
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     name: str
@@ -116,6 +128,11 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "external" and not self.command:
             raise ValueError("external model needs a command")
+        for key, value in self.hyper.items():
+            if key in _HYPER_RULES and not _HYPER_RULES[key][1](value):
+                raise ValueError(
+                    f"model {self.name!r}: {key} must be {_HYPER_RULES[key][0]}, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -194,8 +211,9 @@ def _config_error(exc: configparser.Error) -> str:
 
 def load_config(path: str | Path) -> BenchmarkConfig:
     """Read a plain-text ``key = value`` config with one section per model.
-    A parser error becomes a one-line ValueError."""
-    parser = configparser.ConfigParser()
+    Values are read verbatim (no ``%`` interpolation). A parser error
+    becomes a one-line ValueError."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

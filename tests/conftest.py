@@ -6,12 +6,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from xpop.eventlog import AttributeSchema
 from xpop.harness import BenchmarkConfig, ModelSpec, prepare_matrices
 from xpop.models import export_model, train_logreg
 from xpop.preprocess import ColumnMeta, EncodedMatrix
 from xpop.synth import CaseThreshold, SynthSpec
+
+# Property tests run without hypothesis's per-example deadline: on a shared
+# host an example's wall time says nothing about its correctness.
+settings.register_profile("xpop", deadline=None)
+settings.load_profile("xpop")
 
 
 def make_matrix(X, labels, types=None, names=None) -> EncodedMatrix:

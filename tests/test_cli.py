@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from xpop.cli import main
+from xpop.harness import load_config
 from xpop.seeds import derive_seed, splitmix64
 
 CONFIG = """\
@@ -153,6 +154,36 @@ def test_cli_bench_config_syntax_error_names_file_and_line(tmp_path, capsys, tex
     path = tmp_path / "bench.cfg"
     path.write_text(text, encoding="utf-8")
     _assert_file_error(capsys, ["bench", "--config", str(path)], path, reason)
+
+
+def test_cli_bench_config_keeps_percent_signs_verbatim(tmp_path, capsys):
+    config = tmp_path / "bench.cfg"
+    config.write_text(CONFIG + "\n[model ext]\nkind = external\ncommand = printf %s%%\n",
+                      encoding="utf-8")
+    assert load_config(config).models[-1].command == "printf %s%%"
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 0
+    report = (out / "report.csv").read_text(encoding="utf-8")
+    assert "error: line count mismatch" in report.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, rule",
+    [("logreg", "l2", "-1", "finite and >= 0"),
+     ("logreg", "l2", "nan", "finite and >= 0"),
+     ("llm", "tol", "0", "finite and > 0"),
+     ("logreg", "tol", "inf", "finite and > 0"),
+     ("logreg", "max_iter", "2.5", "a whole number >= 1"),
+     ("tree", "max_depth", "0", "a whole number >= 1"),
+     ("llm", "min_samples_leaf", "-3", "a whole number >= 1"),
+     ("forest", "n_trees", "1.5", "a whole number >= 1")],
+)
+def test_cli_bench_rejects_bad_hyperparameters(tmp_path, capsys, kind, key, value, rule):
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG + f"\n[model bad]\nkind = {kind}\n{key} = {value}\n",
+                    encoding="utf-8")
+    _assert_file_error(capsys, ["bench", "--config", str(path)], path,
+                       f"model 'bad': {key} must be {rule}, got {float(value)!r}")
 
 
 def test_cli_encode_bad_timestamp_names_log_and_row(tmp_path, config_path, capsys):

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_matrix
 from xpop.models import (
+    DEFAULT_LOGREG,
     BridgeError,
     ConstantLeaf,
+    LogRegParams,
     auc,
     export_model,
     external_model,
@@ -104,12 +107,110 @@ def test_logreg_constant_column_is_harmless():
     model = train_logreg(make_matrix(X, y))
     assert model.training_auc == pytest.approx(1.0)
     assert np.isfinite(model.logreg.coef).all()
+    assert model.logreg.coef[0] == 0.0  # exact: weight rankings see a tie, not noise
 
 
 def test_logreg_single_class_is_error():
     X = np.ones((10, 2))
     with pytest.raises(ValueError, match="single class"):
         train_logreg(make_matrix(X, np.ones(10, dtype=int)))
+
+
+TOL = DEFAULT_LOGREG["tol"]
+
+
+def _objective(params: LogRegParams, X, y, l2):
+    """The penalized mean log loss and its gradient at ``params``, from the
+    definition, in the fit's scaled space; the intercept's entry is last."""
+    Xs = params.scaler.transform(X)
+    z = Xs @ params.coef + params.intercept
+    loss = np.mean(np.logaddexp(0.0, -(2 * y - 1) * z)) + 0.5 * l2 * params.coef @ params.coef
+    err = 0.5 * (1.0 + np.tanh(0.5 * z)) - y  # sigmoid(z) - y
+    return loss, np.append(Xs.T @ err / len(y) + l2 * params.coef, err.mean())
+
+
+def _gradient_descent(params: LogRegParams, X, y, l2, max_iter=2000, tol=1e-7):
+    """``params`` moved to the point the earlier solver of this package
+    returned: gradient descent from zero at learning rate 0.1, halved while
+    a step would raise the loss, stopped when the loss falls by under
+    ``tol``."""
+    start = replace(params, coef=np.zeros_like(params.coef), intercept=0.0)
+    Xs, n = params.scaler.transform(X), len(y)
+
+    def loss(w, b):
+        return _objective(replace(start, coef=w, intercept=b), X, y, l2)[0]
+
+    w, b, lr = start.coef, 0.0, 0.1
+    current = loss(w, b)
+    for _ in range(max_iter):
+        err = 0.5 * (1.0 + np.tanh(0.5 * (Xs @ w + b))) - y
+        grad_w, grad_b = Xs.T @ err / n + l2 * w, err.mean()
+        while True:
+            w2, b2 = w - lr * grad_w, b - lr * grad_b
+            new = loss(w2, b2)
+            if new <= current or lr < 1e-12:
+                break
+            lr *= 0.5
+        delta, w, b, current = current - new, w2, b2, new
+        if abs(delta) < tol:
+            break
+    return replace(start, coef=w, intercept=b)
+
+
+@st.composite
+def logreg_problems(draw, l2s=(0.0, 0.01, 1.0)):
+    """(X, y, l2): a few rows and columns of small floats, labels either
+    free or a linear rule of X (separable), and both classes present."""
+    n, p = draw(st.integers(4, 30)), draw(st.integers(1, 4))
+    X = draw(hnp.arrays(np.float64, (n, p), elements=st.floats(-10, 10)))
+    if draw(st.booleans()):
+        w = draw(hnp.arrays(np.float64, p, elements=st.floats(-1, 1)))
+        score = X @ w
+        y = (score > np.median(score)).astype(np.float64)
+    else:
+        y = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    assume(0.0 < y.sum() < n)
+    return X, y, draw(st.sampled_from(l2s))
+
+
+@given(logreg_problems())
+def test_logreg_gradient_at_the_returned_point_is_below_tol(problem):
+    X, y, l2 = problem
+    params = train_logreg(make_matrix(X, y), {"l2": l2}).logreg
+    _, grad = _objective(params, X, y, l2)
+    assert params.converged and 0 <= params.n_iter <= DEFAULT_LOGREG["max_iter"]
+    assert np.abs(grad).max() < TOL
+
+
+@settings(max_examples=50)
+@given(logreg_problems())
+def test_logreg_loss_is_never_above_gradient_descent(problem):
+    X, y, l2 = problem
+    params = train_logreg(make_matrix(X, y), {"l2": l2}).logreg
+    baseline = _gradient_descent(params, X, y, l2)
+    # slack: the rounding of a mean of at most 30 log losses
+    assert _objective(params, X, y, l2)[0] <= _objective(baseline, X, y, l2)[0] + 1e-12
+
+
+@given(logreg_problems(l2s=(0.01, 1.0)))
+def test_logreg_reaches_the_unique_optimum(problem):
+    # With l2 > 0 the optimum is unique. Rows as given, permuted and each
+    # duplicated, and a 100x tighter tol, all land on it; gradient descent
+    # stops where its path and stopping rule take it.
+    X, y, l2 = problem
+    perm = np.random.default_rng(0).permutation(len(y))
+    fits = [
+        train_logreg(make_matrix(Xv, yv), {"l2": l2, "tol": tol}).logreg
+        for Xv, yv, tol in [
+            (X, y, 1e-11),
+            (X[perm], y[perm], 1e-11),
+            (np.repeat(X, 2, axis=0), np.repeat(y, 2), 1e-11),
+            (X, y, 1e-13),
+        ]
+    ]
+    for fit in fits[1:]:
+        assert np.abs(fit.coef - fits[0].coef).max() <= 1e-8
+        assert abs(fit.intercept - fits[0].intercept) <= 1e-8
 
 
 # --- decision tree ------------------------------------------------------------
@@ -227,6 +328,24 @@ def test_llm_forces_root_split_and_fits_leaves():
     assert train_logreg(m).training_auc < 0.8
 
 
+def test_llm_leaves_are_newton_optima_of_their_rows():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(400, 4))
+    y = (rng.random(400) < 1.0 / (1.0 + np.exp(-2.0 * X[:, 0] * X[:, 1]))).astype(int)
+    model = train_llm(make_matrix(X, y), {"max_depth": 2})
+    reached = model.tree.apply(X)
+    fitted = [(leaf, lm) for leaf, lm in zip(model.tree.leaves, model.leaf_models)
+              if not isinstance(lm, ConstantLeaf)]
+    assert len(fitted) >= 2
+    for leaf, leaf_model in fitted:
+        rows = reached == leaf
+        _, grad = _objective(leaf_model, X[rows], y[rows], DEFAULT_LOGREG["l2"])
+        assert leaf_model.converged and np.abs(grad).max() < TOL
+        alone = train_logreg(make_matrix(X[rows], y[rows])).logreg
+        assert np.array_equal(alone.coef, leaf_model.coef)
+        assert alone.intercept == leaf_model.intercept
+
+
 def test_llm_pure_leaf_becomes_constant():
     X = np.array([[0.0, v] for v in range(10)] + [[1.0, v] for v in range(10)])
     y = np.array([0] * 10 + [1] * 10)
@@ -281,7 +400,7 @@ def _tied_problem(draw):
     return X, y, hyper, draw(st.booleans())
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(_tied_problem())
 def test_tree_apply_matches_descent_and_layout_invariants(problem):
     X, y, hyper, forest = problem

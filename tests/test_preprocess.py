@@ -349,7 +349,7 @@ def _reference_encode(log, max_prefix, names):
     return np.array(rows), labels, tuple(provenance)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_oracle_log(), st.integers(1, 40))
 def test_aggregate_encode_equals_per_prefix_reference_bitwise(log, max_prefix):
     vocab = fit_vocabulary(EventLog(log.traces[:1], log.schema))
