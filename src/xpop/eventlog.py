@@ -1,9 +1,10 @@
 """Event log data model: CSV parsing, validation, labelling.
 
-An event log is a collection of traces, one per case; every event carries
-the activity, a timestamp, static (per-case) attributes and dynamic
-(per-event) attributes. The accepted interchange format is RFC 4180 CSV
-with a header row, UTF-8, comma delimiter.
+An event log is a collection of traces, one per case. A trace holds its
+case id and static (per-case) attributes once; each of its events carries
+the activity, a timestamp and the dynamic (per-event) attributes. The
+accepted interchange format is RFC 4180 CSV with a header row, UTF-8,
+comma delimiter.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import IO, Mapping, Union
+from functools import cached_property
+from typing import IO, Mapping, Sequence, Union
 
 MISSING = "__missing__"
 
@@ -60,72 +62,65 @@ class AttributeSchema:
             if role not in _ROLES:
                 raise SchemaError(f"unknown role {role!r} for column {col!r}")
         for role in _UNIQUE_ROLES:
-            n = sum(1 for r in self.column_roles.values() if r == role)
+            n = len(self._by_role[role])
             if n != 1:
                 raise SchemaError(f"schema needs exactly one {role} column, found {n}")
-        n_label = sum(1 for r in self.column_roles.values() if r == ROLE_LABEL)
+        n_label = len(self._by_role[ROLE_LABEL])
         if n_label > 1:
             raise SchemaError(f"schema allows at most one label column, found {n_label}")
 
-    def _column(self, role: str) -> str:
-        for col, r in self.column_roles.items():
-            if r == role:
-                return col
-        raise SchemaError(f"no column with role {role}")
+    @cached_property
+    def _by_role(self) -> dict[str, tuple[str, ...]]:
+        """role -> its columns in schema order, derived once per schema."""
+        return {r: tuple(c for c, role in self.column_roles.items() if role == r) for r in _ROLES}
 
     @property
     def case_id_column(self) -> str:
-        return self._column(ROLE_CASE_ID)
+        return self._by_role[ROLE_CASE_ID][0]
 
     @property
     def activity_column(self) -> str:
-        return self._column(ROLE_ACTIVITY)
+        return self._by_role[ROLE_ACTIVITY][0]
 
     @property
     def timestamp_column(self) -> str:
-        return self._column(ROLE_TIMESTAMP)
+        return self._by_role[ROLE_TIMESTAMP][0]
 
     @property
     def label_column(self) -> str | None:
-        for col, r in self.column_roles.items():
-            if r == ROLE_LABEL:
-                return col
-        return None
-
-    def columns_with_role(self, role: str) -> tuple[str, ...]:
-        return tuple(c for c, r in self.column_roles.items() if r == role)
+        return next(iter(self._by_role[ROLE_LABEL]), None)
 
     @property
     def static_categorical(self) -> tuple[str, ...]:
-        return self.columns_with_role(ROLE_STATIC_CAT)
+        return self._by_role[ROLE_STATIC_CAT]
 
     @property
     def static_numeric(self) -> tuple[str, ...]:
-        return self.columns_with_role(ROLE_STATIC_NUM)
+        return self._by_role[ROLE_STATIC_NUM]
 
     @property
     def dynamic_categorical(self) -> tuple[str, ...]:
-        return self.columns_with_role(ROLE_DYNAMIC_CAT)
+        return self._by_role[ROLE_DYNAMIC_CAT]
 
     @property
     def dynamic_numeric(self) -> tuple[str, ...]:
-        return self.columns_with_role(ROLE_DYNAMIC_NUM)
+        return self._by_role[ROLE_DYNAMIC_NUM]
 
 
 @dataclass(frozen=True)
 class Event:
-    case_id: str
     activity: str
     timestamp: datetime
-    statics: Mapping[str, object]
     dynamics: Mapping[str, object]
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Events of one case, ascending by timestamp (ties keep input order)."""
+    """One case: its static attributes and its events, ascending by
+    timestamp (ties keep input order)."""
 
     case_id: str
+    statics: Mapping[str, object]
     events: tuple[Event, ...]
     label: int | None = None
 
@@ -205,11 +200,23 @@ def _parse_numeric(value: str, column: str, row_number: int) -> float:
         ) from None
 
 
+def _attributes(row, categorical, numeric, row_number: int) -> dict[str, object]:
+    """A row's cells at the (column, index) pairs: categorical text
+    (MISSING when empty), then numeric floats."""
+    values: dict[str, object] = {c: row[i] or MISSING for c, i in categorical}
+    for c, i in numeric:
+        values[c] = _parse_numeric(row[i], c, row_number)
+    return values
+
+
 def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLog:
     """Parse a CSV stream into an EventLog validated against the schema.
 
     Events are grouped by case id and stably sorted by timestamp within
-    each trace. The label column, when present, must be constant per case.
+    each trace. The label and the static attributes, when present, must be
+    constant per case; each row is checked as it is read. A case keeps the
+    statics of its earliest event (ties: the first row), which matters only
+    for values that compare equal but differ, like -0.0 and 0.0.
     """
     text = _as_text_stream(stream)
     reader = csv.reader(text)
@@ -231,113 +238,103 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
         raise ParseError(f"columns not assigned a role: {', '.join(sorted(extra))}")
 
     idx = {c: header.index(c) for c in header}
-    case_col = schema.case_id_column
-    act_col = schema.activity_column
-    ts_col = schema.timestamp_column
+    case_i = idx[schema.case_id_column]
+    act_i = idx[schema.activity_column]
+    ts_i = idx[schema.timestamp_column]
     label_col = schema.label_column
+    label_i = None if label_col is None else idx[label_col]
+    static_cat, static_num, dynamic_cat, dynamic_num = (
+        [(c, idx[c]) for c in columns]
+        for columns in (schema.static_categorical, schema.static_numeric,
+                        schema.dynamic_categorical, schema.dynamic_numeric)
+    )
 
     cases: dict[str, list[Event]] = {}
-    labels: dict[str, str] = {}
+    # case id -> (earliest timestamp, that row's statics, raw label)
+    first: dict[str, tuple[datetime, dict[str, object], str | None]] = {}
     for row_number, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ParseError(f"row {row_number}: expected {len(header)} cells, got {len(row)}")
-        case_id = row[idx[case_col]]
-        raw_ts = row[idx[ts_col]]
+        case_id = row[case_i]
+        raw_ts = row[ts_i]
         try:
             ts = datetime.strptime(raw_ts, schema.timestamp_format)
         except ValueError:
             raise ParseError(f"row {row_number}: unparseable timestamp {raw_ts!r}") from None
+        statics = _attributes(row, static_cat, static_num, row_number)
+        event = Event(row[act_i], ts, _attributes(row, dynamic_cat, dynamic_num, row_number))
+        raw_label = None if label_i is None else row[label_i]
 
-        statics: dict[str, object] = {}
-        for col in schema.static_categorical:
-            value = row[idx[col]]
-            statics[col] = value if value != "" else MISSING
-        for col in schema.static_numeric:
-            statics[col] = _parse_numeric(row[idx[col]], col, row_number)
-        dynamics: dict[str, object] = {}
-        for col in schema.dynamic_categorical:
-            value = row[idx[col]]
-            dynamics[col] = value if value != "" else MISSING
-        for col in schema.dynamic_numeric:
-            dynamics[col] = _parse_numeric(row[idx[col]], col, row_number)
-
-        if label_col is not None:
-            raw_label = row[idx[label_col]]
-            if case_id in labels and labels[case_id] != raw_label:
-                raise ParseError(
-                    f"row {row_number}: label inconsistent within case {case_id!r}"
-                )
-            labels[case_id] = raw_label
-
-        event = Event(case_id, row[idx[act_col]], ts, statics, dynamics)
-        cases.setdefault(case_id, []).append(event)
+        if case_id not in first:
+            first[case_id] = (ts, statics, raw_label)
+            cases[case_id] = [event]
+            continue
+        earliest, kept, label = first[case_id]
+        if raw_label != label:
+            raise ParseError(f"row {row_number}: label inconsistent within case {case_id!r}")
+        if statics != kept:
+            col = next(c for c in kept if statics[c] != kept[c])
+            raise ParseError(
+                f"row {row_number}: static attribute {col!r} varies in case {case_id!r}"
+            )
+        if ts < earliest:
+            first[case_id] = (ts, statics, label)
+        cases[case_id].append(event)
 
     traces = []
     for case_id, events in cases.items():
-        events = sorted(events, key=lambda e: e.timestamp)  # stable: ties keep input order
-        first = events[0].statics
-        for e in events[1:]:
-            for col, value in e.statics.items():
-                if value != first[col]:
-                    raise ParseError(
-                        f"static attribute {col!r} varies in case {case_id!r}"
-                    )
-        label = None
-        if label_col is not None:
-            label = 1 if labels[case_id] == schema.positive_label else 0
-        traces.append(Trace(case_id, tuple(events), label))
+        events.sort(key=lambda e: e.timestamp)  # stable: ties keep input order
+        _, statics, raw_label = first[case_id]
+        label = None if raw_label is None else int(raw_label == schema.positive_label)
+        traces.append(Trace(case_id, statics, tuple(events), label))
     return EventLog(tuple(traces), schema)
 
 
 def serialize_csv(log: EventLog) -> str:
     """Write the log back to CSV in schema column order (round-trippable)."""
     schema = log.schema
-    header = list(schema.column_roles)
     negative = "regular" if schema.positive_label != "regular" else "non_deviant"
+    numeric = set(schema.static_numeric + schema.dynamic_numeric)
+
+    def cells(attributes: Mapping[str, object]) -> dict[str, str]:
+        return {c: repr(float(v)) if c in numeric else str(v) for c, v in attributes.items()}
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(schema.column_roles)
     for trace in log.traces:
+        case = cells(trace.statics)
+        case[schema.case_id_column] = trace.case_id
+        if schema.label_column is not None:
+            if trace.label is None:
+                raise ParseError(f"case {trace.case_id!r} has no label to serialize")
+            case[schema.label_column] = schema.positive_label if trace.label == 1 else negative
         for event in trace.events:
-            row = []
-            for col in header:
-                role = schema.column_roles[col]
-                if role == ROLE_CASE_ID:
-                    row.append(event.case_id)
-                elif role == ROLE_ACTIVITY:
-                    row.append(event.activity)
-                elif role == ROLE_TIMESTAMP:
-                    row.append(event.timestamp.strftime(schema.timestamp_format))
-                elif role == ROLE_LABEL:
-                    if trace.label is None:
-                        raise ParseError(f"case {trace.case_id!r} has no label to serialize")
-                    row.append(schema.positive_label if trace.label == 1 else negative)
-                elif role in (ROLE_STATIC_CAT, ROLE_DYNAMIC_CAT):
-                    source = event.statics if role == ROLE_STATIC_CAT else event.dynamics
-                    row.append(str(source[col]))
-                else:
-                    source = event.statics if role == ROLE_STATIC_NUM else event.dynamics
-                    row.append(repr(float(source[col])))
-            writer.writerow(row)
+            row = case | cells(event.dynamics)
+            row[schema.activity_column] = event.activity
+            row[schema.timestamp_column] = event.timestamp.strftime(schema.timestamp_format)
+            writer.writerow(row[c] for c in schema.column_roles)
     return out.getvalue()
 
 
-def label_eventually_followed_by(log: EventLog, a: str, b: str) -> EventLog:
-    """Label traces by the eventually-followed-by rule.
+def eventually_followed_label(activities: Sequence[str], a: str, b: str) -> int:
+    """1 (deviant) if some occurrence of ``a`` in ``activities`` is not
+    followed, later in the sequence, by ``b``; otherwise 0 (regular)."""
+    for act in reversed(activities):
+        if act == a:
+            return 1
+        if act == b:
+            return 0
+    return 0
 
-    A trace is regular (0) iff every occurrence of activity ``a`` is
-    followed, later in the same trace, by an occurrence of ``b``;
-    otherwise it is deviant (1). Returns a new log; the input is unchanged.
-    """
+
+def label_eventually_followed_by(log: EventLog, a: str, b: str) -> EventLog:
+    """Label traces by the eventually-followed-by rule
+    (``eventually_followed_label``). Returns a new log; the input is
+    unchanged."""
     if a == b:
         raise ValueError("rule activities must differ")
-    traces = []
-    for trace in log.traces:
-        acts = trace.activities
-        deviant = 0
-        for i, act in enumerate(acts):
-            if act == a and b not in acts[i + 1 :]:
-                deviant = 1
-                break
-        traces.append(replace(trace, label=deviant))
+    traces = [
+        replace(t, label=eventually_followed_label(t.activities, a, b)) for t in log.traces
+    ]
     return EventLog(tuple(traces), log.schema)

@@ -112,6 +112,7 @@ _HYPER_RULES = {
     "max_depth": _WHOLE,
     "min_samples_leaf": _WHOLE,
     "n_trees": _WHOLE,
+    "max_features_fraction": ("in (0, 1]", lambda v: 0 < v <= 1),
 }
 
 
@@ -189,12 +190,6 @@ def _synth_from_section(section, seed: int) -> SynthSpec:
     )
 
 
-_HYPER_KEYS = {
-    "l2", "max_iter", "tol", "max_depth", "min_samples_leaf",
-    "n_trees", "max_features_fraction",
-}
-
-
 def _config_error(exc: configparser.Error) -> str:
     """A config parser error as one line, ``line <n>: <reason>`` where the
     parser knows the line."""
@@ -222,6 +217,13 @@ def load_config(path: str | Path) -> BenchmarkConfig:
         raise ValueError(_config_error(exc)) from None
 
 
+def _number(model: str, key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"model {model!r}: {key} must be a number, got {text!r}") from None
+
+
 def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
     if "data" not in parser:
         raise ValueError("config needs a [data] section")
@@ -243,9 +245,7 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
             continue
         section = parser[section_name]
         name = section_name.split(None, 1)[1] if " " in section_name else section_name
-        hyper = {
-            k: float(section.get(k)) for k in _HYPER_KEYS if k in section
-        }
+        hyper = {k: _number(name, k, section[k]) for k in _HYPER_RULES if k in section}
         models.append(
             ModelSpec(
                 name=name,

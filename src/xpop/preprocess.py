@@ -12,12 +12,12 @@ row. Columns are tagged with the attribute type they derive from:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from xpop.eventlog import AttributeSchema, EventLog, Trace
+from xpop.eventlog import AttributeSchema, EventLog
 
 CONTROL = "control"
 CASE = "case"
@@ -118,7 +118,7 @@ def temporal_split(log: EventLog, train_ratio: float) -> tuple[EventLog, EventLo
     for trace in train_traces:
         kept = tuple(e for e in trace.events if e.timestamp < cutoff)
         if kept:
-            cut.append(Trace(trace.case_id, kept, trace.label))
+            cut.append(replace(trace, events=kept))
     if not cut:
         raise ValueError("temporal split left one side empty")
     return EventLog(tuple(cut), log.schema), EventLog(tuple(test_traces), log.schema)
@@ -138,10 +138,10 @@ def fit_vocabulary(train: EventLog) -> Vocabulary:
         c: {} for c in schema.static_categorical + schema.dynamic_categorical
     }
     for trace in train.traces:
+        for col in schema.static_categorical:
+            categorical[col].setdefault(str(trace.statics[col]), None)
         for event in trace.events:
             activities.setdefault(event.activity, None)
-            for col in schema.static_categorical:
-                categorical[col].setdefault(str(event.statics[col]), None)
             for col in schema.dynamic_categorical:
                 categorical[col].setdefault(str(event.dynamics[col]), None)
     return Vocabulary(
@@ -221,13 +221,12 @@ def aggregate_encode(
                     block[i, name_index[key]] += 1.0
         np.cumsum(block, axis=0, out=block)
 
-        first = events[0]
         for attr in schema.static_categorical:
-            key = f"{attr}={first.statics[attr]}"
+            key = f"{attr}={trace.statics[attr]}"
             if key in name_index:
                 block[:, name_index[key]] = 1.0
         for attr in schema.static_numeric:
-            block[:, name_index[attr]] = float(first.statics[attr])
+            block[:, name_index[attr]] = float(trace.statics[attr])
 
         times = [e.timestamp for e in events]
         values = np.array([

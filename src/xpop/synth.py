@@ -9,13 +9,13 @@ rates computable.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from typing import Union
 
 import numpy as np
 
-from xpop.eventlog import AttributeSchema, Event, EventLog, Trace
+from xpop.eventlog import AttributeSchema, Event, EventLog, Trace, eventually_followed_label
 from xpop.seeds import derive_seed
 
 _BASE_TIME = datetime(2024, 1, 1, 8, 0, 0)
@@ -105,12 +105,9 @@ def evaluate_rule(rule: Rule, trace: Trace) -> int:
     if isinstance(rule, ControlPresence):
         return 1 if rule.activity in activities else 0
     if isinstance(rule, ControlFollows):
-        for i, act in enumerate(activities):
-            if act == rule.first and rule.second not in activities[i + 1 :]:
-                return 1
-        return 0
+        return eventually_followed_label(activities, rule.first, rule.second)
     if isinstance(rule, CaseThreshold):
-        return 1 if float(trace.events[0].statics[rule.attribute]) > rule.threshold else 0
+        return 1 if float(trace.statics[rule.attribute]) > rule.threshold else 0
     if isinstance(rule, EventMeanThreshold):
         mean = float(
             np.mean([float(e.dynamics[rule.attribute]) for e in trace.events])
@@ -164,12 +161,12 @@ def generate_log(spec: SynthSpec) -> EventLog:
             for i in range(spec.n_dynamic_numeric):
                 dynamics[f"d_num{i + 1}"] = float(rng.uniform(0.0, 1.0))
             activity = str(rng.choice(alphabet))
-            events.append(Event(case_id, activity, t, statics, dynamics))
+            events.append(Event(activity, t, dynamics))
             t = t + timedelta(seconds=int(rng.integers(1, 301)))
 
-        trace = Trace(case_id, tuple(events), None)
+        trace = Trace(case_id, statics, tuple(events))
         label = evaluate_rule(spec.rule, trace)
         if spec.label_noise > 0.0 and rng.uniform(0.0, 1.0) < spec.label_noise:
             label = 1 - label
-        traces.append(Trace(case_id, tuple(events), label))
+        traces.append(replace(trace, label=label))
     return EventLog(tuple(traces), schema)

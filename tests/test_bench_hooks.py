@@ -64,3 +64,22 @@ def test_prepare_matrices_calls_each_wrapped_preprocess_hook():
     assert [(s["rows"], s["cols"]) for s in encoded] == [
         (m.n_rows, m.n_columns) for m in matrices
     ]
+
+
+def test_parse_span_counts_the_events_of_the_file(tmp_path):
+    from xpop import harness
+    from xpop.eventlog import format_schema_config, serialize_csv
+    from xpop.synth import SynthSpec, generate_log
+
+    log = generate_log(SynthSpec(n_cases=12, seed=4))
+    text = serialize_csv(log)
+    (tmp_path / "log.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "schema.cfg").write_text(format_schema_config(log.schema), encoding="utf-8")
+    t = _tracer().Tracer()
+    t.install(run_id=0)
+    try:
+        harness.read_log(tmp_path / "log.csv", tmp_path / "schema.cfg")
+    finally:
+        t.uninstall()
+    [span] = [s for s in t.spans if s["name"] == "eventlog.parse_csv"]
+    assert span["events"] == len(text.splitlines()) - 1 > 12

@@ -176,7 +176,11 @@ def test_cli_bench_config_keeps_percent_signs_verbatim(tmp_path, capsys):
      ("logreg", "max_iter", "2.5", "a whole number >= 1"),
      ("tree", "max_depth", "0", "a whole number >= 1"),
      ("llm", "min_samples_leaf", "-3", "a whole number >= 1"),
-     ("forest", "n_trees", "1.5", "a whole number >= 1")],
+     ("forest", "n_trees", "1.5", "a whole number >= 1"),
+     ("forest", "max_features_fraction", "nan", "in (0, 1]"),
+     ("forest", "max_features_fraction", "0", "in (0, 1]"),
+     ("forest", "max_features_fraction", "-2", "in (0, 1]"),
+     ("forest", "max_features_fraction", "5", "in (0, 1]")],
 )
 def test_cli_bench_rejects_bad_hyperparameters(tmp_path, capsys, kind, key, value, rule):
     path = tmp_path / "bench.cfg"
@@ -184,6 +188,14 @@ def test_cli_bench_rejects_bad_hyperparameters(tmp_path, capsys, kind, key, valu
                     encoding="utf-8")
     _assert_file_error(capsys, ["bench", "--config", str(path)], path,
                        f"model 'bad': {key} must be {rule}, got {float(value)!r}")
+
+
+def test_cli_bench_non_numeric_hyperparameter_names_model_and_key(tmp_path, capsys):
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG.replace("kind = logreg\n", "kind = logreg\nl2 = abc\n"),
+                    encoding="utf-8")
+    _assert_file_error(capsys, ["bench", "--config", str(path)], path,
+                       "model 'lr': l2 must be a number, got 'abc'")
 
 
 def test_cli_encode_bad_timestamp_names_log_and_row(tmp_path, config_path, capsys):

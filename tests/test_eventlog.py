@@ -35,7 +35,7 @@ def test_parse_single_case(basic_schema):
     trace = log.traces[0]
     assert trace.activities == ("A", "B", "C")
     assert trace.label == 1
-    assert trace.events[0].statics == {"channel": "web", "amount": 5.0}
+    assert trace.statics == {"channel": "web", "amount": 5.0}
     assert trace.events[1].dynamics == {"resource": "r2", "cost": 2.0}
 
 
@@ -45,7 +45,7 @@ def test_static_attribute_varies_is_error(basic_schema):
         "c1,B,2024-01-01 10:05:00,ok,web,5.0,r2,2.0",
         "c1,C,2024-01-01 10:10:00,ok,phone,5.0,r1,3.0",
     )
-    with pytest.raises(ParseError, match="static attribute .* varies in case"):
+    with pytest.raises(ParseError, match="^row 4: static attribute 'channel' varies in case 'c1'$"):
         parse_csv(text, basic_schema)
 
 
@@ -101,6 +101,20 @@ def test_missing_and_extra_columns(basic_schema):
         parse_csv(extra, basic_schema)
 
 
+def test_schema_role_columns_are_derived_once(basic_schema):
+    assert basic_schema.static_categorical is basic_schema.static_categorical
+    assert basic_schema.static_numeric is basic_schema.static_numeric
+    assert basic_schema.dynamic_categorical is basic_schema.dynamic_categorical
+    assert basic_schema.dynamic_numeric is basic_schema.dynamic_numeric
+    assert (basic_schema.case_id_column, basic_schema.activity_column,
+            basic_schema.timestamp_column, basic_schema.label_column) == (
+        "case", "act", "time", "outcome")
+    assert (basic_schema.static_categorical, basic_schema.static_numeric) == (
+        ("channel",), ("amount",))
+    unlabelled = AttributeSchema({"c": "case_id", "a": "activity", "t": "timestamp"})
+    assert unlabelled.label_column is None and unlabelled.static_numeric == ()
+
+
 def test_schema_validation():
     with pytest.raises(SchemaError, match="exactly one case_id"):
         AttributeSchema({"a": "activity", "t": "timestamp"})
@@ -115,7 +129,7 @@ def test_schema_validation():
 def test_missing_values(basic_schema):
     text = _csv("c1,A,2024-01-01 10:00:00,ok,,1.0,r1,1.0")
     log = parse_csv(text, basic_schema)
-    assert log.traces[0].events[0].statics["channel"] == MISSING
+    assert log.traces[0].statics["channel"] == MISSING
     bad = _csv("c1,A,2024-01-01 10:00:00,ok,web,,r1,1.0")
     with pytest.raises(ParseError, match="empty numeric"):
         parse_csv(bad, basic_schema)

@@ -303,8 +303,8 @@ def _oracle_log(draw):
                 "cost": draw(_numbers),
                 "load": draw(_numbers),
             }
-            events.append(Event(f"c{i}", draw(st.sampled_from("ABCD")), t, statics, dynamics))
-        traces.append(Trace(f"c{i}", tuple(events), draw(st.integers(0, 1))))
+            events.append(Event(draw(st.sampled_from("ABCD")), t, dynamics))
+        traces.append(Trace(f"c{i}", statics, tuple(events), draw(st.integers(0, 1))))
     return EventLog(tuple(traces), _ORACLE_SCHEMA)
 
 
@@ -323,12 +323,11 @@ def _reference_encode(log, max_prefix, names):
                 for key in keys:
                     if key in index:
                         row[index[key]] += 1.0
-            first = events[0]
             for a in schema.static_categorical:
-                if f"{a}={first.statics[a]}" in index:
-                    row[index[f"{a}={first.statics[a]}"]] = 1.0
+                if f"{a}={trace.statics[a]}" in index:
+                    row[index[f"{a}={trace.statics[a]}"]] = 1.0
             for a in schema.static_numeric:
-                row[index[a]] = float(first.statics[a])
+                row[index[a]] = float(trace.statics[a])
             times = [e.timestamp for e in events]
             series = {
                 "timesincelastevent":
@@ -360,10 +359,21 @@ def test_aggregate_encode_equals_per_prefix_reference_bitwise(log, max_prefix):
     assert matrix.provenance == provenance
 
 
+@pytest.mark.parametrize("times, sign", [(("10:05", "10:00"), 0.0), (("10:00", "10:00"), -0.0)])
+def test_case_keeps_the_statics_of_its_earliest_event(basic_schema, times, sign):
+    # -0.0 == 0.0 passes the per-row static check; the case keeps the value
+    # of its earliest event (a tie keeps the first row), as a stable sort does
+    log = _parse([f"c1,A,2024-01-01 {times[0]}:00,ok,web,-0.0,r1,1.0",
+                  f"c1,B,2024-01-01 {times[1]}:00,ok,web,0.0,r1,1.0"], basic_schema)
+    m = aggregate_encode(extract_prefixes(log, 2), basic_schema, fit_vocabulary(log))
+    amount = m.rows[:, m.column_names.index("amount")]
+    assert np.signbit(amount).tolist() == [np.signbit(sign)] * 2
+
+
 def test_unlabelled_trace_is_rejected_naming_the_case(basic_schema):
-    event = Event("c7", "A", datetime(2024, 1, 1), {"channel": "web", "amount": 1.0},
-                  {"resource": "r1", "cost": 1.0})
-    log = EventLog((Trace("c7", (event,), None),), basic_schema)
+    event = Event("A", datetime(2024, 1, 1), {"resource": "r1", "cost": 1.0})
+    log = EventLog((Trace("c7", {"channel": "web", "amount": 1.0}, (event,), None),),
+                   basic_schema)
     with pytest.raises(ValueError, match="'c7'"):
         aggregate_encode(extract_prefixes(log, 2), basic_schema, fit_vocabulary(log))
 

@@ -22,12 +22,12 @@ def _trace(activities, statics=None, dynamics_list=None):
     statics = statics or {}
     events = tuple(
         Event(
-            "c", a, datetime(2024, 1, 1, 8, 0, i), statics,
+            a, datetime(2024, 1, 1, 8, 0, i),
             (dynamics_list[i] if dynamics_list else {}),
         )
         for i, a in enumerate(activities)
     )
-    return Trace("c", events, None)
+    return Trace("c", statics, events, None)
 
 
 # --- rules -----------------------------------------------------------------------
@@ -94,10 +94,10 @@ def test_generated_log_matches_spec_dimensions():
         assert 2 <= len(trace) <= 5
         assert set(trace.activities) <= set(spec.alphabet())
         first = trace.events[0]
-        assert set(first.statics) == {"s_cat1", "s_num1"}
+        assert set(trace.statics) == {"s_cat1", "s_num1"}
         assert set(first.dynamics) == {"d_cat1", "d_num1"}
-        assert 0.0 <= first.statics["s_num1"] <= 1.0
-        assert first.statics["s_cat1"] in ("c0", "c1", "c2", "c3")
+        assert 0.0 <= trace.statics["s_num1"] <= 1.0
+        assert trace.statics["s_cat1"] in ("c0", "c1", "c2", "c3")
 
 
 def test_generation_is_deterministic_and_seed_sensitive():
@@ -166,7 +166,7 @@ def test_schema_covers_requested_attribute_counts():
                                  n_static_numeric=0, n_dynamic_categorical=0,
                                  n_dynamic_numeric=3, seed=0))
     first = log.traces[0].events[0]
-    assert set(first.statics) == {"s_cat1", "s_cat2"}
+    assert set(log.traces[0].statics) == {"s_cat1", "s_cat2"}
     assert set(first.dynamics) == {"d_num1", "d_num2", "d_num3"}
 
 
