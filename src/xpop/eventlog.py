@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, replace
 from datetime import datetime
 from functools import cached_property
 from typing import IO, Mapping, Sequence, Union
 
+import numpy as np
+
 MISSING = "__missing__"
+DEFAULT_TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
+# The default format's fixed-width text in ASCII digits. numpy reads year
+# 0000, which strptime rejects, so that year is left to strptime.
+_DEFAULT_SHAPE = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 
 ROLE_CASE_ID = "case_id"
 ROLE_ACTIVITY = "activity"
@@ -54,7 +61,7 @@ class AttributeSchema:
     """Maps every CSV column to a role and fixes the timestamp format."""
 
     column_roles: Mapping[str, str]
-    timestamp_format: str = "%Y-%m-%d %H:%M:%S"
+    timestamp_format: str = DEFAULT_TIMESTAMP_FORMAT
     positive_label: str = "deviant"
 
     def __post_init__(self) -> None:
@@ -149,7 +156,7 @@ class EventLog:
 def parse_schema_config(text: str) -> AttributeSchema:
     """Read the plain-text schema config (one ``column = role`` line each)."""
     roles: dict[str, str] = {}
-    ts_format = "%Y-%m-%d %H:%M:%S"
+    ts_format = DEFAULT_TIMESTAMP_FORMAT
     positive = "deviant"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -209,6 +216,19 @@ def _attributes(row, categorical, numeric, row_number: int) -> dict[str, object]
     return values
 
 
+def _strptime(raw: str, fmt: str, row_number: int) -> datetime:
+    try:
+        return datetime.strptime(raw, fmt)
+    except ValueError:
+        raise ParseError(f"row {row_number}: unparseable timestamp {raw!r}") from None
+
+
+def _check_stamps(stamps: Sequence[str], fmt: str) -> None:
+    """Raise the error of the first row whose timestamp strptime rejects."""
+    for row_number, raw in enumerate(stamps, start=2):
+        _strptime(raw, fmt, row_number)
+
+
 def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLog:
     """Parse a CSV stream into an EventLog validated against the schema.
 
@@ -217,6 +237,12 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
     constant per case; each row is checked as it is read. A case keeps the
     statics of its earliest event (ties: the first row), which matters only
     for values that compare equal but differ, like -0.0 and 0.0.
+
+    Under the default timestamp format, a timestamp of the exact ASCII shape
+    ``NNNN-NN-NN NN:NN:NN`` (year 0000 aside) is kept as text while the rows
+    are read and the whole column is converted by one numpy call; any other
+    timestamp goes through ``strptime``. Both accept the same strings, and
+    an error still names the first row whose timestamp ``strptime`` rejects.
     """
     text = _as_text_stream(stream)
     reader = csv.reader(text)
@@ -249,40 +275,65 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
                         schema.dynamic_categorical, schema.dynamic_numeric)
     )
 
-    cases: dict[str, list[Event]] = {}
+    fmt = schema.timestamp_format
+    bulk = fmt == DEFAULT_TIMESTAMP_FORMAT
+    # one per row: its timestamp, as fixed-width text under the default
+    # format (converted in one call after the loop), else a datetime
+    stamps: list = []
+    # case id -> its rows as (row index, activity, dynamics)
+    cases: dict[str, list[tuple[int, str, dict[str, object]]]] = {}
     # case id -> (earliest timestamp, that row's statics, raw label)
-    first: dict[str, tuple[datetime, dict[str, object], str | None]] = {}
-    for row_number, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"row {row_number}: expected {len(header)} cells, got {len(row)}")
-        case_id = row[case_i]
-        raw_ts = row[ts_i]
+    first: dict[str, tuple[object, dict[str, object], str | None]] = {}
+    try:
+        for row_number, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row {row_number}: expected {len(header)} cells, got {len(row)}"
+                )
+            case_id = row[case_i]
+            raw_ts = row[ts_i]
+            if bulk and _DEFAULT_SHAPE.fullmatch(raw_ts):
+                ts = raw_ts  # fixed-width: sorts as the time it names
+            else:
+                ts = _strptime(raw_ts, fmt, row_number)
+                if bulk:
+                    ts = ts.isoformat(" ")
+            stamps.append(ts)
+            statics = _attributes(row, static_cat, static_num, row_number)
+            pending = (len(stamps) - 1, row[act_i],
+                       _attributes(row, dynamic_cat, dynamic_num, row_number))
+            raw_label = None if label_i is None else row[label_i]
+
+            if case_id not in first:
+                first[case_id] = (ts, statics, raw_label)
+                cases[case_id] = [pending]
+                continue
+            earliest, kept, label = first[case_id]
+            if raw_label != label:
+                raise ParseError(f"row {row_number}: label inconsistent within case {case_id!r}")
+            if statics != kept:
+                col = next(c for c in kept if statics[c] != kept[c])
+                raise ParseError(
+                    f"row {row_number}: static attribute {col!r} varies in case {case_id!r}"
+                )
+            if ts < earliest:
+                first[case_id] = (ts, statics, label)
+            cases[case_id].append(pending)
+    except (ValueError, csv.Error):
+        if bulk:  # an earlier row's timestamp, not yet checked, fails first
+            _check_stamps(stamps, fmt)
+        raise
+
+    if bulk:
         try:
-            ts = datetime.strptime(raw_ts, schema.timestamp_format)
+            stamps = np.array(stamps, dtype="datetime64[s]").tolist()
         except ValueError:
-            raise ParseError(f"row {row_number}: unparseable timestamp {raw_ts!r}") from None
-        statics = _attributes(row, static_cat, static_num, row_number)
-        event = Event(row[act_i], ts, _attributes(row, dynamic_cat, dynamic_num, row_number))
-        raw_label = None if label_i is None else row[label_i]
-
-        if case_id not in first:
-            first[case_id] = (ts, statics, raw_label)
-            cases[case_id] = [event]
-            continue
-        earliest, kept, label = first[case_id]
-        if raw_label != label:
-            raise ParseError(f"row {row_number}: label inconsistent within case {case_id!r}")
-        if statics != kept:
-            col = next(c for c in kept if statics[c] != kept[c])
-            raise ParseError(
-                f"row {row_number}: static attribute {col!r} varies in case {case_id!r}"
-            )
-        if ts < earliest:
-            first[case_id] = (ts, statics, label)
-        cases[case_id].append(event)
-
+            _check_stamps(stamps, fmt)
+            raise
     traces = []
-    for case_id, events in cases.items():
+    for case_id, pending in cases.items():
+        events = [Event(activity, stamps[j], dynamics) for j, activity, dynamics in pending]
+        pending.clear()  # free each case's rows as its events are built: a lower peak
         events.sort(key=lambda e: e.timestamp)  # stable: ties keep input order
         _, statics, raw_label = first[case_id]
         label = None if raw_label is None else int(raw_label == schema.positive_label)

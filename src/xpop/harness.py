@@ -116,6 +116,15 @@ _HYPER_RULES = {
 }
 
 
+# [data] key -> (rule, parse, check, default), checked when a config is read
+_DATA_RULES = {
+    "seed": ("an integer", int, lambda v: True, None),
+    "max_prefix": ("a whole number >= 1", int, lambda v: v >= 1, 5),
+    "train_ratio": ("in (0, 1)", float, lambda v: 0 < v < 1, 0.8),
+    "pi_repeats": ("a whole number >= 1", int, lambda v: v >= 1, 1),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     name: str
@@ -224,13 +233,27 @@ def _number(model: str, key: str, text: str) -> float:
         raise ValueError(f"model {model!r}: {key} must be a number, got {text!r}") from None
 
 
+def _data_value(data: configparser.SectionProxy, key: str):
+    rule, parse, check, default = _DATA_RULES[key]
+    if key not in data:
+        return default
+    text = data[key]
+    try:
+        value = parse(text)
+    except ValueError:
+        value = None
+    if value is None or not check(value):
+        raise ValueError(f"[data] {key} must be {rule}, got {text}")
+    return value
+
+
 def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
     if "data" not in parser:
         raise ValueError("config needs a [data] section")
     data = parser["data"]
     if "seed" not in data:
         raise ValueError("config needs an explicit seed (no wall-clock seeding)")
-    seed = data.getint("seed")
+    seed = _data_value(data, "seed")
 
     synth = None
     if "synth_rule" in data or "synth_cases" in data:
@@ -258,14 +281,14 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
 
     return BenchmarkConfig(
         seed=seed,
-        max_prefix=data.getint("max_prefix", 5),
+        max_prefix=_data_value(data, "max_prefix"),
         models=tuple(models),
         log_path=data.get("log", fallback=None),
         schema_path=data.get("schema", fallback=None),
         synth=synth,
         label_rule=label_rule,
-        train_ratio=data.getfloat("train_ratio", 0.8),
-        pi_repeats=data.getint("pi_repeats", 1),
+        train_ratio=_data_value(data, "train_ratio"),
+        pi_repeats=_data_value(data, "pi_repeats"),
         out_dir=data.get("out", fallback=None),
         log_id=data.get("log_id", "log"),
     )

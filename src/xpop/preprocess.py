@@ -188,61 +188,82 @@ def aggregate_encode(
     standard deviation (0 for single-event prefixes). Rows are ordered by
     (case_id, prefix length).
 
-    Each trace is walked once into one block of rows; frequencies are a
-    running sum of per-event hits. Prefix k's statistics reduce the rows of
-    ``values[:, :k]``, summed pairwise as a 1-D array of its k values is: a
-    running sum or Welford update would round differently.
+    Row r holds the prefix that ends at the r-th encoded event, so each
+    event marks the columns of its activity and categorical values in its
+    own row, and its timestamp features and dynamic numerics go to
+    ``values[case, series, position]``. Then one loop over prefix length k
+    takes the cases with at least k events, adds row k-1's frequencies to
+    row k's, and reduces ``values[cases, :, :k]`` along its last axis, which
+    sums each series pairwise as a 1-D array of its k values is: a running
+    sum or Welford update would round differently.
     """
     columns = _columns(schema, vocab)
     name_index = {c.name: i for i, c in enumerate(columns)}
-    act_col = schema.activity_column
-    # stat_cols[s, f]: the column of statistic s of series f (a row of values)
+
+    def lookup(attr: str, vocabulary) -> dict[str, int]:
+        """value -> column, for one attribute's own columns only."""
+        return {str(v): name_index[f"{attr}={v}"] for v in vocabulary}
+
+    # stat_cols[s, f]: the column of statistic s of series f
     series = TIMESTAMP_FEATURES + schema.dynamic_numeric
     stat_cols = np.array([[name_index[f"{f}_{stat}"] for f in series] for stat in STATS])
+    counted = np.array([i for i, c in enumerate(columns) if c.derivation == "frequency"],
+                       dtype=np.intp)
 
-    traces = sorted(prefixes.log.traces, key=lambda t: t.case_id)
-    rows = np.zeros((len(prefixes), len(columns)), dtype=np.float64)
-    labels = np.zeros(len(rows), dtype=np.int64)
-    provenance = []
+    traces = [t for t in sorted(prefixes.log.traces, key=lambda t: t.case_id) if t.events]
+    unlabelled = next((t for t in traces if t.label is None), None)
+    if unlabelled is not None:
+        raise ValueError(f"case {unlabelled.case_id!r} is unlabelled")
+    lengths = np.array([min(len(t), prefixes.max_prefix) for t in traces], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    case_of_row = np.repeat(np.arange(len(traces)), lengths)
+    position = np.arange(len(case_of_row)) - starts[case_of_row]  # k - 1
+    rows = np.zeros((len(case_of_row), len(columns)), dtype=np.float64)
+    labels = np.repeat(np.array([t.label for t in traces], dtype=np.int64), lengths)
+    ids = [t.case_id for t in traces]
+    provenance = tuple(zip([ids[c] for c in case_of_row.tolist()], (position + 1).tolist()))
 
-    j = 0
-    for trace in traces:
-        events = trace.events[: prefixes.max_prefix]
-        n = len(events)
-        if n == 0:
-            continue
-        if trace.label is None:
-            raise ValueError(f"case {trace.case_id!r} is unlabelled")
-        block = rows[j : j + n]
-        for i, event in enumerate(events):
-            dynamic = (f"{a}={event.dynamics[a]}" for a in schema.dynamic_categorical)
-            for key in (f"{act_col}={event.activity}", *dynamic):
-                if key in name_index:
-                    block[i, name_index[key]] += 1.0
-        np.cumsum(block, axis=0, out=block)
+    events = [e for t, n in zip(traces, lengths.tolist()) for e in t.events[:n]]  # row order
+    times = [e.timestamp for e in events]
+    previous = np.arange(len(rows)) - 1  # a case's first event is its own previous
+    previous[starts] = starts
+    last = [(t - times[j]).total_seconds() for t, j in zip(times, previous.tolist())]
+    since_start = [(t - times[j]).total_seconds()
+                   for t, j in zip(times, starts[case_of_row].tolist())]
+    midnight = [t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6 for t in times]
 
-        for attr in schema.static_categorical:
-            key = f"{attr}={trace.statics[attr]}"
-            if key in name_index:
-                block[:, name_index[key]] = 1.0
-        for attr in schema.static_numeric:
-            block[:, name_index[attr]] = float(trace.statics[attr])
+    # marks[a, r]: the column of row r's value of categorical attribute a
+    # (-1: unseen). A static value marks every row of its case; the loop
+    # below adds up the activity and dynamic marks along each case.
+    act_index = lookup(schema.activity_column, vocab.activities)
+    marks = [[act_index.get(str(e.activity), -1) for e in events]]
+    for attr in schema.dynamic_categorical:
+        index = lookup(attr, vocab.categorical[attr])
+        marks.append([index.get(str(e.dynamics[attr]), -1) for e in events])
+    for attr in schema.static_categorical:
+        index = lookup(attr, vocab.categorical[attr])
+        marks.append(np.array([index.get(str(t.statics[attr]), -1) for t in traces],
+                              dtype=np.intp)[case_of_row])
+    marks = np.array(marks, dtype=np.intp)
+    known = marks >= 0
+    rows[np.nonzero(known)[1], marks[known]] = 1.0
+    for attr in schema.static_numeric:
+        rows[:, name_index[attr]] = np.repeat([float(t.statics[attr]) for t in traces], lengths)
 
-        times = [e.timestamp for e in events]
-        values = np.array([
-            [0.0] + [(b - a).total_seconds() for a, b in zip(times, times[1:])],
-            [(t - times[0]).total_seconds() for t in times],
-            [t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6 for t in times],
-            *([float(e.dynamics[a]) for e in events] for a in schema.dynamic_numeric),
-        ])
-        for k in range(1, n + 1):
-            head = values[:, :k]
-            block[k - 1, stat_cols[:4]] = head.min(1), head.max(1), head.mean(1), head.sum(1)
-            if k > 1:
-                block[k - 1, stat_cols[4]] = head.std(1, ddof=1)
+    # values[case, series, position]: the series the statistics reduce
+    values = np.zeros((len(traces), len(series), int(lengths.max(initial=0))))
+    dynamic = ([float(e.dynamics[a]) for e in events] for a in schema.dynamic_numeric)
+    values[case_of_row, :, position] = np.array([last, since_start, midnight, *dynamic]).T
 
-        labels[j : j + n] = int(trace.label)
-        provenance.extend((trace.case_id, k) for k in range(1, n + 1))
-        j += n
+    for k in range(1, values.shape[2] + 1):
+        cases = np.flatnonzero(lengths >= k)
+        at = starts[cases, None] + (k - 1)
+        if k > 1:
+            rows[at, counted] += rows[at - 1, counted]
+        head = values[cases, :, :k]
+        stats = [head.min(-1), head.max(-1), head.mean(-1), head.sum(-1)]
+        if k > 1:
+            stats.append(head.std(-1, ddof=1))
+        rows[at, stat_cols[: len(stats)].ravel()] = np.concatenate(stats, axis=1)
 
-    return EncodedMatrix(columns, rows, labels, tuple(provenance))
+    return EncodedMatrix(columns, rows, labels, provenance)

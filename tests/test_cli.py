@@ -198,6 +198,26 @@ def test_cli_bench_non_numeric_hyperparameter_names_model_and_key(tmp_path, caps
                        "model 'lr': l2 must be a number, got 'abc'")
 
 
+@pytest.mark.parametrize(
+    "key, value, rule",
+    [("train_ratio", "1.5", "in (0, 1)"),
+     ("train_ratio", "nan", "in (0, 1)"),
+     ("max_prefix", "0", "a whole number >= 1"),
+     ("max_prefix", "abc", "a whole number >= 1"),
+     ("pi_repeats", "0", "a whole number >= 1"),
+     ("pi_repeats", "-1", "a whole number >= 1"),
+     ("seed", "abc", "an integer")],
+)
+def test_cli_bench_rejects_bad_data_values(tmp_path, capsys, key, value, rule):
+    lines = [line for line in CONFIG.splitlines() if not line.startswith(f"{key} =")]
+    lines.insert(1, f"{key} = {value}")
+    path = tmp_path / "bench.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_file_error(capsys, ["bench", "--config", str(path), "--out", str(tmp_path / "out")],
+                       path, f"[data] {key} must be {rule}, got {value}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_encode_bad_timestamp_names_log_and_row(tmp_path, config_path, capsys):
     out = tmp_path / "synth"
     main(["synth", "--config", config_path, "--out", str(out)])

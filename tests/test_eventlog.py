@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import random
+import re
+from datetime import datetime
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from xpop.eventlog import (
+    DEFAULT_TIMESTAMP_FORMAT,
     MISSING,
     AttributeSchema,
     ParseError,
@@ -82,6 +87,93 @@ def test_bad_timestamp_reports_row_number(basic_schema):
     )
     with pytest.raises(ParseError, match="row 3"):
         parse_csv(text, basic_schema)
+
+
+_TIME_SCHEMA = AttributeSchema({"case": "case_id", "act": "activity", "time": "timestamp"})
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# kind -> edit of the padded text "YYYY-MM-DD HH:MM:SS". numpy reads year
+# 0000, a T separator, a trailing Z and a date alone; strptime reads a year
+# in non-ASCII digits (but not a month) and one-digit fields; both reject
+# impossible dates
+_TIMESTAMP_EDITS = {
+    "padded": lambda s: s,
+    "year 0000": lambda s: "0000" + s[4:],
+    "one-digit fields": lambda s: "{}-{}-{} {}:{}:{}".format(*map(int, re.split("[- :]", s))),
+    "non-ASCII year": lambda s: s[:4].translate(_ARABIC_INDIC) + s[4:],
+    "non-ASCII digits": lambda s: s.translate(_ARABIC_INDIC),
+    "T separator": lambda s: s.replace(" ", "T"),
+    "trailing Z": lambda s: s + "Z",
+    "date only": lambda s: s[:10],
+    "Feb 29, common year": lambda s: "2023-02-29" + s[10:],
+    "hour 24": lambda s: s[:11] + "24" + s[13:],
+    "second 60": lambda s: s[:17] + "60",
+    "month 13": lambda s: s[:5] + "13" + s[7:],
+}
+
+
+@st.composite
+def _timestamp(draw, kinds):
+    """A default-format timestamp edited as one of ``kinds``."""
+    t = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
+    return _TIMESTAMP_EDITS[draw(st.sampled_from(kinds))](t.replace(microsecond=0).isoformat(" "))
+
+
+@st.composite
+def _stamp_lists(draw):
+    """1-7 timestamps strptime reads, and up to two of any kind among them."""
+    stamps = draw(st.lists(_timestamp(("padded", "one-digit fields", "non-ASCII year")),
+                           min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        stamps.insert(draw(st.integers(0, len(stamps))),
+                      draw(_timestamp(sorted(_TIMESTAMP_EDITS))))
+    return stamps
+
+
+def _strptime(text):
+    try:
+        return datetime.strptime(text, DEFAULT_TIMESTAMP_FORMAT)
+    except ValueError:
+        return None
+
+
+@given(_stamp_lists(), st.booleans())
+@example(["0000-01-01 00:00:00"], False)
+@example(["\u0662\u0660\u0662\u0664-01-01 00:00:00", "2024-1-1 1:00:00"], False)
+@example(["2024-01-01 00:00:00", "2024-01-01T00:00:00"], False)
+@example(["2024-01-01 00:00:00Z"], False)
+@example(["2024-01-01"], False)
+@example(["2024-01-02 00:00:00", "2023-02-29 00:00:00", "2024-01-01 24:00:00"], True)
+def test_default_timestamps_parse_as_strptime_does(stamps, short_last_row):
+    rows = [f"c{i % 3},A,{text}" for i, text in enumerate(stamps)]
+    if short_last_row:
+        rows.append("c0,A")
+    text = "case,act,time\n" + "\n".join(rows) + "\n"
+    parsed = [_strptime(s) for s in stamps]
+    bad = next((i for i, t in enumerate(parsed) if t is None), None)
+    if bad is not None:
+        message = f"row {bad + 2}: unparseable timestamp {stamps[bad]!r}"
+    elif short_last_row:
+        message = f"row {len(rows) + 1}: expected 3 cells, got 2"
+    else:
+        log = parse_csv(text, _TIME_SCHEMA)
+        for trace in log.traces:
+            expected = sorted(parsed[int(trace.case_id[1:])::3])
+            assert [e.timestamp for e in trace.events] == expected
+            assert all(type(e.timestamp) is datetime for e in trace.events)
+        return
+    with pytest.raises(ParseError) as info:
+        parse_csv(text, _TIME_SCHEMA)
+    assert str(info.value) == message
+
+
+def test_custom_timestamp_format_goes_through_strptime():
+    schema = AttributeSchema(dict(_TIME_SCHEMA.column_roles), timestamp_format="%d/%m/%Y %H:%M")
+    log = parse_csv("case,act,time\nc1,A,02/01/2024 10:30\n", schema)
+    assert log.traces[0].events[0].timestamp == datetime(2024, 1, 2, 10, 30)
+    with pytest.raises(ParseError, match="^row 2: unparseable timestamp '2024-01-02 10:30:00'$"):
+        parse_csv("case,act,time\nc1,A,2024-01-02 10:30:00\n", schema)
 
 
 def test_inconsistent_label_is_error(basic_schema):

@@ -237,6 +237,27 @@ def test_unseen_categories_contribute_nothing(basic_schema):
     assert _col(matrix, "amount")[0] == 2.0
 
 
+def test_unseen_value_cannot_land_in_another_attributes_column():
+    # attribute "a" with value "b=c" and attribute "a=b" with value "c" would
+    # both be named "a=b=c"; only the second owns that column
+    schema = AttributeSchema({
+        "case": "case_id", "act": "activity", "time": "timestamp", "outcome": "label",
+        "s": "static_categorical", "s=t": "static_categorical",
+        "a": "dynamic_categorical", "a=b": "dynamic_categorical",
+    })
+
+    def log(s, s_t, a, a_b):
+        event = Event("A", datetime(2024, 1, 1), {"a": a, "a=b": a_b})
+        return EventLog((Trace("c1", {"s": s, "s=t": s_t}, (event,), 0),), schema)
+
+    vocab = fit_vocabulary(log("u", "v", "x", "c"))
+    matrix = aggregate_encode(extract_prefixes(log("t=v", "w", "b=c", "y"), 1), schema, vocab)
+    assert set(matrix.column_names) >= {"s=u", "s=t=v", "a=x", "a=b=c"}
+    assert matrix.rows[0, matrix.columns_of_type(CASE)].tolist() == [0.0, 0.0]
+    for name in ("a=x", "a=b=c"):
+        assert _col(matrix, name)[0] == 0.0
+
+
 def test_duplicate_encoded_column_names_are_rejected():
     # Preprocessed benchmark logs carry derived timestamp features as numeric
     # columns; encoding one would shadow the encoder's own feature.
@@ -287,9 +308,10 @@ _numbers = st.one_of(
 
 @st.composite
 def _oracle_log(draw):
-    """Traces of 1-40 events with tied timestamps (gap 0), -0.0 numerics and
-    categorical values outside the vocabulary fitted on the first trace."""
-    n_traces = draw(st.integers(1, 4))
+    """1-12 traces of 1-40 events with tied timestamps (gap 0), -0.0
+    numerics and categorical values outside the vocabulary fitted on the
+    first trace; cases run out of events at many different lengths."""
+    n_traces = draw(st.integers(1, 12))
     ids = draw(st.permutations(range(n_traces)))
     traces = []
     for i in ids:
@@ -308,24 +330,32 @@ def _oracle_log(draw):
     return EventLog(tuple(traces), _ORACLE_SCHEMA)
 
 
-def _reference_encode(log, max_prefix, names):
-    """Every prefix rebuilt from its events, statistics by 1-D reductions."""
+def _reference_encode(log, max_prefix, names, vocab):
+    """Every prefix rebuilt from its events, statistics by 1-D reductions.
+    A value counts only in its own attribute's column, if the vocabulary
+    has it."""
     schema = log.schema
     index = {name: i for i, name in enumerate(names)}
+    known = {a: {str(v) for v in values} for a, values in vocab.categorical.items()}
+    known[schema.activity_column] = {str(v) for v in vocab.activities}
+
+    def column(attr, value):
+        return index[f"{attr}={value}"] if str(value) in known[attr] else None
     rows, labels, provenance = [], [], []
     for trace in sorted(log.traces, key=lambda t: t.case_id):
         for k in range(1, min(len(trace), max_prefix) + 1):
             events = trace.events[:k]
             row = np.zeros(len(names))
             for e in events:
-                keys = [f"{schema.activity_column}={e.activity}"]
-                keys += [f"{a}={e.dynamics[a]}" for a in schema.dynamic_categorical]
-                for key in keys:
-                    if key in index:
-                        row[index[key]] += 1.0
+                cols = [column(schema.activity_column, e.activity)]
+                cols += [column(a, e.dynamics[a]) for a in schema.dynamic_categorical]
+                for col in cols:
+                    if col is not None:
+                        row[col] += 1.0
             for a in schema.static_categorical:
-                if f"{a}={trace.statics[a]}" in index:
-                    row[index[f"{a}={trace.statics[a]}"]] = 1.0
+                col = column(a, trace.statics[a])
+                if col is not None:
+                    row[col] = 1.0
             for a in schema.static_numeric:
                 row[index[a]] = float(trace.statics[a])
             times = [e.timestamp for e in events]
@@ -349,11 +379,11 @@ def _reference_encode(log, max_prefix, names):
 
 
 @settings(max_examples=60)
-@given(_oracle_log(), st.integers(1, 40))
+@given(_oracle_log(), st.integers(1, 64))
 def test_aggregate_encode_equals_per_prefix_reference_bitwise(log, max_prefix):
     vocab = fit_vocabulary(EventLog(log.traces[:1], log.schema))
     matrix = aggregate_encode(extract_prefixes(log, max_prefix), log.schema, vocab)
-    rows, labels, provenance = _reference_encode(log, max_prefix, matrix.column_names)
+    rows, labels, provenance = _reference_encode(log, max_prefix, matrix.column_names, vocab)
     assert matrix.rows.tobytes() == rows.tobytes()
     assert matrix.labels.tolist() == labels
     assert matrix.provenance == provenance
