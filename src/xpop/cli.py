@@ -72,7 +72,8 @@ def cmd_encode(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    train_m, _ = prepare_matrices(cfg)
+    with reading(args.config):
+        train_m, _ = prepare_matrices(cfg)
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     for idx, spec in enumerate(cfg.models):
@@ -86,7 +87,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
-    train_m, test_m = prepare_matrices(cfg)
+    with reading(args.config):
+        train_m, test_m = prepare_matrices(cfg)
     for idx, spec in enumerate(cfg.models):
         try:
             model = train_model(spec, train_m, derive_seed(cfg.seed, idx))
@@ -101,7 +103,8 @@ def cmd_bench(args) -> int:
     """``bench`` and ``metrics``: run the benchmark and print its table.
     Only ``bench`` writes ``report.csv``, into the output directory."""
     cfg = _load_cfg(args)
-    reports = run_benchmark(cfg)
+    with reading(args.config):  # a log that cannot be split or encoded
+        reports = run_benchmark(cfg)
     if args.command == "bench" and cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,9 @@
 """Event log data model: CSV parsing, validation, labelling.
 
-An event log is a collection of traces, one per case. A trace holds its
-case id and static (per-case) attributes once; each of its events carries
-the activity, a timestamp and the dynamic (per-event) attributes. The
+An event log stores its events by column: activity, timestamp and one
+column per dynamic (per-event) attribute. Each case is a trace that holds
+its case id and static (per-case) attributes once and names the range of
+positions its events take in the columns. The
 accepted interchange format is RFC 4180 CSV with a header row, UTF-8,
 comma delimiter.
 """
@@ -13,7 +14,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timezone
 from functools import cached_property
 from typing import IO, Mapping, Sequence, Union
 
@@ -115,42 +116,57 @@ class AttributeSchema:
 
 
 @dataclass(frozen=True)
-class Event:
-    activity: str
-    timestamp: datetime
-    dynamics: Mapping[str, object]
-
-
-@dataclass(frozen=True)
 class Trace:
-    """One case: its static attributes and its events, ascending by
-    timestamp (ties keep input order)."""
+    """One case: its static attributes and the positions of its events in
+    the log's event columns, ascending by timestamp (ties keep input order)."""
 
     case_id: str
     statics: Mapping[str, object]
-    events: tuple[Event, ...]
+    events: range
     label: int | None = None
 
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def activities(self) -> tuple[str, ...]:
-        return tuple(e.activity for e in self.events)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
+    """Traces over event columns: event i has activity ``activities[i]``,
+    timestamp ``timestamps[i]`` (datetime64[us]) and ``dynamics[attr][i]``
+    (text for a categorical, float64 for a numeric), each a numpy array
+    (sequences given are converted). A log cut from another (a split,
+    prefixes) shares its columns."""
+
     traces: tuple[Trace, ...]
     schema: AttributeSchema
+    activities: np.ndarray
+    timestamps: np.ndarray
+    dynamics: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
         ids = [t.case_id for t in self.traces]
         if len(ids) != len(set(ids)):
             raise ParseError("case ids are not unique across traces")
+        numeric = self.schema.dynamic_numeric
+        object.__setattr__(self, "activities", np.asarray(self.activities, dtype=object))
+        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype="datetime64[us]"))
+        object.__setattr__(self, "dynamics", {
+            c: np.asarray(v, dtype=np.float64 if c in numeric else object)
+            for c, v in self.dynamics.items()
+        })
 
     def __len__(self) -> int:
         return len(self.traces)
+
+    def __eq__(self, other) -> bool:
+        """Equal logs hold the same cases with the same events, wherever
+        those sit in their columns."""
+        def content(log):
+            return log.schema, [(t.case_id, t.statics, t.label, log.timestamps[t.events].tolist(),
+                                 log.activities[t.events].tolist(),
+                                 {c: v[t.events].tolist() for c, v in log.dynamics.items()})
+                                for t in log.traces]
+        return isinstance(other, EventLog) and content(self) == content(other)
 
 
 def parse_schema_config(text: str) -> AttributeSchema:
@@ -217,10 +233,12 @@ def _attributes(row, categorical, numeric, row_number: int) -> dict[str, object]
 
 
 def _strptime(raw: str, fmt: str, row_number: int) -> datetime:
+    """The timestamp ``raw`` names; one with a UTC offset becomes UTC."""
     try:
-        return datetime.strptime(raw, fmt)
+        t = datetime.strptime(raw, fmt)
     except ValueError:
         raise ParseError(f"row {row_number}: unparseable timestamp {raw!r}") from None
+    return t if t.tzinfo is None else t.astimezone(timezone.utc).replace(tzinfo=None)
 
 
 def _check_stamps(stamps: Sequence[str], fmt: str) -> None:
@@ -277,13 +295,12 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
 
     fmt = schema.timestamp_format
     bulk = fmt == DEFAULT_TIMESTAMP_FORMAT
-    # one per row: its timestamp, as fixed-width text under the default
-    # format (converted in one call after the loop), else a datetime
-    stamps: list = []
-    # case id -> its rows as (row index, activity, dynamics)
-    cases: dict[str, list[tuple[int, str, dict[str, object]]]] = {}
-    # case id -> (earliest timestamp, that row's statics, raw label)
-    first: dict[str, tuple[object, dict[str, object], str | None]] = {}
+    # the event columns in row order; a timestamp is fixed-width text under
+    # the default format (the column is converted after the loop), else a datetime
+    stamps, activities, case_of_row = [], [], []
+    dynamics: dict[str, list] = {c: [] for c, _ in dynamic_cat + dynamic_num}
+    # case id -> (its number, earliest timestamp, that row's statics, raw label)
+    first: dict[str, tuple[int, object, dict[str, object], str | None]] = {}
     try:
         for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -300,15 +317,14 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
                     ts = ts.isoformat(" ")
             stamps.append(ts)
             statics = _attributes(row, static_cat, static_num, row_number)
-            pending = (len(stamps) - 1, row[act_i],
-                       _attributes(row, dynamic_cat, dynamic_num, row_number))
+            for c, value in _attributes(row, dynamic_cat, dynamic_num, row_number).items():
+                dynamics[c].append(value)
+            activities.append(row[act_i])
             raw_label = None if label_i is None else row[label_i]
 
-            if case_id not in first:
-                first[case_id] = (ts, statics, raw_label)
-                cases[case_id] = [pending]
-                continue
-            earliest, kept, label = first[case_id]
+            # a case's first row sets its entry, which every row is checked against
+            number, earliest, kept, label = first.setdefault(
+                case_id, (len(first), ts, statics, raw_label))
             if raw_label != label:
                 raise ParseError(f"row {row_number}: label inconsistent within case {case_id!r}")
             if statics != kept:
@@ -317,28 +333,28 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
                     f"row {row_number}: static attribute {col!r} varies in case {case_id!r}"
                 )
             if ts < earliest:
-                first[case_id] = (ts, statics, label)
-            cases[case_id].append(pending)
+                first[case_id] = (number, ts, statics, label)
+            case_of_row.append(number)
     except (ValueError, csv.Error):
         if bulk:  # an earlier row's timestamp, not yet checked, fails first
             _check_stamps(stamps, fmt)
         raise
 
-    if bulk:
-        try:
-            stamps = np.array(stamps, dtype="datetime64[s]").tolist()
-        except ValueError:
-            _check_stamps(stamps, fmt)
-            raise
+    try:
+        times = np.array(stamps, dtype="datetime64[us]")
+    except ValueError:
+        _check_stamps(stamps, fmt)
+        raise
+    # by case, then by time; lexsort is stable, so ties keep input order
+    order = np.lexsort((times.view(np.int64), np.array(case_of_row, dtype=np.intp)))
+    ends = np.cumsum(np.bincount(case_of_row, minlength=len(first))).tolist()
     traces = []
-    for case_id, pending in cases.items():
-        events = [Event(activity, stamps[j], dynamics) for j, activity, dynamics in pending]
-        pending.clear()  # free each case's rows as its events are built: a lower peak
-        events.sort(key=lambda e: e.timestamp)  # stable: ties keep input order
-        _, statics, raw_label = first[case_id]
+    for (case_id, (_, _, statics, raw_label)), start, end in zip(first.items(), [0, *ends], ends):
         label = None if raw_label is None else int(raw_label == schema.positive_label)
-        traces.append(Trace(case_id, statics, tuple(events), label))
-    return EventLog(tuple(traces), schema)
+        traces.append(Trace(case_id, statics, range(start, end), label))
+    rows = EventLog((), schema, activities, times, dynamics)  # the columns in row order
+    return EventLog(tuple(traces), schema, rows.activities[order], times[order],
+                    {c: v[order] for c, v in rows.dynamics.items()})
 
 
 def serialize_csv(log: EventLog) -> str:
@@ -347,23 +363,27 @@ def serialize_csv(log: EventLog) -> str:
     negative = "regular" if schema.positive_label != "regular" else "non_deviant"
     numeric = set(schema.static_numeric + schema.dynamic_numeric)
 
-    def cells(attributes: Mapping[str, object]) -> dict[str, str]:
-        return {c: repr(float(v)) if c in numeric else str(v) for c, v in attributes.items()}
-
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(schema.column_roles)
+    fmt = schema.timestamp_format
+    times = log.timestamps.tolist()  # naive datetimes in UTC
+    if "%z" in fmt.lower():  # an offset directive writes +0000 (%z) or UTC (%Z)
+        times = [t.replace(tzinfo=timezone.utc) for t in times]
+    activities = log.activities.tolist()
+    text = {c: list(map(repr if c in numeric else str, values.tolist()))
+            for c, values in log.dynamics.items()}
     for trace in log.traces:
-        case = cells(trace.statics)
+        case = {c: repr(float(v)) if c in numeric else str(v) for c, v in trace.statics.items()}
         case[schema.case_id_column] = trace.case_id
         if schema.label_column is not None:
             if trace.label is None:
                 raise ParseError(f"case {trace.case_id!r} has no label to serialize")
             case[schema.label_column] = schema.positive_label if trace.label == 1 else negative
-        for event in trace.events:
-            row = case | cells(event.dynamics)
-            row[schema.activity_column] = event.activity
-            row[schema.timestamp_column] = event.timestamp.strftime(schema.timestamp_format)
+        for i in trace.events:
+            row = case | {c: column[i] for c, column in text.items()}
+            row[schema.activity_column] = activities[i]
+            row[schema.timestamp_column] = times[i].strftime(fmt)
             writer.writerow(row[c] for c in schema.column_roles)
     return out.getvalue()
 
@@ -386,6 +406,7 @@ def label_eventually_followed_by(log: EventLog, a: str, b: str) -> EventLog:
     if a == b:
         raise ValueError("rule activities must differ")
     traces = [
-        replace(t, label=eventually_followed_label(t.activities, a, b)) for t in log.traces
+        replace(t, label=eventually_followed_label(log.activities[t.events], a, b))
+        for t in log.traces
     ]
-    return EventLog(tuple(traces), log.schema)
+    return replace(log, traces=tuple(traces))

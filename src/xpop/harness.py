@@ -116,12 +116,29 @@ _HYPER_RULES = {
 }
 
 
-# [data] key -> (rule, parse, check, default), checked when a config is read
+_COUNT = ("a whole number >= 0", int, lambda v: v >= 0)
+_POSITIVE = ("a whole number >= 1", int, lambda v: v >= 1)
+# [data] key -> (rule, parse, check, the SynthSpec field a synth_* key sets),
+# checked when a config is read. A synth_* key left out keeps the field's
+# default (synth_seed: the [data] seed).
 _DATA_RULES = {
     "seed": ("an integer", int, lambda v: True, None),
-    "max_prefix": ("a whole number >= 1", int, lambda v: v >= 1, 5),
-    "train_ratio": ("in (0, 1)", float, lambda v: 0 < v < 1, 0.8),
-    "pi_repeats": ("a whole number >= 1", int, lambda v: v >= 1, 1),
+    "max_prefix": (*_POSITIVE, None),
+    "train_ratio": ("in (0, 1)", float, lambda v: 0 < v < 1, None),
+    "pi_repeats": (*_POSITIVE, None),
+    "synth_cases": (*_POSITIVE, "n_cases"),
+    "synth_alphabet": ("a whole number in 1..26", int, lambda v: 1 <= v <= 26, "alphabet_size"),
+    "synth_min_length": (*_POSITIVE, "min_trace_length"),
+    "synth_max_length": (*_POSITIVE, "max_trace_length"),
+    "synth_static_categorical": (*_COUNT, "n_static_categorical"),
+    "synth_static_numeric": (*_COUNT, "n_static_numeric"),
+    "synth_dynamic_categorical": (*_COUNT, "n_dynamic_categorical"),
+    "synth_dynamic_numeric": (*_COUNT, "n_dynamic_numeric"),
+    "synth_rule": ("a rule such as control_presence(A), control_follows(A, B), "
+                   "case_threshold(s_num1, 0.5) or event_mean_threshold(d_num1, 0.5)",
+                   lambda text: parse_rule(text), lambda v: True, "rule"),
+    "synth_noise": ("in [0, 0.5)", float, lambda v: 0 <= v < 0.5, "label_noise"),
+    "synth_seed": ("an integer", int, lambda v: True, "seed"),
 }
 
 
@@ -183,22 +200,6 @@ def parse_rule(text: str) -> Rule:
     raise ValueError(f"cannot parse rule {text!r}")
 
 
-def _synth_from_section(section, seed: int) -> SynthSpec:
-    return SynthSpec(
-        n_cases=section.getint("synth_cases", 100),
-        alphabet_size=section.getint("synth_alphabet", 5),
-        min_trace_length=section.getint("synth_min_length", 2),
-        max_trace_length=section.getint("synth_max_length", 6),
-        n_static_categorical=section.getint("synth_static_categorical", 1),
-        n_static_numeric=section.getint("synth_static_numeric", 1),
-        n_dynamic_categorical=section.getint("synth_dynamic_categorical", 1),
-        n_dynamic_numeric=section.getint("synth_dynamic_numeric", 1),
-        rule=parse_rule(section.get("synth_rule", "control_presence(A)")),
-        label_noise=section.getfloat("synth_noise", 0.0),
-        seed=section.getint("synth_seed", seed),
-    )
-
-
 def _config_error(exc: configparser.Error) -> str:
     """A config parser error as one line, ``line <n>: <reason>`` where the
     parser knows the line."""
@@ -233,8 +234,8 @@ def _number(model: str, key: str, text: str) -> float:
         raise ValueError(f"model {model!r}: {key} must be a number, got {text!r}") from None
 
 
-def _data_value(data: configparser.SectionProxy, key: str):
-    rule, parse, check, default = _DATA_RULES[key]
+def _data_value(data: configparser.SectionProxy, key: str, default=None):
+    rule, parse, check, _ = _DATA_RULES[key]
     if key not in data:
         return default
     text = data[key]
@@ -257,10 +258,14 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
 
     synth = None
     if "synth_rule" in data or "synth_cases" in data:
-        synth = _synth_from_section(data, seed)
+        fields = {_DATA_RULES[k][3]: _data_value(data, k)
+                  for k in data if k.startswith("synth_") and k in _DATA_RULES}
+        synth = SynthSpec(**{"seed": seed, **fields})
     label_rule = None
     if "label_a" in data or "label_b" in data:
-        label_rule = (data.get("label_a"), data.get("label_b"))
+        if "label_a" not in data or "label_b" not in data:
+            raise ValueError("[data] label_a and label_b must both be set")
+        label_rule = (data["label_a"], data["label_b"])
 
     models = []
     for section_name in parser.sections():
@@ -281,14 +286,14 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
 
     return BenchmarkConfig(
         seed=seed,
-        max_prefix=_data_value(data, "max_prefix"),
+        max_prefix=_data_value(data, "max_prefix", 5),
         models=tuple(models),
         log_path=data.get("log", fallback=None),
         schema_path=data.get("schema", fallback=None),
         synth=synth,
         label_rule=label_rule,
-        train_ratio=_data_value(data, "train_ratio"),
-        pi_repeats=_data_value(data, "pi_repeats"),
+        train_ratio=_data_value(data, "train_ratio", 0.8),
+        pi_repeats=_data_value(data, "pi_repeats", 1),
         out_dir=data.get("out", fallback=None),
         log_id=data.get("log_id", "log"),
     )
@@ -297,12 +302,13 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
 @contextmanager
 def reading(path):
     """Name ``path`` on a ValueError (a decode or parse error) raised in the
-    block, as ``filename`` like an OSError's; ``cli.main`` reports an error
-    that names a file as one line."""
+    block and not yet naming a file, as ``filename`` like an OSError's;
+    ``cli.main`` reports an error that names a file as one line."""
     try:
         yield
     except ValueError as exc:
-        exc.filename = str(path)
+        if getattr(exc, "filename", None) is None:
+            exc.filename = str(path)
         raise
 
 

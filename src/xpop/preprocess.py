@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -25,17 +26,6 @@ EVENT = "event"
 
 TIMESTAMP_FEATURES = ("timesincelastevent", "timesincecasestart", "timesincemidnight")
 STATS = ("min", "max", "mean", "sum", "std")
-
-
-@dataclass(frozen=True)
-class PrefixLog:
-    """Every prefix of length 1..min(|trace|, max_prefix) of every trace."""
-
-    log: EventLog
-    max_prefix: int
-
-    def __len__(self) -> int:
-        return sum(min(len(t), self.max_prefix) for t in self.log.traces)
 
 
 @dataclass(frozen=True)
@@ -100,54 +90,50 @@ class EncodedMatrix:
 
 
 def temporal_split(log: EventLog, train_ratio: float) -> tuple[EventLog, EventLog]:
-    """Split cases on first-event time; cut train events overlapping test."""
+    """Split cases on first-event time; cut train events overlapping test.
+    Both logs share the columns of ``log``."""
     if not 0.0 < train_ratio < 1.0:
         raise ValueError("train_ratio must be in (0, 1)")
     for trace in log.traces:
         if trace.label is None:
             raise ValueError(f"case {trace.case_id!r} is unlabelled")
-    ordered = sorted(log.traces, key=lambda t: t.events[0].timestamp)
+    times = log.timestamps
+    ordered = sorted(log.traces, key=lambda t: times[t.events[0]])
     n_train = math.ceil(train_ratio * len(ordered))
-    train_traces = list(ordered[:n_train])
-    test_traces = list(ordered[n_train:])
+    train_traces = ordered[:n_train]
+    test_traces = ordered[n_train:]
     if not train_traces or not test_traces:
         raise ValueError("temporal split left one side empty")
 
-    cutoff = min(t.events[0].timestamp for t in test_traces)
-    cut = []
-    for trace in train_traces:
-        kept = tuple(e for e in trace.events if e.timestamp < cutoff)
-        if kept:
-            cut.append(replace(trace, events=kept))
+    cutoff = min(times[t.events[0]] for t in test_traces)
+    # a trace's events are in time order, so those before the cutoff are a prefix
+    kept = [(t, np.count_nonzero(times[t.events] < cutoff)) for t in train_traces]
+    cut = tuple(replace(t, events=t.events[:n]) for t, n in kept if n)
     if not cut:
         raise ValueError("temporal split left one side empty")
-    return EventLog(tuple(cut), log.schema), EventLog(tuple(test_traces), log.schema)
+    return replace(log, traces=cut), replace(log, traces=tuple(test_traces))
 
 
-def extract_prefixes(log: EventLog, max_prefix: int) -> PrefixLog:
-    """Every prefix of length 1..min(|trace|, max_prefix), gap 1."""
+def extract_prefixes(log: EventLog, max_prefix: int) -> EventLog:
+    """The log with each trace cut to its first ``max_prefix`` events: its
+    prefixes of length 1..min(|trace|, max_prefix), gap 1, are encoded."""
     if max_prefix < 1:
         raise ValueError("max_prefix must be >= 1")
-    return PrefixLog(log, max_prefix)
+    return replace(log, traces=tuple(replace(t, events=t.events[:max_prefix]) for t in log.traces))
 
 
 def fit_vocabulary(train: EventLog) -> Vocabulary:
+    """The categorical values of the log's own traces and events, in
+    first-occurrence order."""
     schema = train.schema
-    activities: dict[str, None] = {}
-    categorical: dict[str, dict[str, None]] = {
-        c: {} for c in schema.static_categorical + schema.dynamic_categorical
+    at = np.fromiter(chain.from_iterable(t.events for t in train.traces), np.intp)
+    categorical = {
+        c: tuple(dict.fromkeys(str(t.statics[c]) for t in train.traces))
+        for c in schema.static_categorical
     }
-    for trace in train.traces:
-        for col in schema.static_categorical:
-            categorical[col].setdefault(str(trace.statics[col]), None)
-        for event in trace.events:
-            activities.setdefault(event.activity, None)
-            for col in schema.dynamic_categorical:
-                categorical[col].setdefault(str(event.dynamics[col]), None)
-    return Vocabulary(
-        tuple(activities),
-        {c: tuple(values) for c, values in categorical.items()},
-    )
+    for c in schema.dynamic_categorical:
+        categorical[c] = tuple(dict.fromkeys(map(str, train.dynamics[c][at].tolist())))
+    return Vocabulary(tuple(dict.fromkeys(train.activities[at].tolist())), categorical)
 
 
 def _columns(schema: AttributeSchema, vocab: Vocabulary) -> tuple[ColumnMeta, ...]:
@@ -179,14 +165,15 @@ def _columns(schema: AttributeSchema, vocab: Vocabulary) -> tuple[ColumnMeta, ..
     return tuple(cols)
 
 
-def aggregate_encode(
-    prefixes: PrefixLog, schema: AttributeSchema, vocab: Vocabulary
-) -> EncodedMatrix:
-    """Aggregation encoding of a prefix log against a fitted vocabulary.
+def aggregate_encode(log: EventLog, schema: AttributeSchema, vocab: Vocabulary) -> EncodedMatrix:
+    """Aggregation encoding of every prefix of every trace of ``log`` (cut
+    by ``extract_prefixes``) against a fitted vocabulary.
 
     Unseen categorical values contribute to no column; std is the sample
     standard deviation (0 for single-event prefixes). Rows are ordered by
-    (case_id, prefix length).
+    (case_id, prefix length). The timestamp features are int64 microsecond
+    differences divided by 1e6, the correctly rounded quotient that
+    ``timedelta.total_seconds()`` gives for gaps under 2**53 us (285 years).
 
     Row r holds the prefix that ends at the r-th encoded event, so each
     event marks the columns of its activity and categorical values in its
@@ -200,9 +187,10 @@ def aggregate_encode(
     columns = _columns(schema, vocab)
     name_index = {c.name: i for i, c in enumerate(columns)}
 
-    def lookup(attr: str, vocabulary) -> dict[str, int]:
-        """value -> column, for one attribute's own columns only."""
-        return {str(v): name_index[f"{attr}={v}"] for v in vocabulary}
+    def marks_of(attr: str, values, vocabulary) -> list[int]:
+        """Each value's column among the attribute's own columns (-1: unseen)."""
+        index = {str(v): name_index[f"{attr}={v}"] for v in vocabulary}
+        return [index.get(str(v), -1) for v in values]
 
     # stat_cols[s, f]: the column of statistic s of series f
     series = TIMESTAMP_FEATURES + schema.dynamic_numeric
@@ -210,11 +198,11 @@ def aggregate_encode(
     counted = np.array([i for i, c in enumerate(columns) if c.derivation == "frequency"],
                        dtype=np.intp)
 
-    traces = [t for t in sorted(prefixes.log.traces, key=lambda t: t.case_id) if t.events]
+    traces = [t for t in sorted(log.traces, key=lambda t: t.case_id) if t.events]
     unlabelled = next((t for t in traces if t.label is None), None)
     if unlabelled is not None:
         raise ValueError(f"case {unlabelled.case_id!r} is unlabelled")
-    lengths = np.array([min(len(t), prefixes.max_prefix) for t in traces], dtype=np.intp)
+    lengths = np.array([len(t) for t in traces], dtype=np.intp)
     starts = np.cumsum(lengths) - lengths
     case_of_row = np.repeat(np.arange(len(traces)), lengths)
     position = np.arange(len(case_of_row)) - starts[case_of_row]  # k - 1
@@ -223,27 +211,23 @@ def aggregate_encode(
     ids = [t.case_id for t in traces]
     provenance = tuple(zip([ids[c] for c in case_of_row.tolist()], (position + 1).tolist()))
 
-    events = [e for t, n in zip(traces, lengths.tolist()) for e in t.events[:n]]  # row order
-    times = [e.timestamp for e in events]
-    previous = np.arange(len(rows)) - 1  # a case's first event is its own previous
-    previous[starts] = starts
-    last = [(t - times[j]).total_seconds() for t, j in zip(times, previous.tolist())]
-    since_start = [(t - times[j]).total_seconds()
-                   for t, j in zip(times, starts[case_of_row].tolist())]
-    midnight = [t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6 for t in times]
+    # events[r]: the position of row r's event in the log's columns
+    events = np.array([t.events.start for t in traces], dtype=np.intp)[case_of_row] + position
+    us = log.timestamps[events].view(np.int64)
+    last = np.diff(us, prepend=us[:1]) / 1e6
+    last[starts] = 0.0  # a case's first event follows none
+    since_start = (us - us[starts[case_of_row]]) / 1e6
+    day = us % 86_400_000_000
+    midnight = day // 1_000_000 + day % 1_000_000 / 1e6  # whole seconds + fraction
 
     # marks[a, r]: the column of row r's value of categorical attribute a
     # (-1: unseen). A static value marks every row of its case; the loop
     # below adds up the activity and dynamic marks along each case.
-    act_index = lookup(schema.activity_column, vocab.activities)
-    marks = [[act_index.get(str(e.activity), -1) for e in events]]
-    for attr in schema.dynamic_categorical:
-        index = lookup(attr, vocab.categorical[attr])
-        marks.append([index.get(str(e.dynamics[attr]), -1) for e in events])
-    for attr in schema.static_categorical:
-        index = lookup(attr, vocab.categorical[attr])
-        marks.append(np.array([index.get(str(t.statics[attr]), -1) for t in traces],
-                              dtype=np.intp)[case_of_row])
+    marks = [marks_of(schema.activity_column, log.activities[events].tolist(), vocab.activities)]
+    marks += [marks_of(a, log.dynamics[a][events].tolist(), vocab.categorical[a])
+              for a in schema.dynamic_categorical]
+    marks += [np.array(marks_of(a, [t.statics[a] for t in traces], vocab.categorical[a]),
+                       dtype=np.intp)[case_of_row] for a in schema.static_categorical]
     marks = np.array(marks, dtype=np.intp)
     known = marks >= 0
     rows[np.nonzero(known)[1], marks[known]] = 1.0
@@ -252,7 +236,7 @@ def aggregate_encode(
 
     # values[case, series, position]: the series the statistics reduce
     values = np.zeros((len(traces), len(series), int(lengths.max(initial=0))))
-    dynamic = ([float(e.dynamics[a]) for e in events] for a in schema.dynamic_numeric)
+    dynamic = (log.dynamics[a][events] for a in schema.dynamic_numeric)
     values[case_of_row, :, position] = np.array([last, since_start, midnight, *dynamic]).T
 
     for k in range(1, values.shape[2] + 1):

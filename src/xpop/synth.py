@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from xpop.eventlog import AttributeSchema, Event, EventLog, Trace, eventually_followed_label
+from xpop.eventlog import AttributeSchema, EventLog, Trace, eventually_followed_label
 from xpop.seeds import derive_seed
 
 _BASE_TIME = datetime(2024, 1, 1, 8, 0, 0)
@@ -99,9 +99,9 @@ def _rule_activities(rule: Rule) -> tuple[str, ...]:
     return ()
 
 
-def evaluate_rule(rule: Rule, trace: Trace) -> int:
-    """Ground-truth label of a trace under the planted rule (1 = deviant)."""
-    activities = trace.activities
+def evaluate_rule(rule: Rule, log: EventLog, trace: Trace) -> int:
+    """Ground-truth label of a trace of ``log`` under the planted rule (1 = deviant)."""
+    activities = log.activities[trace.events].tolist()
     if isinstance(rule, ControlPresence):
         return 1 if rule.activity in activities else 0
     if isinstance(rule, ControlFollows):
@@ -109,9 +109,7 @@ def evaluate_rule(rule: Rule, trace: Trace) -> int:
     if isinstance(rule, CaseThreshold):
         return 1 if float(trace.statics[rule.attribute]) > rule.threshold else 0
     if isinstance(rule, EventMeanThreshold):
-        mean = float(
-            np.mean([float(e.dynamics[rule.attribute]) for e in trace.events])
-        )
+        mean = float(np.mean(log.dynamics[rule.attribute][trace.events]))
         return 1 if mean > rule.threshold else 0
     raise TypeError(f"unknown rule {rule!r}")
 
@@ -138,35 +136,27 @@ def generate_log(spec: SynthSpec) -> EventLog:
     """Generate a labelled log, fully determined by the configured seed."""
     schema = synth_schema(spec)
     alphabet = np.array(spec.alphabet())
-    traces = []
+    activities, times, traces, flipped = [], [], [], []
+    dynamics = {c: [] for c in schema.dynamic_categorical + schema.dynamic_numeric}
     for c in range(spec.n_cases):
         rng = np.random.default_rng(derive_seed(spec.seed, c))
-        case_id = f"case_{c:05d}"
         length = int(rng.integers(spec.min_trace_length, spec.max_trace_length + 1))
-        start = _BASE_TIME + timedelta(
-            seconds=c * 3600 + int(rng.integers(0, 600))
-        )
-        statics: dict[str, object] = {}
-        for i in range(spec.n_static_categorical):
-            statics[f"s_cat{i + 1}"] = str(rng.choice(_CAT_LEVELS))
-        for i in range(spec.n_static_numeric):
-            statics[f"s_num{i + 1}"] = float(rng.uniform(0.0, 1.0))
+        t = _BASE_TIME + timedelta(seconds=c * 3600 + int(rng.integers(0, 600)))
+        statics = {col: str(rng.choice(_CAT_LEVELS)) for col in schema.static_categorical}
+        statics |= {col: float(rng.uniform(0.0, 1.0)) for col in schema.static_numeric}
 
-        events = []
-        t = start
+        first = len(activities)
         for _ in range(length):
-            dynamics: dict[str, object] = {}
-            for i in range(spec.n_dynamic_categorical):
-                dynamics[f"d_cat{i + 1}"] = str(rng.choice(_CAT_LEVELS))
-            for i in range(spec.n_dynamic_numeric):
-                dynamics[f"d_num{i + 1}"] = float(rng.uniform(0.0, 1.0))
-            activity = str(rng.choice(alphabet))
-            events.append(Event(activity, t, dynamics))
+            for col in schema.dynamic_categorical:
+                dynamics[col].append(str(rng.choice(_CAT_LEVELS)))
+            for col in schema.dynamic_numeric:
+                dynamics[col].append(float(rng.uniform(0.0, 1.0)))
+            activities.append(str(rng.choice(alphabet)))
+            times.append(t)
             t = t + timedelta(seconds=int(rng.integers(1, 301)))
+        traces.append(Trace(f"case_{c:05d}", statics, range(first, len(activities))))
+        flipped.append(spec.label_noise > 0.0 and rng.uniform(0.0, 1.0) < spec.label_noise)
 
-        trace = Trace(case_id, statics, tuple(events))
-        label = evaluate_rule(spec.rule, trace)
-        if spec.label_noise > 0.0 and rng.uniform(0.0, 1.0) < spec.label_noise:
-            label = 1 - label
-        traces.append(replace(trace, label=label))
-    return EventLog(tuple(traces), schema)
+    log = EventLog(tuple(traces), schema, activities, times, dynamics)
+    labels = [evaluate_rule(spec.rule, log, t) ^ flip for t, flip in zip(traces, flipped)]
+    return replace(log, traces=tuple(replace(t, label=y) for t, y in zip(traces, labels)))

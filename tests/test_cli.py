@@ -28,6 +28,10 @@ n_trees = 10
 """
 
 
+RULE = ("a rule such as control_presence(A), control_follows(A, B), "
+        "case_threshold(s_num1, 0.5) or event_mean_threshold(d_num1, 0.5)")
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "bench.cfg"
@@ -206,7 +210,17 @@ def test_cli_bench_non_numeric_hyperparameter_names_model_and_key(tmp_path, caps
      ("max_prefix", "abc", "a whole number >= 1"),
      ("pi_repeats", "0", "a whole number >= 1"),
      ("pi_repeats", "-1", "a whole number >= 1"),
-     ("seed", "abc", "an integer")],
+     ("seed", "abc", "an integer"),
+     ("synth_cases", "0", "a whole number >= 1"),
+     ("synth_cases", "-3", "a whole number >= 1"),
+     ("synth_cases", "abc", "a whole number >= 1"),
+     ("synth_alphabet", "-1", "a whole number in 1..26"),
+     ("synth_max_length", "2.5", "a whole number >= 1"),
+     ("synth_dynamic_numeric", "-1", "a whole number >= 0"),
+     ("synth_noise", "0.5", "in [0, 0.5)"),
+     ("synth_seed", "x", "an integer"),
+     ("synth_rule", "case_threshold(s_num1, x)", RULE),
+     ("synth_rule", "presence(A)", RULE)],
 )
 def test_cli_bench_rejects_bad_data_values(tmp_path, capsys, key, value, rule):
     lines = [line for line in CONFIG.splitlines() if not line.startswith(f"{key} =")]
@@ -216,6 +230,64 @@ def test_cli_bench_rejects_bad_data_values(tmp_path, capsys, key, value, rule):
     _assert_file_error(capsys, ["bench", "--config", str(path), "--out", str(tmp_path / "out")],
                        path, f"[data] {key} must be {rule}, got {value}")
     assert not (tmp_path / "out").exists()
+
+
+def _csv_config(tmp_path, rows, data="", label=True):
+    """A bench config over a CSV log of ``case,act,time[,outcome]`` rows."""
+    roles = "case = case_id\nact = activity\ntime = timestamp\n"
+    header = "case,act,time"
+    if label:
+        roles += "outcome = label\n"
+        header += ",outcome"
+    (tmp_path / "schema.cfg").write_text(roles, encoding="utf-8")
+    (tmp_path / "log.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    path = tmp_path / "bench.cfg"
+    path.write_text(f"[data]\nseed = 1\nlog = {tmp_path / 'log.csv'}\n"
+                    f"schema = {tmp_path / 'schema.cfg'}\n{data}\n[model lr]\nkind = logreg\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["bench", "train", "evaluate"])
+def test_cli_log_too_small_to_split_names_config(tmp_path, capsys, command):
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG.replace("synth_cases = 80", "synth_cases = 2"), encoding="utf-8")
+    _assert_file_error(capsys, [command, "--config", str(path)], path,
+                       "temporal split left one side empty")
+
+
+def test_cli_one_case_log_names_config(tmp_path, capsys):
+    path = _csv_config(tmp_path, ["c1,A,2024-01-01 10:00:00,ok", "c1,B,2024-01-01 11:00:00,ok"])
+    _assert_file_error(capsys, ["bench", "--config", str(path)], path,
+                       "temporal split left one side empty")
+
+
+def test_cli_unlabelled_log_names_config_and_case(tmp_path, capsys):
+    path = _csv_config(tmp_path, ["c1,A,2024-01-01 10:00:00", "c2,B,2024-01-01 11:00:00"],
+                       label=False)
+    _assert_file_error(capsys, ["bench", "--config", str(path)], path,
+                       "case 'c1' is unlabelled")
+
+
+def test_cli_label_rule_with_equal_activities_names_config(tmp_path, capsys):
+    path = _csv_config(tmp_path, ["c1,A,2024-01-01 10:00:00", "c2,B,2024-01-01 11:00:00"],
+                       data="label_a = A\nlabel_b = A\n", label=False)
+    _assert_file_error(capsys, ["bench", "--config", str(path)], path,
+                       "rule activities must differ")
+
+
+@pytest.mark.parametrize("data", ["label_a = A\n", "label_b = B\n"])
+def test_cli_label_rule_needs_both_activities(tmp_path, capsys, data):
+    path = _csv_config(tmp_path, ["c1,A,2024-01-01 10:00:00", "c2,B,2024-01-01 11:00:00"],
+                       data=data, label=False)
+    _assert_file_error(capsys, ["bench", "--config", str(path)], path,
+                       "[data] label_a and label_b must both be set")
+
+
+def test_cli_bench_bad_log_row_names_the_log_not_the_config(tmp_path, capsys):
+    path = _csv_config(tmp_path, ["c1,A,2024-01-01 10:00:00,ok", "c2,B,soon,ok"])
+    _assert_file_error(capsys, ["bench", "--config", str(path)], tmp_path / "log.csv",
+                       "row 3: unparseable timestamp 'soon'")
 
 
 def test_cli_encode_bad_timestamp_names_log_and_row(tmp_path, config_path, capsys):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -29,6 +31,10 @@ def _csv(*rows: str) -> str:
     return HEADER + "\n" + "\n".join(rows) + "\n"
 
 
+def _activities(log, trace):
+    return tuple(log.activities[trace.events].tolist())
+
+
 def test_parse_single_case(basic_schema):
     text = _csv(
         "c1,A,2024-01-01 10:00:00,deviant,web,5.0,r1,1.0",
@@ -38,10 +44,12 @@ def test_parse_single_case(basic_schema):
     log = parse_csv(text, basic_schema)
     assert len(log) == 1
     trace = log.traces[0]
-    assert trace.activities == ("A", "B", "C")
+    assert _activities(log, trace) == ("A", "B", "C")
     assert trace.label == 1
     assert trace.statics == {"channel": "web", "amount": 5.0}
-    assert trace.events[1].dynamics == {"resource": "r2", "cost": 2.0}
+    second = trace.events[1]
+    assert {c: v[second] for c, v in log.dynamics.items()} == {"resource": "r2", "cost": 2.0}
+    assert log.dynamics["cost"].dtype == np.float64 and log.dynamics["resource"].dtype == object
 
 
 def test_static_attribute_varies_is_error(basic_schema):
@@ -66,8 +74,8 @@ def test_interleaved_out_of_order_cases(basic_schema):
     )
     log = parse_csv(text, basic_schema)
     by_id = {t.case_id: t for t in log.traces}
-    assert by_id["c1"].activities == ("A", "C", "B")
-    assert by_id["c2"].activities == ("Y", "Z", "X")
+    assert _activities(log, by_id["c1"]) == ("A", "C", "B")
+    assert _activities(log, by_id["c2"]) == ("Y", "Z", "X")
 
 
 def test_timestamp_ties_keep_input_order(basic_schema):
@@ -77,7 +85,7 @@ def test_timestamp_ties_keep_input_order(basic_schema):
         "c1,C,2024-01-01 10:00:00,ok,web,1.0,r1,1.0",
     )
     log = parse_csv(text, basic_schema)
-    assert log.traces[0].activities == ("A", "B", "C")
+    assert _activities(log, log.traces[0]) == ("A", "B", "C")
 
 
 def test_bad_timestamp_reports_row_number(basic_schema):
@@ -160,8 +168,8 @@ def test_default_timestamps_parse_as_strptime_does(stamps, short_last_row):
         log = parse_csv(text, _TIME_SCHEMA)
         for trace in log.traces:
             expected = sorted(parsed[int(trace.case_id[1:])::3])
-            assert [e.timestamp for e in trace.events] == expected
-            assert all(type(e.timestamp) is datetime for e in trace.events)
+            assert log.timestamps[trace.events].tolist() == expected
+        assert log.timestamps.dtype == np.dtype("datetime64[us]")
         return
     with pytest.raises(ParseError) as info:
         parse_csv(text, _TIME_SCHEMA)
@@ -171,9 +179,40 @@ def test_default_timestamps_parse_as_strptime_does(stamps, short_last_row):
 def test_custom_timestamp_format_goes_through_strptime():
     schema = AttributeSchema(dict(_TIME_SCHEMA.column_roles), timestamp_format="%d/%m/%Y %H:%M")
     log = parse_csv("case,act,time\nc1,A,02/01/2024 10:30\n", schema)
-    assert log.traces[0].events[0].timestamp == datetime(2024, 1, 2, 10, 30)
+    assert log.timestamps.tolist() == [datetime(2024, 1, 2, 10, 30)]
     with pytest.raises(ParseError, match="^row 2: unparseable timestamp '2024-01-02 10:30:00'$"):
         parse_csv("case,act,time\nc1,A,2024-01-02 10:30:00\n", schema)
+
+
+def test_timestamps_keep_microseconds_and_offsets_become_utc():
+    schema = AttributeSchema(dict(_TIME_SCHEMA.column_roles),
+                             timestamp_format="%Y-%m-%d %H:%M:%S.%f%z")
+    text = ("case,act,time\n"
+            "c1,A,2024-01-01 10:00:00.000001+0200\n"
+            "c1,B,2024-01-01 08:59:59.999999+0000\n")
+    log = parse_csv(text, schema)
+    # 10:00 at +02:00 is 08:00 UTC, so A comes first
+    assert _activities(log, log.traces[0]) == ("A", "B")
+    assert log.timestamps.tolist() == [datetime(2024, 1, 1, 8, 0, 0, 1),
+                                       datetime(2024, 1, 1, 8, 59, 59, 999999)]
+    assert serialize_csv(log) == ("case,act,time\n"
+                                  "c1,A,2024-01-01 08:00:00.000001+0000\n"
+                                  "c1,B,2024-01-01 08:59:59.999999+0000\n")
+    assert parse_csv(serialize_csv(log), schema) == log
+
+
+def test_equal_logs_may_lay_their_events_out_differently(basic_schema):
+    rows = ["c1,A,2024-01-01 10:00:00,ok,web,1.0,r1,1.0",
+            "c2,B,2024-01-01 11:00:00,ok,web,1.0,r2,2.0",
+            "c2,C,2024-01-01 11:05:00,ok,web,1.0,r1,3.0"]
+    log = parse_csv(_csv(*rows), basic_schema)
+    alone = parse_csv(_csv(*rows[1:]), basic_schema)
+    c2 = dataclasses.replace(log, traces=log.traces[1:])
+    assert c2.traces[0].events == range(1, 3) and alone.traces[0].events == range(0, 2)
+    assert c2 == alone
+    assert dataclasses.replace(log, traces=log.traces[:1]) != alone
+    changed = parse_csv(_csv(*rows[1:]).replace(",3.0", ",4.0"), basic_schema)
+    assert c2 != changed
 
 
 def test_inconsistent_label_is_error(basic_schema):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from datetime import datetime, timedelta
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_matrix
-from xpop.eventlog import AttributeSchema, Event, EventLog, Trace, parse_csv
+from xpop.eventlog import AttributeSchema, EventLog, Trace, parse_csv
 from xpop.preprocess import (
     CASE,
     CONTROL,
@@ -35,13 +36,14 @@ def _parse(rows, schema):
 
 def _brute_split(log, ratio):
     """Independent reference: sort by first timestamp, ceil, cut, drop empty."""
-    ordered = sorted(log.traces, key=lambda t: t.events[0].timestamp)
+    times = log.timestamps.tolist()
+    ordered = sorted(log.traces, key=lambda t: times[t.events[0]])
     n_train = math.ceil(ratio * len(ordered))
     test = ordered[n_train:]
-    cutoff = min(t.events[0].timestamp for t in test)
+    cutoff = min(times[t.events[0]] for t in test)
     train = []
     for t in ordered[:n_train]:
-        kept = [e for e in t.events if e.timestamp < cutoff]
+        kept = [i for i in t.events if times[i] < cutoff]
         if kept:
             train.append((t.case_id, len(kept)))
     return train, [(t.case_id, len(t.events)) for t in test]
@@ -61,8 +63,8 @@ def test_temporal_split_no_case_on_both_sides_and_no_leak():
     log = generate_log(SynthSpec(n_cases=50, label_noise=0.0, seed=3))
     train, test = temporal_split(log, 0.8)
     assert not {t.case_id for t in train.traces} & {t.case_id for t in test.traces}
-    cutoff = min(t.events[0].timestamp for t in test.traces)
-    assert all(e.timestamp < cutoff for t in train.traces for e in t.events)
+    cutoff = min(test.timestamps[t.events[0]] for t in test.traces)
+    assert all(train.timestamps[i] < cutoff for t in train.traces for i in t.events)
 
 
 def test_temporal_split_truncates_overlapping_train_case(basic_schema):
@@ -98,7 +100,8 @@ def test_prefix_counts(basic_schema):
             rows.append(f"c{c},A,2024-01-01 10:{i:02d}:00,ok,web,1.0,r1,1.0")
     log = _parse(rows, basic_schema)
     prefixes = extract_prefixes(log, 3)
-    assert len(prefixes) == 12
+    assert len(prefixes) == 5
+    assert [len(t) for t in prefixes.traces] == [1, 2, 3, 3, 3]
     matrix = aggregate_encode(prefixes, basic_schema, fit_vocabulary(log))
     assert matrix.n_rows == 12
     lengths = sorted(k for _, k in matrix.provenance)
@@ -138,6 +141,27 @@ def test_vocabulary_first_occurrence_order(basic_schema):
     assert vocab.activities == ("B", "A", "C")
     assert vocab.categorical["channel"] == ("web", "phone")
     assert vocab.categorical["resource"] == ("r2", "r1", "r3")
+
+
+def test_vocabulary_sees_only_the_logs_own_events(basic_schema):
+    # the train log shares the parent's columns, which also hold the test
+    # case's events and the train events cut at the split
+    rows = [
+        "c1,A,2024-01-01 08:00:00,ok,web,1.0,r1,1.0",
+        "c1,Z,2024-01-01 12:00:00,ok,web,1.0,r8,1.0",  # after the test start: cut
+        "c2,B,2024-01-01 09:00:00,ok,web,1.0,r2,1.0",
+        "c3,Y,2024-01-01 11:00:00,ok,fax,1.0,r9,1.0",  # the test case
+    ]
+    log = _parse(rows, basic_schema)
+    train, test = temporal_split(log, 0.6)
+    assert [t.case_id for t in test.traces] == ["c3"]
+    assert train.activities is log.activities and test.activities is log.activities
+    vocab = fit_vocabulary(train)
+    assert vocab.activities == ("A", "B")
+    assert vocab.categorical == {"channel": ("web",), "resource": ("r1", "r2")}
+    prefixes = extract_prefixes(train, 1)
+    assert prefixes.activities is log.activities
+    assert fit_vocabulary(prefixes).activities == ("A", "B")
 
 
 # --- encoding ----------------------------------------------------------------
@@ -247,8 +271,8 @@ def test_unseen_value_cannot_land_in_another_attributes_column():
     })
 
     def log(s, s_t, a, a_b):
-        event = Event("A", datetime(2024, 1, 1), {"a": a, "a=b": a_b})
-        return EventLog((Trace("c1", {"s": s, "s=t": s_t}, (event,), 0),), schema)
+        return EventLog((Trace("c1", {"s": s, "s=t": s_t}, range(1), 0),), schema,
+                        ["A"], [datetime(2024, 1, 1)], {"a": [a], "a=b": [a_b]})
 
     vocab = fit_vocabulary(log("u", "v", "x", "c"))
     matrix = aggregate_encode(extract_prefixes(log("t=v", "w", "b=c", "y"), 1), schema, vocab)
@@ -310,30 +334,39 @@ _numbers = st.one_of(
 def _oracle_log(draw):
     """1-12 traces of 1-40 events with tied timestamps (gap 0), -0.0
     numerics and categorical values outside the vocabulary fitted on the
-    first trace; cases run out of events at many different lengths."""
+    first trace; cases run out of events at many different lengths. The
+    traces lie in the columns in another order than the log lists them,
+    with events of no trace between them."""
     n_traces = draw(st.integers(1, 12))
     ids = draw(st.permutations(range(n_traces)))
+    activities, times, dynamics = [], [], {"resource": [], "cost": [], "load": []}
+
+    def add(activity, t):
+        activities.append(activity)
+        times.append(t)
+        dynamics["resource"].append(draw(st.sampled_from(["r1", "r2", "r3"])))
+        dynamics["cost"].append(draw(_numbers))
+        dynamics["load"].append(draw(_numbers))
     traces = []
     for i in ids:
+        for _ in range(draw(st.integers(0, 2))):
+            add("Z", datetime(2024, 1, 1))  # an event of no trace
         statics = {"channel": draw(st.sampled_from(["web", "fax"])), "amount": draw(_numbers)}
         t = datetime(2024, 1, 1, 23, 0, 0)
-        events = []
+        first = len(activities)
         for _ in range(draw(st.integers(1, 40))):
             t += timedelta(seconds=draw(st.sampled_from([0, 0, 0.25, 1, 61, 3600, 5000.123456])))
-            dynamics = {
-                "resource": draw(st.sampled_from(["r1", "r2", "r3"])),
-                "cost": draw(_numbers),
-                "load": draw(_numbers),
-            }
-            events.append(Event(draw(st.sampled_from("ABCD")), t, dynamics))
-        traces.append(Trace(f"c{i}", statics, tuple(events), draw(st.integers(0, 1))))
-    return EventLog(tuple(traces), _ORACLE_SCHEMA)
+            add(draw(st.sampled_from("ABCD")), t)
+        traces.append(Trace(f"c{i}", statics, range(first, len(activities)),
+                            draw(st.integers(0, 1))))
+    order = draw(st.permutations(range(n_traces)))
+    return EventLog(tuple(traces[j] for j in order), _ORACLE_SCHEMA, activities, times, dynamics)
 
 
 def _reference_encode(log, max_prefix, names, vocab):
-    """Every prefix rebuilt from its events, statistics by 1-D reductions.
-    A value counts only in its own attribute's column, if the vocabulary
-    has it."""
+    """Every prefix rebuilt from its events, statistics by 1-D reductions
+    and timestamp features by datetime arithmetic. A value counts only in
+    its own attribute's column, if the vocabulary has it."""
     schema = log.schema
     index = {name: i for i, name in enumerate(names)}
     known = {a: {str(v) for v in values} for a, values in vocab.categorical.items()}
@@ -346,9 +379,9 @@ def _reference_encode(log, max_prefix, names, vocab):
         for k in range(1, min(len(trace), max_prefix) + 1):
             events = trace.events[:k]
             row = np.zeros(len(names))
-            for e in events:
-                cols = [column(schema.activity_column, e.activity)]
-                cols += [column(a, e.dynamics[a]) for a in schema.dynamic_categorical]
+            for i in events:
+                cols = [column(schema.activity_column, log.activities[i])]
+                cols += [column(a, log.dynamics[a][i]) for a in schema.dynamic_categorical]
                 for col in cols:
                     if col is not None:
                         row[col] += 1.0
@@ -358,7 +391,8 @@ def _reference_encode(log, max_prefix, names, vocab):
                     row[col] = 1.0
             for a in schema.static_numeric:
                 row[index[a]] = float(trace.statics[a])
-            times = [e.timestamp for e in events]
+            times = [log.timestamps[i].item() for i in events]
+            assert all(type(t) is datetime for t in times)
             series = {
                 "timesincelastevent":
                     [0.0] + [(times[i] - times[i - 1]).total_seconds() for i in range(1, k)],
@@ -366,7 +400,8 @@ def _reference_encode(log, max_prefix, names, vocab):
                 "timesincemidnight":
                     [t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6 for t in times],
             }
-            series.update({a: [float(e.dynamics[a]) for e in events] for a in schema.dynamic_numeric})
+            series.update({a: [float(log.dynamics[a][i]) for i in events]
+                           for a in schema.dynamic_numeric})
             for name, values in series.items():
                 v = np.array(values)
                 std = v.std(ddof=1) if k > 1 else 0.0
@@ -381,7 +416,7 @@ def _reference_encode(log, max_prefix, names, vocab):
 @settings(max_examples=60)
 @given(_oracle_log(), st.integers(1, 64))
 def test_aggregate_encode_equals_per_prefix_reference_bitwise(log, max_prefix):
-    vocab = fit_vocabulary(EventLog(log.traces[:1], log.schema))
+    vocab = fit_vocabulary(dataclasses.replace(log, traces=log.traces[:1]))
     matrix = aggregate_encode(extract_prefixes(log, max_prefix), log.schema, vocab)
     rows, labels, provenance = _reference_encode(log, max_prefix, matrix.column_names, vocab)
     assert matrix.rows.tobytes() == rows.tobytes()
@@ -401,9 +436,9 @@ def test_case_keeps_the_statics_of_its_earliest_event(basic_schema, times, sign)
 
 
 def test_unlabelled_trace_is_rejected_naming_the_case(basic_schema):
-    event = Event("A", datetime(2024, 1, 1), {"resource": "r1", "cost": 1.0})
-    log = EventLog((Trace("c7", {"channel": "web", "amount": 1.0}, (event,), None),),
-                   basic_schema)
+    log = EventLog((Trace("c7", {"channel": "web", "amount": 1.0}, range(1), None),),
+                   basic_schema, ["A"], [datetime(2024, 1, 1)],
+                   {"resource": ["r1"], "cost": [1.0]})
     with pytest.raises(ValueError, match="'c7'"):
         aggregate_encode(extract_prefixes(log, 2), basic_schema, fit_vocabulary(log))
 
