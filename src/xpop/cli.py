@@ -59,8 +59,9 @@ def cmd_synth(args) -> int:
 
 def cmd_encode(args) -> int:
     schema, log = read_log(args.log, args.schema)
-    vocab = fit_vocabulary(log)
-    matrix = aggregate_encode(extract_prefixes(log, args.max_prefix), schema, vocab)
+    with reading(args.log):  # e.g. an unlabelled case
+        vocab = fit_vocabulary(log)
+        matrix = aggregate_encode(extract_prefixes(log, args.max_prefix), schema, vocab)
     text = matrix.export_csv(include_label=True)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -72,16 +73,16 @@ def cmd_encode(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    with reading(args.config):
+    with reading(args.config):  # e.g. a train split of one class
         train_m, _ = prepare_matrices(cfg)
-    out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    for idx, spec in enumerate(cfg.models):
-        model = train_model(spec, train_m, derive_seed(cfg.seed, idx))
-        path = out / f"{spec.name}.model.txt"
-        path.write_text(export_model(model), encoding="utf-8")
-        shown = "n/a" if model.training_auc is None else f"{model.training_auc:.6f}"
-        print(f"{spec.name}: training AUC {shown}; exported to {path}")
+        out = Path(cfg.out_dir or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        for idx, spec in enumerate(cfg.models):
+            model = train_model(spec, train_m, derive_seed(cfg.seed, idx))
+            path = out / f"{spec.name}.model.txt"
+            path.write_text(export_model(model), encoding="utf-8")
+            shown = "n/a" if model.training_auc is None else f"{model.training_auc:.6f}"
+            print(f"{spec.name}: training AUC {shown}; exported to {path}")
     return 0
 
 

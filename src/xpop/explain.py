@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from xpop.models import ConstantLeaf, TrainedModel
+from xpop.models import ConstantLeaf, TrainedModel, predict_chunks
 from xpop.preprocess import EncodedMatrix
 
 
@@ -54,9 +54,9 @@ def _mse(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(np.mean((labels - scores) ** 2))
 
 
-# Float64 cells per stacked scoring call. Batching saves one call per copy
-# (for an external model, a process launch); the bound caps the memory a
-# batch adds, which an external call holds again as CSV text.
+# Float64 cells per stacked chunk of copies. Stacking saves one predict call
+# per copy; the bound caps the memory a chunk adds, which an external model
+# holds again as CSV text while it writes the chunk to its command's stdin.
 CHUNK_CELLS = 1 << 15
 
 
@@ -68,37 +68,44 @@ def perturbed_scores(
     Each copy maps column indices to replacement values; the other columns
     keep ``m``'s values. Copies are drawn lazily and stacked into a buffer
     of at most ``CHUNK_CELLS`` cells (a copy larger than that goes alone),
-    and each full buffer is scored by one ``predictor.predict`` call on an
-    ``EncodedMatrix`` with tiled labels and provenance. The predictor must
-    score each row independently of the others in the call; if it returns
-    a view of its input rows, a yielded array changes when the next chunk
-    is drawn.
+    and each full buffer is passed on as an ``EncodedMatrix`` with tiled
+    labels and provenance to ``models.predict_chunks``: one
+    ``predictor.predict`` call per chunk, or for an external model one
+    launch for all chunks. The predictor must score each row independently
+    of the others in the call; if it returns a view of its input rows, a
+    yielded array changes when the next chunk is drawn.
     """
     n, p = m.rows.shape
     per_chunk = max(1, CHUNK_CELLS // max(1, n * p))
     buffer = np.empty((per_chunk * n, p), dtype=np.float64)
+    unscored = 0  # copies passed on whose scores have not come back
 
-    def score(k: int) -> list[np.ndarray]:
-        stacked = EncodedMatrix(
-            m.columns, buffer[: k * n], np.tile(m.labels, k), m.provenance * k
-        )
-        out = np.asarray(predictor.predict(stacked), dtype=np.float64)
+    def stacked(k: int) -> EncodedMatrix:
+        nonlocal unscored
+        unscored += k
+        return EncodedMatrix(m.columns, buffer[: k * n], np.tile(m.labels, k), m.provenance * k)
+
+    def chunks() -> Iterator[EncodedMatrix]:
+        k = 0
+        for copy in copies:
+            block = buffer[k * n : (k + 1) * n]
+            block[:] = m.rows
+            for column, values in copy.items():
+                block[:, column] = values
+            k += 1
+            if k == per_chunk:
+                yield stacked(k)
+                k = 0
+        if k:
+            yield stacked(k)
+
+    for out in predict_chunks(predictor, m, chunks()):
+        out = np.asarray(out, dtype=np.float64)
+        k, unscored = unscored, 0
         if out.shape != (k * n,):
             raise ValueError(f"predictor returned {out.shape} scores for {k * n} rows")
-        return [out[c * n : (c + 1) * n] for c in range(k)]
-
-    k = 0
-    for copy in copies:
-        block = buffer[k * n : (k + 1) * n]
-        block[:] = m.rows
-        for column, values in copy.items():
-            block[:, column] = values
-        k += 1
-        if k == per_chunk:
-            yield from score(k)
-            k = 0
-    if k:
-        yield from score(k)
+        for c in range(k):
+            yield out[c * n : (c + 1) * n]
 
 
 def _base_scores(predictor, m: EncodedMatrix, base_scores) -> np.ndarray:

@@ -30,7 +30,7 @@ from xpop.eventlog import (
     parse_schema_config,
 )
 from xpop.explain import coefficient_weights, impurity_weights, load_external_weights, permutation_importance
-from xpop.metrics import MetricsReport, TypedMetric, functional_complexity, irc, lod_at_k, parsimony
+from xpop.metrics import MetricsReport, functional_complexity, irc, lod_at_k, parsimony
 from xpop.models import (
     TrainedModel,
     auc,
@@ -41,9 +41,6 @@ from xpop.models import (
     train_tree,
 )
 from xpop.preprocess import (
-    CASE,
-    CONTROL,
-    EVENT,
     EncodedMatrix,
     aggregate_encode,
     extract_prefixes,
@@ -260,6 +257,11 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
     if "synth_rule" in data or "synth_cases" in data:
         fields = {_DATA_RULES[k][3]: _data_value(data, k)
                   for k in data if k.startswith("synth_") and k in _DATA_RULES}
+        shortest = fields.get("min_trace_length", SynthSpec.min_trace_length)
+        longest = fields.get("max_trace_length", SynthSpec.max_trace_length)
+        if shortest > longest:
+            raise ValueError(f"[data] synth_min_length ({shortest}) must be <= "
+                             f"synth_max_length ({longest})")
         synth = SynthSpec(**{"seed": seed, **fields})
     label_rule = None
     if "label_a" in data or "label_b" in data:
@@ -343,22 +345,6 @@ def train_model(spec: ModelSpec, train_m: EncodedMatrix, seed: int) -> TrainedMo
     return MODELS[spec.kind][0](spec, train_m, seed)
 
 
-def _fc_metric(
-    model: TrainedModel, test_m: EncodedMatrix, seed: int, scores: np.ndarray
-) -> TypedMetric:
-    values = {}
-    for attr_type in (CONTROL, CASE, EVENT):
-        if test_m.columns_of_type(attr_type):
-            values[attr_type] = functional_complexity(
-                model, test_m, attr_type, seed, base_scores=scores
-            )
-        else:
-            values[attr_type] = math.nan
-    present = [v for v in values.values() if not math.isnan(v)]
-    total = float(np.mean(present)) if present else math.nan
-    return TypedMetric(values[CONTROL], values[CASE], values[EVENT], total)
-
-
 def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
     train_m, test_m = prepare_matrices(cfg)
 
@@ -396,7 +382,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
                 )
                 w_e = MODELS[spec.kind][1](spec, model)
                 pars = parsimony(w_e, test_m.columns)
-                fc = _fc_metric(model, test_m, derive_seed(model_seed, 2), scores)
+                fc = functional_complexity(
+                    model, test_m, derive_seed(model_seed, 2), base_scores=scores
+                )
                 try:
                     rank_corr = irc(w_pi, w_e)
                 except ValueError:

@@ -63,26 +63,31 @@ def parsimony(
 def functional_complexity(
     predictor,
     m: EncodedMatrix,
-    attribute_type: str,
     seed: int,
     base_scores: Optional[np.ndarray] = None,
-) -> float:
-    """Fraction of binarized predictions that change after simultaneously
-    permuting every column of one attribute type. ``base_scores``, when
-    given, are the predictor's scores of ``m``."""
-    if attribute_type not in _TYPE_ORDINAL:
-        raise ValueError(f"unknown attribute type {attribute_type!r}")
-    cols = m.columns_of_type(attribute_type)
-    if not cols:
-        raise ValueError(f"matrix has no columns of type {attribute_type!r}")
+) -> TypedMetric:
+    """Per attribute type, the fraction of binarized predictions that change
+    after simultaneously permuting every column of that type (drawn from
+    seed + the type's ordinal). A type without columns reads NaN; the total
+    is the mean over the types present. The copies of all types are scored
+    in one ``perturbed_scores`` call. ``base_scores``, when given, are the
+    predictor's scores of ``m``."""
     if getattr(predictor, "columns", m.column_names) != m.column_names:
         raise ValueError("column signature mismatch between predictor and matrix")
-    rng = np.random.default_rng(seed + _TYPE_ORDINAL[attribute_type])
-    copy = {i: permute_column(m.rows[:, i], np.unique(m.rows[:, i]), rng) for i in cols}
-    original = _base_scores(predictor, m, base_scores)
-    (permuted,) = perturbed_scores(predictor, m, [copy])
-    flips = (original >= BINARIZE_THRESHOLD) != (permuted >= BINARIZE_THRESHOLD)
-    return float(flips.mean())
+    present = [t for t in _TYPE_ORDINAL if m.columns_of_type(t)]
+
+    def copies():
+        for attribute_type in present:
+            rng = np.random.default_rng(seed + _TYPE_ORDINAL[attribute_type])
+            yield {i: permute_column(m.rows[:, i], np.unique(m.rows[:, i]), rng)
+                   for i in m.columns_of_type(attribute_type)}
+
+    original = _base_scores(predictor, m, base_scores) >= BINARIZE_THRESHOLD
+    values = dict.fromkeys(_TYPE_ORDINAL, math.nan)
+    for attribute_type, permuted in zip(present, perturbed_scores(predictor, m, copies())):
+        values[attribute_type] = float((original != (permuted >= BINARIZE_THRESHOLD)).mean())
+    total = float(np.mean([values[t] for t in present])) if present else math.nan
+    return TypedMetric(values[CONTROL], values[CASE], values[EVENT], total)
 
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:

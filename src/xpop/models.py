@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import shlex
 import subprocess
+import tempfile
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -403,31 +404,61 @@ def predict_proba(model: TrainedModel, m: EncodedMatrix) -> np.ndarray:
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def external_predict(command: str, m: EncodedMatrix, timeout: float = 300.0) -> np.ndarray:
-    """Score rows through an external command over the stdin/stdout bridge.
+def predict_chunks(
+    predictor, m: EncodedMatrix, chunks: Iterable[EncodedMatrix]
+) -> Iterator[np.ndarray]:
+    """Scores of matrices with ``m``'s columns, drawn one at a time from
+    ``chunks``. An external model scores them all in one launch and yields
+    one array for all their rows; any other predictor (a ``TrainedModel`` or
+    any object with ``predict``) yields one ``predict`` per chunk."""
+    if isinstance(predictor, TrainedModel) and predictor.kind == "external":
+        if predictor.columns != m.column_names:
+            raise ValueError("column signature mismatch between model and matrix")
+        yield external_predict(predictor.command, m, chunks)
+    else:
+        for chunk in chunks:
+            yield predictor.predict(chunk)
 
-    stdin: matrix CSV without the label column; stdout: one probability in
-    [0, 1] per row, LF-terminated; exit code 0 required.
+
+def external_predict(
+    command: str,
+    m: EncodedMatrix,
+    chunks: Optional[Iterable[EncodedMatrix]] = None,
+    timeout: float = 300.0,
+) -> np.ndarray:
+    """Score rows through an external command over the stdin/stdout bridge,
+    in one launch that ``timeout`` seconds bound.
+
+    stdin: a regular file holding CSV without the label column, ``m``'s
+    header and then the rows of each of ``chunks`` (matrices with ``m``'s
+    columns, written as they are drawn) or, without chunks, of ``m``;
+    stdout: one probability in [0, 1] per row sent, LF-terminated; exit
+    code 0 required. Nothing is launched when no row is to be sent.
     """
-    payload = m.export_csv(include_label=False).encode("utf-8")
-    try:
-        proc = subprocess.run(
-            shlex.split(command),
-            input=payload,
-            capture_output=True,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired:
-        raise BridgeError(f"external command timed out after {timeout}s") from None
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as stdin:
+        stdin.write(m.csv_header(include_label=False))
+        n_rows = 0
+        for chunk in [m] if chunks is None else chunks:
+            stdin.write(chunk.csv_rows(include_label=False))
+            n_rows += chunk.n_rows
+        if n_rows == 0:
+            return np.empty(0, dtype=np.float64)
+        stdin.seek(0)  # flushes, and the child reads from the start
+        try:
+            proc = subprocess.run(
+                shlex.split(command), stdin=stdin, capture_output=True, timeout=timeout
+            )
+        except subprocess.TimeoutExpired:
+            raise BridgeError(f"external command timed out after {timeout}s") from None
     if proc.returncode != 0:
         raise BridgeError(
             f"external command exited with {proc.returncode}: "
             f"{proc.stderr.decode('utf-8', 'replace').strip()}"
         )
     lines = proc.stdout.decode("utf-8").splitlines()
-    if len(lines) != m.n_rows:
-        raise BridgeError(f"line count mismatch: expected {m.n_rows}, got {len(lines)}")
-    scores = np.empty(m.n_rows, dtype=np.float64)
+    if len(lines) != n_rows:
+        raise BridgeError(f"line count mismatch: expected {n_rows}, got {len(lines)}")
+    scores = np.empty(n_rows, dtype=np.float64)
     for i, line in enumerate(lines):
         try:
             value = float(line.strip())

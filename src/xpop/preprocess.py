@@ -78,15 +78,23 @@ class EncodedMatrix:
 
     def export_csv(self, include_label: bool = True) -> str:
         """Bridge wire format: ``name:type`` header, shortest-form decimals."""
+        return self.csv_header(include_label) + self.csv_rows(include_label)
+
+    def csv_header(self, include_label: bool = True) -> str:
+        """The header line of ``export_csv``."""
         header = [f"{c.name}:{c.attribute_type}" for c in self.columns]
         if include_label:
             header.append("label")
-        lines = [",".join(header)]
+        return ",".join(header) + "\n"
+
+    def csv_rows(self, include_label: bool = True) -> str:
+        """The row lines of ``export_csv``, one per matrix row."""
         labels = self.labels.tolist()
+        lines = []
         for j, row in enumerate(self.rows.tolist()):
             cells = ",".join(map(repr, row))
-            lines.append(f"{cells},{int(labels[j])}" if include_label else cells)
-        return "\n".join(lines) + "\n"
+            lines.append(f"{cells},{int(labels[j])}\n" if include_label else cells + "\n")
+        return "".join(lines)
 
 
 def temporal_split(log: EventLog, train_ratio: float) -> tuple[EventLog, EventLog]:

@@ -199,9 +199,8 @@ def _fc_ground_truth(spec, max_prefix, forest_seed):
     test_m = aggregate_encode(extract_prefixes(test_log, max_prefix), log.schema, vocab)
     model = train_forest(train_m, {"n_trees": 20}, seed=forest_seed)
     score = auc(test_m.labels, model.predict(test_m))
-    fc_control = functional_complexity(model, test_m, "control", seed=101)
-    fc_case = functional_complexity(model, test_m, "case", seed=101)
-    return score, fc_control, fc_case
+    fc = functional_complexity(model, test_m, seed=101)
+    return score, fc.control, fc.case
 
 
 def test_criterion_05_fc_ground_truth():

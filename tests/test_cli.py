@@ -256,6 +256,36 @@ def test_cli_log_too_small_to_split_names_config(tmp_path, capsys, command):
                        "temporal split left one side empty")
 
 
+def test_cli_train_one_class_train_split_names_config(tmp_path, capsys):
+    path = tmp_path / "bench.cfg"
+    text = CONFIG.replace("seed = 9", "seed = 1").replace("synth_cases = 80", "synth_cases = 40")
+    path.write_text(text.replace("control_presence(A)", "case_threshold(s_num1, 1.0)"),
+                    encoding="utf-8")  # both classes in the log, one in its train split
+    _assert_file_error(capsys, ["train", "--config", str(path), "--out", str(tmp_path / "m")],
+                       path, "labels contain a single class")
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [("synth_min_length = 5\nsynth_max_length = 3\n",
+      "[data] synth_min_length (5) must be <= synth_max_length (3)"),
+     ("synth_min_length = 7\n", "[data] synth_min_length (7) must be <= synth_max_length (6)")],
+    ids=["both_set", "max_by_default"],
+)
+def test_cli_bench_rejects_synth_length_range(tmp_path, capsys, data, reason):
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG.replace("[data]\n", "[data]\n" + data), encoding="utf-8")
+    _assert_file_error(capsys, ["bench", "--config", str(path)], path, reason)
+
+
+def test_cli_encode_unlabelled_log_names_log_and_case(tmp_path, capsys):
+    _csv_config(tmp_path, ["c1,A,2024-01-01 10:00:00", "c2,B,2024-01-01 11:00:00"], label=False)
+    log = tmp_path / "log.csv"
+    argv = ["encode", "--log", str(log), "--schema", str(tmp_path / "schema.cfg"),
+            "--max-prefix", "3"]
+    _assert_file_error(capsys, argv, log, "case 'c1' is unlabelled")
+
+
 def test_cli_one_case_log_names_config(tmp_path, capsys):
     path = _csv_config(tmp_path, ["c1,A,2024-01-01 10:00:00,ok", "c1,B,2024-01-01 11:00:00,ok"])
     _assert_file_error(capsys, ["bench", "--config", str(path)], path,

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import shlex
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from xpop.explain import (
     perturbed_scores,
 )
 from xpop.harness import prepare_matrices, run_benchmark
-from xpop.models import train_forest, train_llm, train_logreg, train_tree
+from xpop.models import external_model, train_forest, train_llm, train_logreg, train_tree
+from xpop.preprocess import EncodedMatrix
 
 # --- excluded-value permutation ----------------------------------------------
 
@@ -254,18 +257,53 @@ def test_engine_rejects_wrong_score_count_and_bad_base():
         permutation_importance(_stub(m), m, m.labels, seed=0, base_scores=np.zeros(2))
 
 
-def test_bridge_cell_launches_one_process_per_chunk(tmp_path):
+def test_bridge_cell_launches_one_process_per_stage(tmp_path):
     launches = tmp_path / "launches.txt"
     cfg = bridge_config(tmp_path, launch_log=launches)
     cfg = dataclasses.replace(cfg, models=cfg.models[:1], pi_repeats=2)
     _, test_m = prepare_matrices(cfg)
+    varying = sum(len(np.unique(test_m.rows[:, i])) >= 2 for i in range(test_m.n_columns))
+    assert varying * 2 > _per_chunk(test_m)  # PI's copies fill more than one chunk
     (report,) = run_benchmark(cfg)
     assert report.excluded_reason == "" and report.fc is not None
-    varying = sum(len(np.unique(test_m.rows[:, i])) >= 2 for i in range(test_m.n_columns))
-    fc_types = sum(bool(test_m.columns_of_type(t)) for t in ("control", "case", "event"))
-    # one launch for AUC (whose scores PI and FC reuse), the PI chunks, one per FC type
-    expected = 1 + math.ceil(varying * 2 / _per_chunk(test_m)) + fc_types
-    assert len(launches.read_text(encoding="utf-8").splitlines()) == expected
+    # one launch each for AUC (whose scores PI and FC reuse), all PI chunks and all FC types
+    assert len(launches.read_text(encoding="utf-8").splitlines()) == 3
+
+
+# Writes its stdin to argv[1] and scores every row 0.5.
+COPYING_SCORER = """\
+import sys
+
+data = sys.stdin.buffer.read()
+with open(sys.argv[1], "wb") as fh:
+    fh.write(data)
+sys.stdout.write("0.5\\n" * (len(data.splitlines()) - 1))
+"""
+
+
+def test_bridge_stacked_launch_sends_header_then_each_copy_in_draw_order(tmp_path):
+    m = _tie_heavy_matrix(60, 40, seed=23)
+    assert m.n_columns * 2 > _per_chunk(m)  # the copies span several chunks
+    script = tmp_path / "copy.py"
+    script.write_text(COPYING_SCORER, encoding="utf-8")
+    received = tmp_path / "stdin.csv"
+    model = external_model(shlex.join([sys.executable, str(script), str(received)]),
+                           m.column_names)
+    permutation_importance(model, m, m.labels, seed=5, repeats=2,
+                           base_scores=np.full(m.n_rows, 0.5))
+    blocks = []
+    for i in range(m.n_columns):
+        distinct = np.unique(m.rows[:, i])
+        if len(distinct) < 2:
+            continue
+        rng = np.random.default_rng(5 + i)
+        for _ in range(2):
+            rows = m.rows.copy()
+            rows[:, i] = permute_column(m.rows[:, i], distinct, rng)
+            blocks.append(rows)
+    stacked = EncodedMatrix(m.columns, np.vstack(blocks), np.tile(m.labels, len(blocks)),
+                            m.provenance * len(blocks))
+    assert received.read_bytes() == stacked.export_csv(include_label=False).encode("utf-8")
 
 
 # --- intrinsic weights -----------------------------------------------------------

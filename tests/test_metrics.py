@@ -204,8 +204,9 @@ def test_fc_lookup_table_exact():
     # prediction depends only on the control column: permuting it flips
     # every binarized prediction; permuting the case column flips none
     predictor = StubPredictor(lambda row: float(row[0]), m.column_names)
-    assert functional_complexity(predictor, m, "control", seed=0) == 1.0
-    assert functional_complexity(predictor, m, "case", seed=0) == 0.0
+    fc = functional_complexity(predictor, m, seed=0)
+    assert fc.control == 1.0
+    assert fc.case == 0.0
 
 
 def test_fc_partial_dependence():
@@ -213,7 +214,7 @@ def test_fc_partial_dependence():
     # so flipping x0 changes the output only on rows where x1 == 1
     m = _fc_case()
     predictor = StubPredictor(lambda row: 0.4 * row[0] + 0.4 * row[1], m.column_names)
-    assert functional_complexity(predictor, m, "control", seed=3) == 0.5
+    assert functional_complexity(predictor, m, seed=3).control == 0.5
 
 
 def test_fc_seeded_per_type_and_deterministic():
@@ -224,30 +225,33 @@ def test_fc_seeded_per_type_and_deterministic():
     predictor = StubPredictor(
         lambda row: min(1.0, 0.3 * row[0] + 0.2 * row[2]), m.column_names
     )
-    a = functional_complexity(predictor, m, "control", seed=11)
-    b = functional_complexity(predictor, m, "control", seed=11)
+    a = functional_complexity(predictor, m, seed=11).control
+    b = functional_complexity(predictor, m, seed=11).control
     assert a == b
-    c = functional_complexity(predictor, m, "control", seed=12)
+    c = functional_complexity(predictor, m, seed=12).control
     # different seed gives a different permutation (value may or may not
     # coincide, but the draw stream must differ -> check via event type too)
-    d = functional_complexity(predictor, m, "event", seed=11)
+    d = functional_complexity(predictor, m, seed=11).event
     assert 0.0 <= c <= 1.0 and 0.0 <= d <= 1.0
 
 
-def test_fc_missing_type_is_error():
+def test_fc_missing_type_reads_nan():
     m = _fc_case()  # control + case only
-    predictor = StubPredictor(lambda row: 0.0, m.column_names)
-    with pytest.raises(ValueError, match="no columns of type 'event'"):
-        functional_complexity(predictor, m, "event", seed=0)
-    with pytest.raises(ValueError, match="unknown attribute type"):
-        functional_complexity(predictor, m, "banana", seed=0)
+    predictor = StubPredictor(lambda row: float(row[0]), m.column_names)
+    fc = functional_complexity(predictor, m, seed=0)
+    assert (fc.control, fc.case) == (1.0, 0.0)
+    assert math.isnan(fc.event)
+    assert fc.total == 0.5  # mean over the two present types
+    other = StubPredictor(lambda row: 0.0, ("x0", "other"))
+    with pytest.raises(ValueError, match="column signature mismatch"):
+        functional_complexity(other, m, seed=0)
 
 
 def test_fc_does_not_mutate_matrix():
     m = _fc_case()
     before = np.asarray(m.rows).copy()
     predictor = StubPredictor(lambda row: float(row[0]), m.column_names)
-    functional_complexity(predictor, m, "control", seed=0)
+    functional_complexity(predictor, m, seed=0)
     assert np.array_equal(np.asarray(m.rows), before)
 
 
@@ -281,12 +285,12 @@ def test_fc_equals_unbatched_reference(shape):
     rows = m.rows.copy()
     for predictor in (stub, forest):
         base = predictor.predict(m)
-        for attribute_type in ("control", "case", "event"):
-            expected = _fc_reference(predictor, m, attribute_type, seed=29)
-            assert functional_complexity(predictor, m, attribute_type, seed=29) == expected
-            assert functional_complexity(
-                predictor, m, attribute_type, seed=29, base_scores=base
-            ) == expected
+        fc = functional_complexity(predictor, m, seed=29)
+        shared = functional_complexity(predictor, m, seed=29, base_scores=base)
+        expected = [_fc_reference(predictor, m, t, seed=29) for t in ("control", "case", "event")]
+        assert [fc.control, fc.case, fc.event] == expected
+        assert fc.total == float(np.mean(expected))
+        assert fc == shared
     assert np.array_equal(m.rows, rows)
 
 

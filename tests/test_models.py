@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -543,6 +545,30 @@ def test_bridge_nonzero_exit(tmp_path):
     body = "import sys; sys.exit(3)\n"
     with pytest.raises(BridgeError, match="exited with 3"):
         external_predict(_script(tmp_path, body), _bridge_matrix())
+
+
+def test_bridge_timeout_kills_the_child(tmp_path):
+    body = "import time\ntime.sleep(60)\n"
+    start = time.perf_counter()
+    with pytest.raises(BridgeError, match=r"^external command timed out after 0\.5s$"):
+        external_predict(_script(tmp_path, body), _bridge_matrix(), timeout=0.5)
+    assert time.perf_counter() - start < 30.0
+    with pytest.raises(ChildProcessError):  # killed and reaped: no child is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_bridge_stacked_launch_counts_the_rows_of_every_chunk(tmp_path):
+    m = _bridge_matrix()
+    chunks = [_bridge_matrix(n=7, seed=1), m, _bridge_matrix(n=4, seed=2)]
+    with pytest.raises(BridgeError, match="line count mismatch: expected 21, got 1"):
+        external_predict(_script(tmp_path, "print(0.5)\n"), m, chunks)
+
+
+def test_bridge_launches_nothing_for_no_rows(tmp_path):
+    failing = _script(tmp_path, "import sys; sys.exit(3)\n")
+    m = _bridge_matrix()
+    assert external_predict(failing, m, []).shape == (0,)
+    assert external_predict(failing, _bridge_matrix(n=0)).shape == (0,)
 
 
 def test_bridge_values_round_trip_exactly(tmp_path):
