@@ -12,6 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from xpop.eventlog import format_schema_config, serialize_csv
 from xpop.guidelines import QUESTION_ORDER, Questionnaire, interactive_guide, recommend
 from xpop.harness import (
@@ -79,9 +81,13 @@ def cmd_train(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for idx, spec in enumerate(cfg.models):
             model = train_model(spec, train_m, derive_seed(cfg.seed, idx))
+            # an external command is not launched here
+            if model.kind == "external" or len(np.unique(train_m.labels)) < 2:
+                shown = "n/a"
+            else:
+                shown = f"{auc(train_m.labels, model.predict(train_m)):.6f}"
             path = out / f"{spec.name}.model.txt"
             path.write_text(export_model(model), encoding="utf-8")
-            shown = "n/a" if model.training_auc is None else f"{model.training_auc:.6f}"
             print(f"{spec.name}: training AUC {shown}; exported to {path}")
     return 0
 

@@ -22,9 +22,6 @@ from xpop.preprocess import EncodedMatrix
 class WeightVector:
     weights: np.ndarray
     columns: tuple[str, ...]
-    source: str
-    seed: Optional[int] = None
-    repeats: Optional[int] = None
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.columns):
@@ -69,9 +66,8 @@ def perturbed_scores(
     keep ``m``'s values. Copies are drawn lazily and stacked into a buffer
     of at most ``CHUNK_CELLS`` cells (a copy larger than that goes alone),
     and each full buffer is passed on as an ``EncodedMatrix`` with tiled
-    labels and provenance to ``models.predict_chunks``: one
-    ``predictor.predict`` call per chunk, or for an external model one
-    launch for all chunks. The predictor must score each row independently
+    labels to ``models.predict_chunks``: one ``predictor.predict`` call per
+    chunk, or for an external model one launch for all chunks. The predictor must score each row independently
     of the others in the call; if it returns a view of its input rows, a
     yielded array changes when the next chunk is drawn.
     """
@@ -83,7 +79,7 @@ def perturbed_scores(
     def stacked(k: int) -> EncodedMatrix:
         nonlocal unscored
         unscored += k
-        return EncodedMatrix(m.columns, buffer[: k * n], np.tile(m.labels, k), m.provenance * k)
+        return EncodedMatrix(m.columns, buffer[: k * n], np.tile(m.labels, k))
 
     def chunks() -> Iterator[EncodedMatrix]:
         k = 0
@@ -157,21 +153,21 @@ def permutation_importance(
         for _ in range(repeats):
             total += _mse(y, next(scores)) - base
         weights[i] = total / repeats
-    return WeightVector(weights, m.column_names, "permutation", seed=seed, repeats=repeats)
+    return WeightVector(weights, m.column_names)
 
 
 def coefficient_weights(model: TrainedModel) -> WeightVector:
     """Absolute coefficients (scaled space); the logit leaf model reports a
     support-weighted mean over leaves, constant leaves contributing zero."""
     if model.kind == "logreg":
-        return WeightVector(np.abs(model.logreg.coef), model.columns, "coefficients")
+        return WeightVector(np.abs(model.logreg.coef), model.columns)
     if model.kind == "llm":
         total = np.zeros(len(model.columns))
         leaf_n = model.tree.n[model.tree.leaves]
         for n, leaf_model in zip(leaf_n, model.leaf_models):
             if not isinstance(leaf_model, ConstantLeaf):
                 total += n * np.abs(leaf_model.coef)
-        return WeightVector(total / leaf_n.sum(), model.columns, "coefficients")
+        return WeightVector(total / leaf_n.sum(), model.columns)
     raise ValueError(f"coefficient weights undefined for model kind {model.kind!r}")
 
 
@@ -184,7 +180,7 @@ def impurity_weights(model: TrainedModel) -> WeightVector:
     out = np.zeros(len(model.columns))
     for tree in trees:  # one running sum in preorder, tree after tree
         np.add.at(out, *tree.split_gains())
-    return WeightVector(out / len(trees), model.columns, "impurity")
+    return WeightVector(out / len(trees), model.columns)
 
 
 def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:
@@ -220,4 +216,4 @@ def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:
             f"{len(absent)} signature columns missing from {path}; weights set to 0",
             stacklevel=2,
         )
-    return WeightVector(weights, signature, "external")
+    return WeightVector(weights, signature)

@@ -105,7 +105,6 @@ class Recommendation:
     model: str
     rationale: str
     metric_profile: Mapping[str, str]
-    implemented_in_toolkit: bool
 
     @property
     def builtin_kind(self) -> str | None:
@@ -132,10 +131,9 @@ def _walk(answer: Callable[[str], bool]) -> tuple[str, str]:
 
 
 def _build(label: str, rationale: str) -> Recommendation:
-    implemented = label in _IMPLEMENTED
-    if not implemented:
+    if label not in _IMPLEMENTED:
         rationale += " (Not built in: attach it through the external-model bridge.)"
-    return Recommendation(label, rationale, dict(_PROFILES[label]), implemented)
+    return Recommendation(label, rationale, dict(_PROFILES[label]))
 
 
 def recommend(q: Questionnaire) -> Recommendation:

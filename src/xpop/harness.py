@@ -139,6 +139,11 @@ _DATA_RULES = {
 }
 
 
+# the keys a [data] and a [model ...] section may hold; any other is an error
+_DATA_KEYS = {"log", "schema", "label_a", "label_b", "out", "log_id", *_DATA_RULES}
+_MODEL_KEYS = {"kind", "command", "weights", *_HYPER_RULES}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     name: str
@@ -248,6 +253,18 @@ def _data_value(data: configparser.SectionProxy, key: str, default=None):
 def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
     if "data" not in parser:
         raise ValueError("config needs a [data] section")
+    if parser.defaults():
+        raise ValueError("unknown section [DEFAULT]")
+    for section_name in parser.sections():
+        if section_name == "data":
+            known = _DATA_KEYS
+        elif section_name.startswith("model"):
+            known = _MODEL_KEYS
+        else:
+            raise ValueError(f"unknown section [{section_name}]")
+        unknown = next((k for k in parser[section_name] if k not in known), None)
+        if unknown is not None:
+            raise ValueError(f"[{section_name}] unknown key {unknown!r}")
     data = parser["data"]
     if "seed" not in data:
         raise ValueError("config needs an explicit seed (no wall-clock seeding)")
@@ -256,7 +273,7 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
     synth = None
     if "synth_rule" in data or "synth_cases" in data:
         fields = {_DATA_RULES[k][3]: _data_value(data, k)
-                  for k in data if k.startswith("synth_") and k in _DATA_RULES}
+                  for k in data if k.startswith("synth_")}
         shortest = fields.get("min_trace_length", SynthSpec.min_trace_length)
         longest = fields.get("max_trace_length", SynthSpec.max_trace_length)
         if shortest > longest:
@@ -392,14 +409,13 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
                 lod = lod_at_k(w_pi, w_e, test_m.columns, k=10)
                 reports.append(
                     MetricsReport(cfg.log_id, spec.name, model_auc, parsimony=pars,
-                                  fc=fc, irc=rank_corr, lod_at_10=lod, seed=model_seed)
+                                  fc=fc, irc=rank_corr, lod_at_10=lod)
                 )
                 continue
             except Exception as exc:
                 reason = f"error: {exc}"
         reports.append(
-            MetricsReport(cfg.log_id, spec.name, model_auc, excluded_reason=reason,
-                          seed=model_seed)
+            MetricsReport(cfg.log_id, spec.name, model_auc, excluded_reason=reason)
         )
     return reports
 

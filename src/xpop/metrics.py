@@ -10,6 +10,7 @@ two top-10 sets.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,8 +43,13 @@ class MetricsReport:
     fc: Optional[TypedMetric] = None
     irc: Optional[float] = None
     lod_at_10: Optional[float] = None
-    seed: Optional[int] = None
     excluded_reason: str = ""
+
+
+def _type_counts(columns: Sequence[ColumnMeta], selected: np.ndarray) -> tuple[int, int, int]:
+    """(control, case, event) counts among the selected column indices."""
+    counts = Counter(columns[i].attribute_type for i in selected.tolist())
+    return counts[CONTROL], counts[CASE], counts[EVENT]
 
 
 def parsimony(
@@ -52,12 +58,8 @@ def parsimony(
     """Count of columns per attribute type with weight magnitude above eps."""
     if len(w.weights) != len(columns):
         raise ValueError("weight vector and column metadata length mismatch")
-    counts = {CONTROL: 0, CASE: 0, EVENT: 0}
-    for value, col in zip(w.weights, columns):
-        if abs(value) > eps:
-            counts[col.attribute_type] += 1
-    total = counts[CONTROL] + counts[CASE] + counts[EVENT]
-    return TypedMetric(counts[CONTROL], counts[CASE], counts[EVENT], total)
+    counts = _type_counts(columns, np.flatnonzero(np.abs(w.weights) > eps))
+    return TypedMetric(*counts, sum(counts))
 
 
 def functional_complexity(
@@ -124,12 +126,7 @@ def top_k_type_counts(
         raise ValueError("k must be >= 1")
     if len(w.weights) != len(columns):
         raise ValueError("weight vector and column metadata length mismatch")
-    magnitudes = np.abs(w.weights)
-    order = sorted(range(len(magnitudes)), key=lambda i: (-magnitudes[i], i))
-    counts = {CONTROL: 0, CASE: 0, EVENT: 0}
-    for i in order[: min(k, len(order))]:
-        counts[columns[i].attribute_type] += 1
-    return counts[CONTROL], counts[CASE], counts[EVENT]
+    return _type_counts(columns, np.argsort(-np.abs(w.weights), kind="stable")[:k])
 
 
 def lod_at_k(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -111,7 +111,6 @@ class TrainedModel:
     trees: tuple[Tree, ...] = ()
     leaf_models: tuple = ()  # llm: one ConstantLeaf or LogRegParams per leaf, in leaf order
     command: Optional[str] = None
-    training_auc: Optional[float] = None
 
     def predict(self, m: EncodedMatrix) -> np.ndarray:
         return predict_proba(self, m)
@@ -205,15 +204,7 @@ def train_logreg(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> 
         raise ValueError("need at least 2 rows")
     _check_two_classes(m.labels)
     params = _fit_logreg_arrays(m.rows, y, float(h["l2"]), int(h["max_iter"]), float(h["tol"]))
-    return _with_training_auc(TrainedModel("logreg", m.column_names, logreg=params), m)
-
-
-def _with_training_auc(model: TrainedModel, m: EncodedMatrix) -> TrainedModel:
-    """``model`` with its AUC on its training matrix ``m``; a single-class
-    ``m`` leaves ``training_auc`` unset."""
-    if len(np.unique(m.labels)) < 2:
-        return model
-    return replace(model, training_auc=auc(m.labels, predict_proba(model, m)))
+    return TrainedModel("logreg", m.column_names, logreg=params)
 
 
 def _gini(n_pos: float, n: float) -> float:
@@ -318,7 +309,7 @@ def train_tree(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tr
     X = np.asarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
     tree = _grow_tree(X, y, int(h["max_depth"]), int(h["min_samples_leaf"]))
-    return _with_training_auc(TrainedModel("tree", m.column_names, tree=tree), m)
+    return TrainedModel("tree", m.column_names, tree=tree)
 
 
 def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
@@ -339,7 +330,7 @@ def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
                 rng=rng, mtry=mtry,
             )
         )
-    return _with_training_auc(TrainedModel("forest", m.column_names, trees=tuple(trees)), m)
+    return TrainedModel("forest", m.column_names, trees=tuple(trees))
 
 
 @dataclass(frozen=True)
@@ -373,8 +364,7 @@ def train_llm(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tra
             leaf_models.append(_fit_logreg_arrays(
                 X[rows], y_leaf, float(h["l2"]), int(h["max_iter"]), float(h["tol"])
             ))
-    model = TrainedModel("llm", m.column_names, tree=tree, leaf_models=tuple(leaf_models))
-    return _with_training_auc(model, m)
+    return TrainedModel("llm", m.column_names, tree=tree, leaf_models=tuple(leaf_models))
 
 
 def external_model(command: str, columns: Sequence[str]) -> TrainedModel:

@@ -49,7 +49,6 @@ class EncodedMatrix:
     columns: tuple[ColumnMeta, ...]
     rows: np.ndarray
     labels: np.ndarray
-    provenance: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
         self.rows.setflags(write=False)
@@ -66,12 +65,6 @@ class EncodedMatrix:
     @property
     def n_columns(self) -> int:
         return int(self.rows.shape[1])
-
-    def type_counts(self) -> dict[str, int]:
-        counts = {CONTROL: 0, CASE: 0, EVENT: 0}
-        for c in self.columns:
-            counts[c.attribute_type] += 1
-        return counts
 
     def columns_of_type(self, attribute_type: str) -> list[int]:
         return [i for i, c in enumerate(self.columns) if c.attribute_type == attribute_type]
@@ -216,8 +209,6 @@ def aggregate_encode(log: EventLog, schema: AttributeSchema, vocab: Vocabulary) 
     position = np.arange(len(case_of_row)) - starts[case_of_row]  # k - 1
     rows = np.zeros((len(case_of_row), len(columns)), dtype=np.float64)
     labels = np.repeat(np.array([t.label for t in traces], dtype=np.int64), lengths)
-    ids = [t.case_id for t in traces]
-    provenance = tuple(zip([ids[c] for c in case_of_row.tolist()], (position + 1).tolist()))
 
     # events[r]: the position of row r's event in the log's columns
     events = np.array([t.events.start for t in traces], dtype=np.intp)[case_of_row] + position
@@ -258,4 +249,4 @@ def aggregate_encode(log: EventLog, schema: AttributeSchema, vocab: Vocabulary) 
             stats.append(head.std(-1, ddof=1))
         rows[at, stat_cols[: len(stats)].ravel()] = np.concatenate(stats, axis=1)
 
-    return EncodedMatrix(columns, rows, labels, provenance)
+    return EncodedMatrix(columns, rows, labels)

@@ -33,8 +33,7 @@ def make_matrix(X, labels, types=None, names=None) -> EncodedMatrix:
         ColumnMeta(name, attr_type, name, "passthrough")
         for name, attr_type in zip(names, types)
     )
-    provenance = tuple((f"case_{j}", 1) for j in range(X.shape[0]))
-    return EncodedMatrix(columns, X, labels, provenance)
+    return EncodedMatrix(columns, X, labels)
 
 
 # An exported logistic regression (``export_model`` text, argv[1]) scored out

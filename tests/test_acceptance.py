@@ -36,11 +36,11 @@ def test_criterion_01_lod_worked_example():
     meta = make_matrix(np.zeros((1, 12)), [0], types=types).columns
     a = WeightVector(
         np.array([10, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0.5]),
-        tuple(f"x{i}" for i in range(12)), "test",
+        tuple(f"x{i}" for i in range(12)),
     )
     b = WeightVector(
         np.array([10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0.5, 0.2]),
-        tuple(f"x{i}" for i in range(12)), "test",
+        tuple(f"x{i}" for i in range(12)),
     )
     assert top_k_type_counts(a, meta, 10) == (1, 2, 7)
     assert top_k_type_counts(b, meta, 10) == (2, 2, 6)
@@ -245,7 +245,7 @@ def test_criterion_06_parsimony_identities():
         types = rng.choice(["control", "case", "event"], size=p).tolist()
         values = rng.choice([0.0, 1e-10, 1e-8, -0.4, 2.5, -1e-9], size=p)
         meta = make_matrix(np.zeros((1, p)), [0], types=types).columns
-        wv = WeightVector(values.copy(), tuple(f"x{i}" for i in range(p)), "test")
+        wv = WeightVector(values.copy(), tuple(f"x{i}" for i in range(p)))
         c = parsimony(wv, meta)
         brute = {"control": 0, "case": 0, "event": 0}
         for v, t in zip(values, types):
@@ -278,12 +278,12 @@ def test_criterion_07_irc_invariances():
         names = tuple(f"x{i}" for i in range(p))
         a = rng.uniform(0.01, 5.0, size=p)
         b = rng.uniform(0.01, 5.0, size=p)
-        wa = WeightVector(a.copy(), names, "test")
-        wb = WeightVector(b.copy(), names, "test")
+        wa = WeightVector(a.copy(), names)
+        wb = WeightVector(b.copy(), names)
         worst_sym = max(worst_sym, abs(irc(wa, wb) - irc(wb, wa)))
         # strictly increasing transforms preserve ranks
         f = rng.choice([np.exp, np.sqrt, lambda v: 3 * v + 1, np.cbrt])
-        wfa = WeightVector(np.asarray(f(a), dtype=np.float64), names, "test")
+        wfa = WeightVector(np.asarray(f(a), dtype=np.float64), names)
         worst_mono = max(worst_mono, abs(irc(wa, wfa) - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst_sym <= 1e-12 and worst_mono <= 1e-12 and elapsed < 1.0

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bridge_config
 from xpop.cli import main
-from xpop.harness import load_config
+from xpop.harness import load_config, prepare_matrices, train_model
+from xpop.models import auc
 from xpop.seeds import derive_seed, splitmix64
 
 CONFIG = """\
@@ -232,6 +234,21 @@ def test_cli_bench_rejects_bad_data_values(tmp_path, capsys, key, value, rule):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["metrics", "evaluate"])
+@pytest.mark.parametrize(
+    "old, new, reason",
+    [("synth_noise = 0.05\n", "synth_nosie = 0.3\n", "[data] unknown key 'synth_nosie'"),
+     ("kind = logreg\n", "kind = logreg\nmax_iters = 1\n", "[model lr] unknown key 'max_iters'"),
+     ("[model rf]", "[modle rf]", "unknown section [modle rf]"),
+     ("[data]", "[DEFAULT]\nkind = tree\n\n[data]", "unknown section [DEFAULT]")],
+    ids=["data_key", "model_key", "section", "default_section"],
+)
+def test_cli_config_rejects_unknown_key_or_section(tmp_path, capsys, command, old, new, reason):
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG.replace(old, new), encoding="utf-8")
+    _assert_file_error(capsys, [command, "--config", str(path)], path, reason)
+
+
 def _csv_config(tmp_path, rows, data="", label=True):
     """A bench config over a CSV log of ``case,act,time[,outcome]`` rows."""
     roles = "case = case_id\nact = activity\ntime = timestamp\n"
@@ -372,6 +389,51 @@ def test_cli_train_and_evaluate(tmp_path, config_path, capsys):
     assert main(["evaluate", "--config", config_path]) == 0
     stdout = capsys.readouterr().out
     assert stdout.count("test AUC") == 2
+
+
+def test_cli_train_prints_training_auc_without_launching_external(tmp_path, capsys):
+    launches = tmp_path / "launches.txt"
+    ext = bridge_config(tmp_path, launch_log=launches).models[0]
+    path = tmp_path / "bench.cfg"
+    path.write_text(f"""\
+[data]
+seed = 5
+max_prefix = 4
+synth_cases = 200
+synth_rule = case_threshold(s_num1, 0.5)
+
+[model ext]
+kind = external
+command = {ext.command}
+weights = {ext.weights_path}
+""" + "".join(f"\n[model {kind}]\nkind = {kind}\n" for kind in ("logreg", "tree", "forest", "llm")),
+                    encoding="utf-8")
+    out = tmp_path / "models"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not launches.exists()
+
+    cfg = load_config(path)
+    train_m, _ = prepare_matrices(cfg)
+    expected = ["n/a"]
+    for idx, spec in enumerate(cfg.models[1:], start=1):
+        model = train_model(spec, train_m, derive_seed(cfg.seed, idx))
+        expected.append(f"{auc(train_m.labels, model.predict(train_m)):.6f}")
+    assert lines == [f"{spec.name}: training AUC {shown}; exported to {out / spec.name}.model.txt"
+                     for spec, shown in zip(cfg.models, expected)]
+
+    assert main(["evaluate", "--config", str(path)]) == 0  # the launch log does record launches
+    assert launches.read_text(encoding="utf-8") == "launch\n"
+
+
+def test_cli_train_one_class_train_split_shows_na(tmp_path, capsys):
+    path = tmp_path / "bench.cfg"
+    text = CONFIG.replace("seed = 9", "seed = 1").replace("synth_cases = 80", "synth_cases = 40")
+    text = text.replace("control_presence(A)", "case_threshold(s_num1, 1.0)")
+    path.write_text(text.split("[model lr]")[0] + "[model tree]\nkind = tree\n", encoding="utf-8")
+    out = tmp_path / "m"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"tree: training AUC n/a; exported to {out}/tree.model.txt\n"
 
 
 def test_cli_guide_batch(capsys):

@@ -301,8 +301,7 @@ def test_bridge_stacked_launch_sends_header_then_each_copy_in_draw_order(tmp_pat
             rows = m.rows.copy()
             rows[:, i] = permute_column(m.rows[:, i], distinct, rng)
             blocks.append(rows)
-    stacked = EncodedMatrix(m.columns, np.vstack(blocks), np.tile(m.labels, len(blocks)),
-                            m.provenance * len(blocks))
+    stacked = EncodedMatrix(m.columns, np.vstack(blocks), np.tile(m.labels, len(blocks)))
     assert received.read_bytes() == stacked.export_csv(include_label=False).encode("utf-8")
 
 
@@ -424,9 +423,9 @@ def test_load_external_weights_errors(tmp_path):
 
 def test_weight_vector_validation():
     with pytest.raises(ValueError, match="length"):
-        WeightVector(np.zeros(2), ("a",), "test")
+        WeightVector(np.zeros(2), ("a",))
     with pytest.raises(ValueError, match="finite"):
-        WeightVector(np.array([np.nan]), ("a",), "test")
-    wv = WeightVector(np.array([1.0]), ("a",), "test")
+        WeightVector(np.array([np.nan]), ("a",))
+    wv = WeightVector(np.array([1.0]), ("a",))
     with pytest.raises(ValueError):
         wv.weights[0] = 2.0

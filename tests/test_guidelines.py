@@ -69,7 +69,6 @@ def test_implemented_flags_and_builtin_kinds():
     assert recommend(_q(data_heterogeneous=True)).builtin_kind == "llm"
     assert recommend(_q(parsimony_unimportant=True)).builtin_kind == "forest"
     glrm = recommend(_q(explainability_over_performance=True))
-    assert not glrm.implemented_in_toolkit
     assert glrm.builtin_kind is None
     assert "bridge" in glrm.rationale
 

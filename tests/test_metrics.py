@@ -27,7 +27,7 @@ def _wv(values, names=None):
     values = np.asarray(values, dtype=np.float64)
     if names is None:
         names = tuple(f"x{i}" for i in range(len(values)))
-    return WeightVector(values, tuple(names), "test")
+    return WeightVector(values, tuple(names))
 
 
 def _meta(types):

@@ -77,8 +77,9 @@ def test_logreg_separable_reaches_auc_one():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(200, 3))
     y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
-    model = train_logreg(make_matrix(X, y))
-    assert model.training_auc == pytest.approx(1.0)
+    m = make_matrix(X, y)
+    model = train_logreg(m)
+    assert auc(m.labels, model.predict(m)) == pytest.approx(1.0)
     coef = model.logreg.coef
     assert coef[0] > 0 and abs(coef[0]) > abs(coef[2])
 
@@ -106,8 +107,9 @@ def test_logreg_regularization_shrinks_weights():
 def test_logreg_constant_column_is_harmless():
     X = np.column_stack([np.ones(40), np.linspace(-1, 1, 40)])
     y = (X[:, 1] > 0).astype(int)
-    model = train_logreg(make_matrix(X, y))
-    assert model.training_auc == pytest.approx(1.0)
+    m = make_matrix(X, y)
+    model = train_logreg(m)
+    assert auc(m.labels, model.predict(m)) == pytest.approx(1.0)
     assert np.isfinite(model.logreg.coef).all()
     assert model.logreg.coef[0] == 0.0  # exact: weight rankings see a tie, not noise
 
@@ -226,9 +228,10 @@ def _xor_matrix():
 
 
 def test_tree_solves_xor_at_depth_two():
-    model = train_tree(_xor_matrix(), {"max_depth": 2, "min_samples_leaf": 1})
-    assert model.training_auc == pytest.approx(1.0)
-    scores = model.predict(_xor_matrix())
+    m = _xor_matrix()
+    model = train_tree(m, {"max_depth": 2, "min_samples_leaf": 1})
+    scores = model.predict(m)
+    assert auc(m.labels, scores) == pytest.approx(1.0)
     assert set(np.round(scores, 6)) == {0.0, 1.0}
 
 
@@ -311,7 +314,7 @@ def test_forest_signal_recovery():
     y = (X[:, 2] > 0).astype(int)
     m = make_matrix(X, y)
     model = train_forest(m, {"n_trees": 25}, seed=0)
-    assert model.training_auc > 0.95
+    assert auc(m.labels, model.predict(m)) > 0.95
 
 
 # --- logit leaf model -----------------------------------------------------------
@@ -325,9 +328,9 @@ def test_llm_forces_root_split_and_fits_leaves():
     model = train_llm(m, {"max_depth": 1, "min_samples_leaf": 5})
     assert model.tree.column[0] == 0 and model.tree.threshold[0] == 0.5
     assert len(model.leaf_models) == 2
-    assert model.training_auc == pytest.approx(1.0)
+    assert auc(m.labels, model.predict(m)) == pytest.approx(1.0)
     # plain logreg cannot express the interaction
-    assert train_logreg(m).training_auc < 0.8
+    assert auc(m.labels, train_logreg(m).predict(m)) < 0.8
 
 
 def test_llm_leaves_are_newton_optima_of_their_rows():

@@ -104,8 +104,8 @@ def test_prefix_counts(basic_schema):
     assert [len(t) for t in prefixes.traces] == [1, 2, 3, 3, 3]
     matrix = aggregate_encode(prefixes, basic_schema, fit_vocabulary(log))
     assert matrix.n_rows == 12
-    lengths = sorted(k for _, k in matrix.provenance)
-    assert lengths == [1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3]
+    lengths = matrix.rows[:, matrix.columns_of_type(CONTROL)].sum(axis=1)  # one A per event
+    assert lengths.tolist() == [1, 1, 2, 1, 2, 3, 1, 2, 3, 1, 2, 3]
 
 
 def test_prefix_events_are_true_prefixes(basic_schema):
@@ -117,7 +117,7 @@ def test_prefix_events_are_true_prefixes(basic_schema):
     matrix = aggregate_encode(extract_prefixes(log, 10), basic_schema, fit_vocabulary(log))
     acts = matrix.rows[:, [matrix.column_names.index(f"act={a}") for a in "ABC"]]
     assert acts.tolist() == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
-    assert matrix.provenance == (("c1", 1), ("c1", 2), ("c1", 3))
+    assert matrix.rows[:, matrix.columns_of_type(CONTROL)].sum(axis=1).tolist() == [1, 2, 3]
     assert all(label == matrix.labels[0] for label in matrix.labels)
 
 
@@ -187,8 +187,8 @@ def test_golden_matrix_shape_and_layout(golden):
     # 2 activities + (2 channel one-hot + 1 amount) + (3 ts features * 5 stats
     # + 1 dynamic numeric * 5 stats + 3 resource levels) = 2 + 3 + 23 = 28
     assert golden.n_columns == 28
-    assert golden.type_counts() == {CONTROL: 2, CASE: 3, EVENT: 23}
-    assert golden.provenance == (("c1", 1), ("c1", 2), ("c1", 3), ("c2", 1), ("c2", 2))
+    # rows in (case, prefix length) order: a row's activity count is its k
+    assert golden.rows[:, golden.columns_of_type(CONTROL)].sum(axis=1).tolist() == [1, 2, 3, 1, 2]
     # control columns first, then case, then event
     types = [c.attribute_type for c in golden.columns]
     assert types == [CONTROL] * 2 + [CASE] * 3 + [EVENT] * 23
@@ -300,13 +300,12 @@ def test_control_frequencies_monotone_in_prefix_length():
     vocab = fit_vocabulary(log)
     matrix = aggregate_encode(extract_prefixes(log, 6), log.schema, vocab)
     control = matrix.columns_of_type(CONTROL)
-    by_case: dict[str, list[int]] = {}
-    for j, (case_id, _k) in enumerate(matrix.provenance):
-        by_case.setdefault(case_id, []).append(j)
-    for rows in by_case.values():
-        for a, b in zip(rows, rows[1:]):
-            assert np.all(matrix.rows[b, control] >= matrix.rows[a, control])
-            assert matrix.rows[b, control].sum() == matrix.rows[a, control].sum() + 1
+    # rows in (case id, prefix length) order; every activity is in the vocabulary
+    lengths = [min(len(t), 6) for t in sorted(log.traces, key=lambda t: t.case_id)]
+    k = np.concatenate([np.arange(1, n + 1) for n in lengths])
+    assert matrix.rows[:, control].sum(axis=1).tolist() == k.tolist()
+    for a in np.flatnonzero(k[1:] > 1):  # row a + 1 extends row a's prefix
+        assert np.all(matrix.rows[a + 1, control] >= matrix.rows[a, control])
 
 
 def test_encoding_is_deterministic():
@@ -374,7 +373,7 @@ def _reference_encode(log, max_prefix, names, vocab):
 
     def column(attr, value):
         return index[f"{attr}={value}"] if str(value) in known[attr] else None
-    rows, labels, provenance = [], [], []
+    rows, labels = [], []
     for trace in sorted(log.traces, key=lambda t: t.case_id):
         for k in range(1, min(len(trace), max_prefix) + 1):
             events = trace.events[:k]
@@ -409,8 +408,7 @@ def _reference_encode(log, max_prefix, names, vocab):
                     row[index[f"{name}_{stat}"]] = value
             rows.append(row)
             labels.append(trace.label)
-            provenance.append((trace.case_id, k))
-    return np.array(rows), labels, tuple(provenance)
+    return np.array(rows), labels
 
 
 @settings(max_examples=60)
@@ -418,10 +416,9 @@ def _reference_encode(log, max_prefix, names, vocab):
 def test_aggregate_encode_equals_per_prefix_reference_bitwise(log, max_prefix):
     vocab = fit_vocabulary(dataclasses.replace(log, traces=log.traces[:1]))
     matrix = aggregate_encode(extract_prefixes(log, max_prefix), log.schema, vocab)
-    rows, labels, provenance = _reference_encode(log, max_prefix, matrix.column_names, vocab)
+    rows, labels = _reference_encode(log, max_prefix, matrix.column_names, vocab)
     assert matrix.rows.tobytes() == rows.tobytes()
     assert matrix.labels.tolist() == labels
-    assert matrix.provenance == provenance
 
 
 @pytest.mark.parametrize("times, sign", [(("10:05", "10:00"), 0.0), (("10:00", "10:00"), -0.0)])
