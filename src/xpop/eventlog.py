@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -216,11 +217,14 @@ def _parse_numeric(value: str, column: str, row_number: int) -> float:
     if value == "":
         raise ParseError(f"row {row_number}: empty numeric cell in column {column!r}")
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ParseError(
             f"row {row_number}: non-numeric value {value!r} in column {column!r}"
         ) from None
+    if not math.isfinite(number):
+        raise ParseError(f"row {row_number}: non-finite value {value!r} in column {column!r}")
+    return number
 
 
 def _attributes(row, categorical, numeric, row_number: int) -> dict[str, object]:

@@ -207,52 +207,67 @@ def train_logreg(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> 
     return TrainedModel("logreg", m.column_names, logreg=params)
 
 
-def _gini(n_pos: float, n: float) -> float:
-    if n == 0:
-        return 0.0
+def _gini(n_pos: float | np.ndarray, n: float | np.ndarray) -> float | np.ndarray:
+    """Gini impurity of ``n`` rows of which ``n_pos`` are positive;
+    elementwise on arrays."""
     p = n_pos / n
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+
+SEARCH_BLOCK = 1 << 15  # sorted values one block of a split search holds
+
+
+def _presort(X: np.ndarray) -> np.ndarray:
+    """The row ids of ``X`` in ascending order of each column, one row per
+    column; int32, so ``X`` has fewer than 2**31 rows. Tied rows come in any
+    order: no split depends on it."""
+    order = np.empty(X.shape[::-1], dtype=np.int32)
+    for j in range(X.shape[1]):
+        order[j] = np.argsort(X[:, j])
+    return order
 
 
 def _best_split(
     X: np.ndarray,
     y: np.ndarray,
-    candidate_columns: Sequence[int],
+    order: np.ndarray,
+    columns: np.ndarray,
+    n_pos: float,
+    gini: float,
     min_samples_leaf: int,
 ) -> Optional[tuple[float, int, float]]:
-    """Best (gain, column, threshold); ties by lowest column then threshold."""
-    n = len(y)
-    total_pos = float(y.sum())
-    parent = _gini(total_pos, n)
+    """Best (gain, column, threshold) of a node whose rows, sorted by column
+    ``j``, are ``order[j]``; ``n_pos`` of them are positive and ``gini`` is
+    their impurity. Ties go to the lowest column, then the lowest threshold.
+
+    ``columns`` (ascending) are searched in blocks of at most
+    ``SEARCH_BLOCK`` sorted values, and gains are taken only at value
+    boundaries that leave ``min_samples_leaf`` rows on each side."""
+    n = order.shape[1]
+    first = max(min_samples_leaf, 1) - 1  # boundary i splits sorted rows [..i] | [i+1..]
+    stop = min(n - min_samples_leaf, n - 1)
     best: Optional[tuple[float, int, float]] = None
-    for col in candidate_columns:
-        v = X[:, col]
-        order = np.argsort(v, kind="mergesort")
-        vs = v[order]
-        cum_pos = np.cumsum(y[order])
-        boundary = np.nonzero(vs[1:] > vs[:-1])[0]
-        if boundary.size == 0:
+    if first >= stop:
+        return best
+    width = max(1, SEARCH_BLOCK // n)
+    for start in range(0, len(columns), width):
+        block = columns[start:start + width]
+        rows = order.take(block, axis=0)
+        values = X.take(rows * np.intp(X.shape[1]) + block[:, None])  # intp: no int32 overflow
+        at = np.flatnonzero(values[:, first + 1:stop + 1] > values[:, first:stop])
+        if at.size == 0:
             continue
-        n_left = boundary + 1
+        r, i = np.divmod(at, stop - first)
+        i += first
+        pos_left = np.cumsum(y.take(rows), axis=1)[r, i]
+        n_left = i + 1
         n_right = n - n_left
-        valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-        if not valid.any():
-            continue
-        n_left = n_left[valid]
-        n_right = n_right[valid]
-        b = boundary[valid]
-        pos_left = cum_pos[b]
-        pos_right = total_pos - pos_left
-        pl = pos_left / n_left
-        pr = pos_right / n_right
-        gini_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-        gini_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-        gains = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
-        k = int(np.argmax(gains))  # first max: lowest threshold on ties
-        gain = float(gains[k])
-        threshold = float((vs[b[k]] + vs[b[k] + 1]) / 2.0)
-        if best is None or gain > best[0]:
-            best = (gain, col, threshold)
+        gains = (gini - n_left / n * _gini(pos_left, n_left)
+                 - n_right / n * _gini(n_pos - pos_left, n_right))
+        k = int(np.argmax(gains))  # first max: lowest column, then threshold
+        if best is None or gains[k] > best[0]:
+            threshold = (values[r[k], i[k]] + values[r[k], i[k] + 1]) / 2.0
+            best = (float(gains[k]), int(block[r[k]]), float(threshold))
     return best
 
 
@@ -261,43 +276,83 @@ def _grow_tree(
     y: np.ndarray,
     max_depth: int,
     min_samples_leaf: int,
+    order: Optional[np.ndarray] = None,
+    counts: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
     mtry: Optional[int] = None,
     force_root: bool = False,
 ) -> Tree:
+    """CART on the rows of ``X`` (C-contiguous) and the labels ``y``, grown
+    in preorder.
+
+    Rows are sorted by each column once: here, or by the caller, who passes
+    ``_presort(X)`` as ``order`` (int32 row ids, so fewer than 2**31 rows).
+    A node that will search holds its row ids sorted by every column; its
+    children's are stable compresses of them, made only for a child that
+    will search itself. With ``counts``, the tree grows on a bootstrap
+    sample given as each row's multiplicity: row ``i`` repeats
+    ``counts[i]`` times in every column's order. A split's gain depends only
+    on which rows lie below each boundary, not on the order of tied values,
+    so the trees equal those grown on a copy of the sample. With ``rng`` and
+    ``mtry < p``, each searching node draws its candidate columns, in
+    preorder."""
+    n_rows, p = X.shape
+    if order is None:
+        order = _presort(X)
+    if counts is None:
+        n, n_pos = n_rows, float(y.sum())
+    else:
+        n, n_pos = int(counts.sum()), float(counts @ y)
+        order = np.repeat(order.ravel(), counts.take(order).ravel()).reshape(p, n)
+    if n == 0:
+        raise ValueError("cannot grow a tree on 0 rows")
+    sample = rng is not None and mtry is not None and mtry < p
+    all_columns = np.arange(p)
+    go_left = np.zeros(n_rows, dtype=bool)
+
+    def searches(n: int, n_pos: float, depth: int, forced: bool = False) -> bool:
+        # A node splits whenever it is impure (or forced) and a legal split exists.
+        return depth < max_depth and n >= 2 * min_samples_leaf and (forced or 0 < n_pos < n)
+
     # one [depth, column, threshold, right, n, gini, prob] per node, preorder
     nodes: list[list] = []
-
-    def grow(X: np.ndarray, y: np.ndarray, depth: int, forced: bool = False) -> None:
-        n = len(y)
-        n_pos = float(y.sum())
+    # (sorted row ids or None for a leaf, n, n_pos, depth, parent of a right child)
+    stack = [(order if searches(n, n_pos, 0, force_root) else None, n, n_pos, 0, None)]
+    del order  # the stack holds a node's sorted rows alone, so they are freed once it splits
+    while stack:
+        order, n, n_pos, depth, parent = stack.pop()
+        if parent is not None:
+            parent[3] = len(nodes)
         node = [depth, -1, np.nan, len(nodes), n, _gini(n_pos, n), n_pos / n]
         nodes.append(node)
-        pure = n_pos == 0 or n_pos == n
-        # Split whenever the node is impure and a legal split exists; equal-gain
-        # candidates break ties by lowest column index, then lowest threshold.
-        if depth >= max_depth or n < 2 * min_samples_leaf or (pure and not forced):
-            return
-        p = X.shape[1]
-        if rng is not None and mtry is not None and mtry < p:
-            cols = np.sort(rng.choice(p, size=mtry, replace=False))
-        else:
-            cols = range(p)
-        split = _best_split(X, y, list(cols), min_samples_leaf)
+        if order is None:
+            continue
+        cols = np.sort(rng.choice(p, size=mtry, replace=False)) if sample else all_columns
+        split = _best_split(X, y, order, cols, n_pos, node[5], min_samples_leaf)
         if split is None:
-            if forced:
+            if force_root and depth == 0:
                 raise ValueError("no legal forced split")
-            return
+            continue
         _, column, threshold = split
         node[1:3] = column, threshold
-        mask = X[:, column] <= threshold
-        grow(X[mask], y[mask], depth + 1)
-        node[3] = len(nodes)
-        grow(X[~mask], y[~mask], depth + 1)
-
-    if len(y) == 0:
-        raise ValueError("cannot grow a tree on 0 rows")
-    grow(X, y, 0, force_root)
+        ranked = order[column]
+        n_left = int(np.searchsorted(X[:, column].take(ranked), threshold, side="right"))
+        left_rows = ranked[:n_left]
+        pos_left = float(y.take(left_rows).sum())
+        n_right, pos_right = n - n_left, n_pos - pos_left
+        left = searches(n_left, pos_left, depth + 1)
+        right = searches(n_right, pos_right, depth + 1)
+        left_order = right_order = None
+        if left or right:  # compress each column's sorted rows to each side, stably
+            go_left[left_rows] = True
+            mask = go_left.take(order).ravel()
+            go_left[left_rows] = False
+            if left:
+                left_order = order.ravel().compress(mask).reshape(p, n_left)
+            if right:
+                right_order = order.ravel().compress(~mask).reshape(p, n_right)
+        stack.append((right_order, n_right, pos_right, depth + 1, node))
+        stack.append((left_order, n_left, pos_left, depth + 1, None))
     depth, column, threshold, right, n, gini, prob = map(np.array, zip(*nodes))
     left = np.arange(len(nodes)) + (column >= 0)
     return Tree(depth, column, threshold, left, right, n, gini, prob)
@@ -306,7 +361,7 @@ def _grow_tree(
 def train_tree(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> TrainedModel:
     """CART with Gini impurity; single-class input yields a depth-0 leaf."""
     h = {**DEFAULT_TREE, **(hyper or {})}
-    X = np.asarray(m.rows, dtype=np.float64)
+    X = np.ascontiguousarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
     tree = _grow_tree(X, y, int(h["max_depth"]), int(h["min_samples_leaf"]))
     return TrainedModel("tree", m.column_names, tree=tree)
@@ -314,20 +369,24 @@ def train_tree(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tr
 
 def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
                  seed: int = 0) -> TrainedModel:
-    """Bagged CART forest with per-split column subsampling, fully seeded."""
+    """Bagged CART forest with per-split column subsampling, fully seeded.
+
+    The training matrix is sorted once for all trees; each tree's bootstrap
+    sample reaches ``_grow_tree`` as row multiplicities."""
     h = {**DEFAULT_FOREST, **(hyper or {})}
-    X = np.asarray(m.rows, dtype=np.float64)
+    X = np.ascontiguousarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
     n, p = X.shape
     mtry = max(1, int(np.ceil(float(h["max_features_fraction"]) * p)))
+    order = _presort(X)
     trees = []
     for t in range(int(h["n_trees"])):
         rng = np.random.default_rng(seed + t)
-        idx = rng.integers(0, n, size=n)
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
         trees.append(
             _grow_tree(
-                X[idx], y[idx], int(h["max_depth"]), int(h["min_samples_leaf"]),
-                rng=rng, mtry=mtry,
+                X, y, int(h["max_depth"]), int(h["min_samples_leaf"]),
+                order=order, counts=counts, rng=rng, mtry=mtry,
             )
         )
     return TrainedModel("forest", m.column_names, trees=tuple(trees))
@@ -346,7 +405,7 @@ def train_llm(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tra
     independent logistic regression per leaf (single-class leaves become
     constant 0/1 predictors)."""
     h = {**DEFAULT_TREE, **DEFAULT_LOGREG, **(hyper or {})}
-    X = np.asarray(m.rows, dtype=np.float64)
+    X = np.ascontiguousarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
     _check_two_classes(m.labels)
     min_leaf = int(h["min_samples_leaf"])

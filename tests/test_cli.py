@@ -337,6 +337,21 @@ def test_cli_bench_bad_log_row_names_the_log_not_the_config(tmp_path, capsys):
                        "row 3: unparseable timestamp 'soon'")
 
 
+
+def test_cli_bench_non_finite_log_cell_names_log_row_and_column(tmp_path, config_path, capsys):
+    out = tmp_path / "synth"
+    main(["synth", "--config", config_path, "--out", str(out)])
+    log = out / "log.csv"
+    header, first, *rest = log.read_text(encoding="utf-8").splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index("d_num1")] = "nan"
+    log.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
+    path = tmp_path / "bench.cfg"
+    path.write_text(f"[data]\nseed = 1\nlog = {log}\nschema = {out / 'schema.cfg'}\n"
+                    "\n[model lr]\nkind = logreg\n", encoding="utf-8")
+    _assert_file_error(capsys, ["bench", "--config", str(path)], log,
+                       "row 2: non-finite value 'nan' in column 'd_num1'")
+
 def test_cli_encode_bad_timestamp_names_log_and_row(tmp_path, config_path, capsys):
     out = tmp_path / "synth"
     main(["synth", "--config", config_path, "--out", str(out)])

@@ -266,6 +266,18 @@ def test_missing_values(basic_schema):
         parse_csv(bad, basic_schema)
 
 
+
+@pytest.mark.parametrize("column", ["amount", "cost"])  # a static and a dynamic numeric
+@pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "infinity"])
+def test_non_finite_numeric_cell_is_rejected(basic_schema, column, cell):
+    good = "c1,A,2024-01-01 10:00:00,ok,web,1.0,r1,1.0"
+    cells = dict(zip(HEADER.split(","), good.split(",")))
+    cells[column] = cell
+    bad = ",".join(cells.values()).replace("10:00", "11:00")
+    reason = f"row 3: non-finite value {cell!r} in column {column!r}"
+    with pytest.raises(ParseError, match=f"^{re.escape(reason)}$"):
+        parse_csv(_csv(good, bad), basic_schema)
+
 def test_bytes_stream_accepted(basic_schema):
     text = _csv("c1,A,2024-01-01 10:00:00,ok,web,1.0,r1,1.0")
     log = parse_csv(text.encode("utf-8"), basic_schema)

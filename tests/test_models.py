@@ -4,6 +4,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_matrix
+from xpop import models
 from xpop.models import (
+    DEFAULT_FOREST,
     DEFAULT_LOGREG,
     BridgeError,
     ConstantLeaf,
     LogRegParams,
+    TrainedModel,
+    Tree,
     auc,
     export_model,
     external_model,
@@ -430,6 +435,199 @@ def test_tree_apply_matches_descent_and_layout_invariants(problem):
         if not forest:  # a single tree is grown on X itself: its rows reach the leaves' n
             reached = np.bincount(tree.apply(X), minlength=len(tree.n))
             assert np.array_equal(reached[tree.leaves], tree.n[tree.leaves])
+
+
+# --- presorted CART against the per-node argsort oracle -------------------------
+
+
+def _reference_best_split(X, y, candidate_columns, min_samples_leaf):
+    """Oracle: the split search CART made before rows were presorted, one
+    stable argsort per candidate column per node. Best (gain, column,
+    threshold); ties by lowest column, then threshold."""
+    n = len(y)
+    total_pos = float(y.sum())
+    parent = _reference_gini(total_pos, n)
+    best = None
+    for col in candidate_columns:
+        v = X[:, col]
+        order = np.argsort(v, kind="mergesort")
+        vs = v[order]
+        cum_pos = np.cumsum(y[order])
+        boundary = np.nonzero(vs[1:] > vs[:-1])[0]
+        if boundary.size == 0:
+            continue
+        n_left = boundary + 1
+        n_right = n - n_left
+        valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+        if not valid.any():
+            continue
+        n_left = n_left[valid]
+        n_right = n_right[valid]
+        b = boundary[valid]
+        pos_left = cum_pos[b]
+        pos_right = total_pos - pos_left
+        pl = pos_left / n_left
+        pr = pos_right / n_right
+        gini_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+        gini_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+        gains = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
+        k = int(np.argmax(gains))
+        gain = float(gains[k])
+        threshold = float((vs[b[k]] + vs[b[k] + 1]) / 2.0)
+        if best is None or gain > best[0]:
+            best = (gain, col, threshold)
+    return best
+
+
+def _reference_gini(n_pos, n):
+    if n == 0:
+        return 0.0
+    p = n_pos / n
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+
+def _reference_grow_tree(X, y, max_depth, min_samples_leaf, rng=None, mtry=None,
+                         force_root=False) -> Tree:
+    """Oracle: CART grown recursively on copies of each node's rows."""
+    nodes = []
+
+    def grow(X, y, depth, forced=False):
+        n = len(y)
+        n_pos = float(y.sum())
+        node = [depth, -1, np.nan, len(nodes), n, _reference_gini(n_pos, n), n_pos / n]
+        nodes.append(node)
+        pure = n_pos == 0 or n_pos == n
+        if depth >= max_depth or n < 2 * min_samples_leaf or (pure and not forced):
+            return
+        p = X.shape[1]
+        if rng is not None and mtry is not None and mtry < p:
+            cols = np.sort(rng.choice(p, size=mtry, replace=False))
+        else:
+            cols = range(p)
+        split = _reference_best_split(X, y, list(cols), min_samples_leaf)
+        if split is None:
+            if forced:
+                raise ValueError("no legal forced split")
+            return
+        _, column, threshold = split
+        node[1:3] = column, threshold
+        mask = X[:, column] <= threshold
+        grow(X[mask], y[mask], depth + 1)
+        node[3] = len(nodes)
+        grow(X[~mask], y[~mask], depth + 1)
+
+    grow(X, y, 0, force_root)
+    depth, column, threshold, right, n, gini, prob = map(np.array, zip(*nodes))
+    left = np.arange(len(nodes)) + (column >= 0)
+    return Tree(depth, column, threshold, left, right, n, gini, prob)
+
+
+def _reference_export(kind, m, hyper, seed):
+    """Oracle: ``export_model`` text (or the ValueError) of a model trained
+    by the reference CART; forest trees grow on a copy of their bootstrap
+    rows, and the llm's leaves are fitted by ``train_llm`` itself."""
+    X, y = m.rows, m.labels.astype(np.float64)
+    h = {**DEFAULT_FOREST, **hyper}
+    depth, min_leaf = int(h["max_depth"]), int(h["min_samples_leaf"])
+    try:
+        if kind == "tree":
+            return export_model(TrainedModel(
+                "tree", m.column_names, tree=_reference_grow_tree(X, y, depth, min_leaf)))
+        if kind == "forest":
+            n, p = X.shape
+            mtry = max(1, int(np.ceil(float(h["max_features_fraction"]) * p)))
+            trees = []
+            for t in range(int(h["n_trees"])):
+                rng = np.random.default_rng(seed + t)
+                idx = rng.integers(0, n, size=n)
+                trees.append(_reference_grow_tree(X[idx], y[idx], depth, min_leaf, rng, mtry))
+            return export_model(TrainedModel("forest", m.column_names, trees=tuple(trees)))
+
+        def grow(X, y, max_depth, min_samples_leaf, force_root):
+            return _reference_grow_tree(X, y, max_depth, min_samples_leaf, force_root=force_root)
+
+        with patch.object(models, "_grow_tree", grow):
+            return export_model(train_llm(m, hyper))
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+def _export(kind, m, hyper, seed):
+    """``export_model`` text (or the ValueError) of the package's own fit."""
+    try:
+        if kind == "forest":
+            return export_model(train_forest(m, hyper, seed=seed))
+        return export_model({"tree": train_tree, "llm": train_llm}[kind](m, hyper))
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+@st.composite
+def _mixed_problem(draw):
+    """Columns of three kinds side by side (few distinct values, continuous,
+    constant), labels, and hyper whose ``min_samples_leaf`` may leave a node,
+    or the whole matrix, without a legal split."""
+    n = draw(st.integers(2, 120))
+    kinds = draw(st.lists(st.sampled_from(["tied", "continuous", "constant"]),
+                          min_size=1, max_size=6))
+    columns = []
+    for kind in kinds:
+        if kind == "tied":
+            elements = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+        elif kind == "continuous":
+            elements = st.floats(-1e3, 1e3)
+        else:
+            elements = st.just(draw(st.floats(-10, 10)))
+        columns.append(draw(hnp.arrays(np.float64, n, elements=elements)))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    hyper = {
+        "max_depth": draw(st.integers(1, 5)),
+        "min_samples_leaf": draw(st.integers(1, n // 2 + 2)),
+        "n_trees": draw(st.integers(1, 3)),
+        "max_features_fraction": draw(st.sampled_from([0.2, 0.5, 1.0])),
+    }
+    return np.column_stack(columns), y, hyper
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(_tied_problem().map(lambda problem: problem[:3]), _mixed_problem()),
+    st.sampled_from([1, 5, 64, models.SEARCH_BLOCK]),  # sorted values per search block
+    st.integers(0, 5),
+)
+def test_presorted_cart_exports_equal_the_per_node_argsort_oracle(problem, block, seed):
+    X, y, hyper = problem
+    m = make_matrix(X, y)
+    with patch.object(models, "SEARCH_BLOCK", block):
+        for kind in ("tree", "forest", "llm"):
+            assert _export(kind, m, hyper, seed) == _reference_export(kind, m, hyper, seed)
+
+
+def test_split_between_adjacent_floats_sends_rows_by_x_le_threshold():
+    # the midpoint of two adjacent floats rounds to the upper one here, so
+    # that value goes left, as Tree.apply sends it
+    a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    assert (a + b) / 2.0 == b
+    m = make_matrix([[a], [b], [2.0]], [0, 1, 1])
+    hyper = {"max_depth": 1, "min_samples_leaf": 1}
+    tree = train_tree(m, hyper).tree
+    assert tree.threshold[0] == b and tree.n.tolist() == [3, 2, 1]
+    assert _export("tree", m, hyper, 0) == _reference_export("tree", m, hyper, 0)
+
+
+def test_presorted_cart_equals_the_oracle_across_default_search_blocks():
+    # 20000 rows: the default block holds one column, so the root's search
+    # spans one block per column
+    rng = np.random.default_rng(17)
+    n = 20000
+    assert models.SEARCH_BLOCK < 2 * n
+    X = np.column_stack([rng.integers(0, 10, n), rng.normal(size=n), np.full(n, 2.0)])
+    y = (rng.random(n) < 0.2 + 0.05 * X[:, 0]).astype(int)
+    m = make_matrix(X, y)
+    hyper = {"max_depth": 4, "min_samples_leaf": 20, "n_trees": 2,
+             "max_features_fraction": 0.5}
+    for kind in ("tree", "forest", "llm"):
+        assert _export(kind, m, hyper, 3) == _reference_export(kind, m, hyper, 3)
 
 
 @pytest.mark.parametrize("trainer", [train_tree, train_forest, train_llm])
