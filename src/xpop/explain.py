@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from xpop.models import ConstantLeaf, TrainedModel, predict_chunks
+from xpop.models import ConstantLeaf, TrainedModel, _check_two_classes, predict_each
 from xpop.preprocess import EncodedMatrix
 
 
@@ -51,61 +51,38 @@ def _mse(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(np.mean((labels - scores) ** 2))
 
 
-# Float64 cells per stacked chunk of copies. Stacking saves one predict call
-# per copy; the bound caps the memory a chunk adds, which an external model
-# holds again as CSV text while it writes the chunk to its command's stdin.
-CHUNK_CELLS = 1 << 15
-
-
 def perturbed_scores(
     predictor, m: EncodedMatrix, copies: Iterable[Mapping[int, np.ndarray]]
 ) -> Iterator[np.ndarray]:
     """Scores of perturbed copies of ``m``, one array per copy, in order.
 
     Each copy maps column indices to replacement values; the other columns
-    keep ``m``'s values. Copies are drawn lazily and stacked into a buffer
-    of at most ``CHUNK_CELLS`` cells (a copy larger than that goes alone),
-    and each full buffer is passed on as an ``EncodedMatrix`` with tiled
-    labels to ``models.predict_chunks``: one ``predictor.predict`` call per
-    chunk, or for an external model one launch for all chunks. The predictor must score each row independently
-    of the others in the call; if it returns a view of its input rows, a
-    yielded array changes when the next chunk is drawn.
+    keep ``m``'s values. Copies are drawn lazily, each built as its own
+    ``EncodedMatrix`` that shares ``m``'s labels, and scored by
+    ``models.predict_each``: one ``predictor.predict`` call per copy, or
+    for an external model one launch for all copies. No copy outlives its
+    scoring (for an external model, its write to stdin), so memory is
+    bounded by one copy.
     """
-    n, p = m.rows.shape
-    per_chunk = max(1, CHUNK_CELLS // max(1, n * p))
-    buffer = np.empty((per_chunk * n, p), dtype=np.float64)
-    unscored = 0  # copies passed on whose scores have not come back
 
-    def stacked(k: int) -> EncodedMatrix:
-        nonlocal unscored
-        unscored += k
-        return EncodedMatrix(m.columns, buffer[: k * n], np.tile(m.labels, k))
+    def perturbed(copy: Mapping[int, np.ndarray]) -> EncodedMatrix:
+        rows = np.array(m.rows, dtype=np.float64)
+        for column, values in copy.items():
+            rows[:, column] = values
+        return EncodedMatrix(m.columns, rows, m.labels)
 
-    def chunks() -> Iterator[EncodedMatrix]:
-        k = 0
-        for copy in copies:
-            block = buffer[k * n : (k + 1) * n]
-            block[:] = m.rows
-            for column, values in copy.items():
-                block[:, column] = values
-            k += 1
-            if k == per_chunk:
-                yield stacked(k)
-                k = 0
-        if k:
-            yield stacked(k)
-
-    for out in predict_chunks(predictor, m, chunks()):
+    for out in predict_each(predictor, m, map(perturbed, copies)):
         out = np.asarray(out, dtype=np.float64)
-        k, unscored = unscored, 0
-        if out.shape != (k * n,):
-            raise ValueError(f"predictor returned {out.shape} scores for {k * n} rows")
-        for c in range(k):
-            yield out[c * n : (c + 1) * n]
+        if out.shape != (m.n_rows,):
+            raise ValueError(f"predictor returned {out.shape} scores for {m.n_rows} rows")
+        yield out
 
 
 def _base_scores(predictor, m: EncodedMatrix, base_scores) -> np.ndarray:
-    """The unperturbed scores: ``base_scores`` when given, else one predict."""
+    """The unperturbed scores: ``base_scores`` when given, else one predict.
+    A predictor that names its columns must name ``m``'s."""
+    if getattr(predictor, "columns", m.column_names) != m.column_names:
+        raise ValueError("column signature mismatch between predictor and matrix")
     if base_scores is None:
         return np.asarray(predictor.predict(m), dtype=np.float64)
     base = np.asarray(base_scores, dtype=np.float64)
@@ -132,10 +109,7 @@ def permutation_importance(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     y = np.asarray(labels, dtype=np.float64)
-    if len(np.unique(y)) < 2:
-        raise ValueError("labels contain a single class")
-    if getattr(predictor, "columns", m.column_names) != m.column_names:
-        raise ValueError("column signature mismatch between predictor and matrix")
+    _check_two_classes(y)
     base = _mse(y, _base_scores(predictor, m, base_scores))
     distinct = [np.unique(m.rows[:, i]) for i in range(m.n_columns)]
     active = [i for i in range(m.n_columns) if len(distinct[i]) >= 2]
@@ -187,7 +161,7 @@ def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:
     """Align an ``attribute,weight`` CSV to a column signature.
 
     Signature columns absent from the file get weight 0 (with a warning);
-    file columns absent from the signature are an error.
+    file columns absent from the signature, or named twice, are an error.
     """
     signature = tuple(signature)
     index = {name: i for i, name in enumerate(signature)}
@@ -202,6 +176,8 @@ def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:
             name, raw = row[0], row[1]
             if name not in index:
                 raise ValueError(f"{path}:{lineno}: unknown column {name!r}")
+            if name in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate column {name!r}")
             try:
                 value = float(raw)
             except ValueError:

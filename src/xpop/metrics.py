@@ -74,8 +74,6 @@ def functional_complexity(
     is the mean over the types present. The copies of all types are scored
     in one ``perturbed_scores`` call. ``base_scores``, when given, are the
     predictor's scores of ``m``."""
-    if getattr(predictor, "columns", m.column_names) != m.column_names:
-        raise ValueError("column signature mismatch between predictor and matrix")
     present = [t for t in _TYPE_ORDINAL if m.columns_of_type(t)]
 
     def copies():

@@ -266,8 +266,11 @@ def _best_split(
                  - n_right / n * _gini(n_pos - pos_left, n_right))
         k = int(np.argmax(gains))  # first max: lowest column, then threshold
         if best is None or gains[k] > best[0]:
-            threshold = (values[r[k], i[k]] + values[r[k], i[k] + 1]) / 2.0
-            best = (float(gains[k]), int(block[r[k]]), float(threshold))
+            lower, upper = float(values[r[k], i[k]]), float(values[r[k], i[k] + 1])
+            mid = (lower + upper) / 2.0  # Python floats: an overflow is inf, not a warning
+            # x <= threshold must send lower left and upper right; the midpoint
+            # of adjacent floats can round up to upper, or overflow
+            best = (float(gains[k]), int(block[r[k]]), mid if lower <= mid < upper else lower)
     return best
 
 
@@ -453,43 +456,53 @@ def predict_proba(model: TrainedModel, m: EncodedMatrix) -> np.ndarray:
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def predict_chunks(
-    predictor, m: EncodedMatrix, chunks: Iterable[EncodedMatrix]
+def predict_each(
+    predictor, m: EncodedMatrix, matrices: Iterable[EncodedMatrix]
 ) -> Iterator[np.ndarray]:
     """Scores of matrices with ``m``'s columns, drawn one at a time from
-    ``chunks``. An external model scores them all in one launch and yields
-    one array for all their rows; any other predictor (a ``TrainedModel`` or
-    any object with ``predict``) yields one ``predict`` per chunk."""
+    ``matrices``, one array per matrix. An external model scores them all
+    in one launch, split back by the row count of each; any other predictor
+    (a ``TrainedModel`` or any object with ``predict``) gets one ``predict``
+    call per matrix. Neither holds a matrix past its scoring or writing."""
     if isinstance(predictor, TrainedModel) and predictor.kind == "external":
-        if predictor.columns != m.column_names:
-            raise ValueError("column signature mismatch between model and matrix")
-        yield external_predict(predictor.command, m, chunks)
+        sizes = []
+
+        def counted(matrix: EncodedMatrix) -> EncodedMatrix:
+            sizes.append(matrix.n_rows)
+            return matrix
+
+        scores = external_predict(predictor.command, m, map(counted, matrices))
+        start = 0
+        for size in sizes:
+            yield scores[start:start + size]
+            start += size
     else:
-        for chunk in chunks:
-            yield predictor.predict(chunk)
+        yield from map(predictor.predict, matrices)
 
 
 def external_predict(
     command: str,
     m: EncodedMatrix,
-    chunks: Optional[Iterable[EncodedMatrix]] = None,
+    matrices: Optional[Iterable[EncodedMatrix]] = None,
     timeout: float = 300.0,
 ) -> np.ndarray:
     """Score rows through an external command over the stdin/stdout bridge,
     in one launch that ``timeout`` seconds bound.
 
     stdin: a regular file holding CSV without the label column, ``m``'s
-    header and then the rows of each of ``chunks`` (matrices with ``m``'s
-    columns, written as they are drawn) or, without chunks, of ``m``;
-    stdout: one probability in [0, 1] per row sent, LF-terminated; exit
-    code 0 required. Nothing is launched when no row is to be sent.
+    header and then the rows of each of ``matrices`` (with ``m``'s columns,
+    each written as it is drawn, so one matrix's CSV is held in memory at a
+    time) or, without matrices, of ``m``; stdout: one probability in
+    [0, 1] per row sent, LF-terminated; exit code 0 required. Nothing is
+    launched when no row is to be sent.
     """
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as stdin:
         stdin.write(m.csv_header(include_label=False))
         n_rows = 0
-        for chunk in [m] if chunks is None else chunks:
-            stdin.write(chunk.csv_rows(include_label=False))
-            n_rows += chunk.n_rows
+        for matrix in [m] if matrices is None else matrices:
+            stdin.write(matrix.csv_rows(include_label=False))
+            n_rows += matrix.n_rows
+            del matrix  # freed before the next one is drawn
         if n_rows == 0:
             return np.empty(0, dtype=np.float64)
         stdin.seek(0)  # flushes, and the child reads from the start

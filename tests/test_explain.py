@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pathlib
 import shlex
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import StubPredictor, bridge_config, make_matrix
 from xpop.explain import (
-    CHUNK_CELLS,
     WeightVector,
     coefficient_weights,
     impurity_weights,
@@ -19,8 +22,15 @@ from xpop.explain import (
     permute_column,
     perturbed_scores,
 )
-from xpop.harness import prepare_matrices, run_benchmark
-from xpop.models import external_model, train_forest, train_llm, train_logreg, train_tree
+from xpop.harness import run_benchmark
+from xpop.models import (
+    external_model,
+    external_predict,
+    train_forest,
+    train_llm,
+    train_logreg,
+    train_tree,
+)
 from xpop.preprocess import EncodedMatrix
 
 # --- excluded-value permutation ----------------------------------------------
@@ -142,11 +152,7 @@ def test_pi_rejects_bad_arguments():
         permutation_importance(stranger, m, y, seed=0)
 
 
-# --- batched perturbation engine --------------------------------------------------
-
-
-def _per_chunk(m):
-    return max(1, CHUNK_CELLS // (m.n_rows * m.n_columns))
+# --- perturbation engine ----------------------------------------------------------
 
 
 def _tie_heavy_matrix(n, p, seed):
@@ -157,9 +163,8 @@ def _tie_heavy_matrix(n, p, seed):
     return make_matrix(X, y)
 
 
-SMALL = _tie_heavy_matrix(60, 6, seed=21)  # many copies per chunk
-WIDE = _tie_heavy_matrix(400, 90, seed=22)  # one copy is over the budget
-assert _per_chunk(SMALL) > 10 and WIDE.n_rows * WIDE.n_columns > CHUNK_CELLS
+SMALL = _tie_heavy_matrix(60, 6, seed=21)
+WIDE = _tie_heavy_matrix(400, 90, seed=22)
 
 
 def _stub(m):
@@ -218,30 +223,31 @@ class CountingPredictor:
         return m.rows.sum(axis=1) % 1.0
 
 
+def _copy(m, copy):
+    """``m`` with the columns of ``copy`` replaced, built on its own."""
+    rows = m.rows.copy()
+    for column, values in copy.items():
+        rows[:, column] = values
+    return EncodedMatrix(m.columns, rows, m.labels)
+
+
 @pytest.mark.parametrize("m", [SMALL, WIDE], ids=["small", "wide"])
-def test_engine_makes_one_call_per_chunk_within_budget(m):
-    per_chunk = _per_chunk(m)
-    for n_copies in (1, per_chunk, per_chunk + 1, 2 * per_chunk + 3):
+def test_engine_makes_one_predict_per_copy(m):
+    for n_copies in (0, 1, 2, 13):
         predictor = CountingPredictor(m.column_names)
-        copies = ({0: np.full(m.n_rows, c / 7.0)} for c in range(n_copies))
-        scores = list(perturbed_scores(predictor, m, copies))
-        assert len(predictor.calls) == math.ceil(n_copies / per_chunk)
-        for rows in predictor.calls:
-            assert rows * m.n_columns <= CHUNK_CELLS or rows == m.n_rows
+        copies = [{0: np.full(m.n_rows, c / 7.0)} for c in range(n_copies)]
+        scores = list(perturbed_scores(predictor, m, iter(copies)))
+        assert predictor.calls == [m.n_rows] * n_copies
         assert len(scores) == n_copies
-        for c, got in enumerate(scores):
-            rows = m.rows.copy()
-            rows[:, 0] = c / 7.0
-            assert got.tobytes() == (rows.sum(axis=1) % 1.0).tobytes()
-
-
-def test_pi_with_base_scores_calls_once_per_chunk():
-    m = SMALL
+        for copy, got in zip(copies, scores):
+            assert got.tobytes() == predictor.predict(_copy(m, copy)).tobytes()
+    # with base_scores given, PI predicts each of its copies once and nothing else
     predictor = CountingPredictor(m.column_names)
     permutation_importance(
         predictor, m, m.labels, seed=0, repeats=3, base_scores=np.full(m.n_rows, 0.5)
     )
-    assert len(predictor.calls) == math.ceil(m.n_columns * 3 / _per_chunk(m))
+    varying = sum(len(np.unique(m.rows[:, i])) >= 2 for i in range(m.n_columns))
+    assert predictor.calls == [m.n_rows] * (varying * 3)
 
 
 class ShortPredictor(CountingPredictor):
@@ -261,29 +267,26 @@ def test_bridge_cell_launches_one_process_per_stage(tmp_path):
     launches = tmp_path / "launches.txt"
     cfg = bridge_config(tmp_path, launch_log=launches)
     cfg = dataclasses.replace(cfg, models=cfg.models[:1], pi_repeats=2)
-    _, test_m = prepare_matrices(cfg)
-    varying = sum(len(np.unique(test_m.rows[:, i])) >= 2 for i in range(test_m.n_columns))
-    assert varying * 2 > _per_chunk(test_m)  # PI's copies fill more than one chunk
     (report,) = run_benchmark(cfg)
     assert report.excluded_reason == "" and report.fc is not None
-    # one launch each for AUC (whose scores PI and FC reuse), all PI chunks and all FC types
+    # one launch each for AUC (whose scores PI and FC reuse), all PI copies and all FC types
     assert len(launches.read_text(encoding="utf-8").splitlines()) == 3
 
 
-# Writes its stdin to argv[1] and scores every row 0.5.
+# Writes its stdin to argv[1] and scores each row by its first cell modulo 1.
 COPYING_SCORER = """\
 import sys
 
 data = sys.stdin.buffer.read()
 with open(sys.argv[1], "wb") as fh:
     fh.write(data)
-sys.stdout.write("0.5\\n" * (len(data.splitlines()) - 1))
+for line in data.decode("utf-8").splitlines()[1:]:
+    print(repr(float(line.split(",")[0]) % 1.0))
 """
 
 
 def test_bridge_stacked_launch_sends_header_then_each_copy_in_draw_order(tmp_path):
     m = _tie_heavy_matrix(60, 40, seed=23)
-    assert m.n_columns * 2 > _per_chunk(m)  # the copies span several chunks
     script = tmp_path / "copy.py"
     script.write_text(COPYING_SCORER, encoding="utf-8")
     received = tmp_path / "stdin.csv"
@@ -303,6 +306,35 @@ def test_bridge_stacked_launch_sends_header_then_each_copy_in_draw_order(tmp_pat
             blocks.append(rows)
     stacked = EncodedMatrix(m.columns, np.vstack(blocks), np.tile(m.labels, len(blocks)))
     assert received.read_bytes() == stacked.export_csv(include_label=False).encode("utf-8")
+
+
+STREAM = _tie_heavy_matrix(12, 4, seed=24)
+
+
+@settings(max_examples=10)
+@given(st.lists(st.dictionaries(st.integers(0, 3), st.integers(1, 11), max_size=4), max_size=5))
+def test_perturbed_scores_equal_each_copy_scored_alone(shifts):
+    # each copy rolls some columns of STREAM by the drawn shifts
+    m = STREAM
+    copies = [{c: np.roll(m.rows[:, c], k) for c, k in copy.items()} for copy in shifts]
+    alone = [_copy(m, copy) for copy in copies]
+    stub = CountingPredictor(m.column_names)
+    scores = list(perturbed_scores(stub, m, iter(copies)))
+    assert stub.calls == [m.n_rows] * len(copies)
+    assert [s.tobytes() for s in scores] == [stub.predict(c).tobytes() for c in alone]
+    with tempfile.TemporaryDirectory() as tmp:
+        script, received = pathlib.Path(tmp, "copy.py"), pathlib.Path(tmp, "stdin.csv")
+        script.write_text(COPYING_SCORER, encoding="utf-8")
+        command = shlex.join([sys.executable, str(script), str(received)])
+        scores = list(perturbed_scores(external_model(command, m.column_names), m, iter(copies)))
+        if not copies:
+            assert scores == [] and not received.exists()  # nothing was launched
+            return
+        sent = m.csv_header(include_label=False) + "".join(
+            c.csv_rows(include_label=False) for c in alone)
+        assert received.read_text(encoding="utf-8") == sent
+        assert [s.tobytes() for s in scores] == [external_predict(command, c).tobytes()
+                                                 for c in alone]
 
 
 # --- intrinsic weights -----------------------------------------------------------
@@ -416,6 +448,10 @@ def test_load_external_weights_errors(tmp_path):
     bad_shape.write_text("a,1.0,extra\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 'attribute,weight'"):
         load_external_weights(str(bad_shape), ("a",))
+    repeated = tmp_path / "bad4.csv"
+    repeated.write_text("a,1\nb,2\na,5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad4\.csv:3: duplicate column 'a'$"):
+        load_external_weights(str(repeated), ("a", "b"))
 
 
 # --- weight vector invariants --------------------------------------------------------

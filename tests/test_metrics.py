@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import StubPredictor, make_matrix
-from xpop.explain import CHUNK_CELLS, WeightVector, permute_column
+from xpop.explain import WeightVector, permute_column
 from xpop.models import average_ranks, train_forest
 from xpop.metrics import (
     functional_complexity,
@@ -278,7 +278,6 @@ def _typed_matrix(n, p, seed):
 @pytest.mark.parametrize("shape", [(60, 6), (400, 90)], ids=["small", "wide"])
 def test_fc_equals_unbatched_reference(shape):
     m = _typed_matrix(*shape, seed=shape[1])
-    assert (m.n_rows * m.n_columns > CHUNK_CELLS) == (shape[1] == 90)
     w = np.linspace(-1.0, 1.0, m.n_columns)
     stub = StubPredictor(lambda row: 1.0 / (1.0 + math.exp(-float(row @ w))), m.column_names)
     forest = train_forest(m, {"n_trees": 5, "max_depth": 4}, seed=3)

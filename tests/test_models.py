@@ -473,7 +473,9 @@ def _reference_best_split(X, y, candidate_columns, min_samples_leaf):
         gains = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
         k = int(np.argmax(gains))
         gain = float(gains[k])
-        threshold = float((vs[b[k]] + vs[b[k] + 1]) / 2.0)
+        lower, upper = float(vs[b[k]]), float(vs[b[k] + 1])
+        mid = (lower + upper) / 2.0
+        threshold = mid if lower <= mid < upper else lower
         if best is None or gain > best[0]:
             best = (gain, col, threshold)
     return best
@@ -605,13 +607,26 @@ def test_presorted_cart_exports_equal_the_per_node_argsort_oracle(problem, block
 
 def test_split_between_adjacent_floats_sends_rows_by_x_le_threshold():
     # the midpoint of two adjacent floats rounds to the upper one here, so
-    # that value goes left, as Tree.apply sends it
+    # the lower one is the threshold: the rows go as the chosen gain assumed
     a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
     assert (a + b) / 2.0 == b
     m = make_matrix([[a], [b], [2.0]], [0, 1, 1])
     hyper = {"max_depth": 1, "min_samples_leaf": 1}
     tree = train_tree(m, hyper).tree
-    assert tree.threshold[0] == b and tree.n.tolist() == [3, 2, 1]
+    assert tree.threshold[0] == a and tree.n.tolist() == [3, 1, 2]
+    assert _export("tree", m, hyper, 0) == _reference_export("tree", m, hyper, 0)
+    deeper = {"max_depth": 2, "min_samples_leaf": 1}
+    assert train_tree(m, deeper).tree.n.tolist() == [3, 1, 2]  # both sides pure
+    assert _export("tree", m, deeper, 0) == _reference_export("tree", m, deeper, 0)
+
+
+@pytest.mark.parametrize("x", [[1e308, 1.5e308, 1.7e308], [-1.7e308, -1.5e308, -1e308]])
+def test_split_between_huge_values_keeps_a_finite_threshold(x):
+    # the midpoint of the first two values overflows to +-inf
+    m = make_matrix([[v] for v in x], [0, 1, 1])
+    hyper = {"max_depth": 2, "min_samples_leaf": 1}
+    tree = train_tree(m, hyper).tree
+    assert tree.threshold[0] == x[0] and tree.n.tolist()[:2] == [3, 1]
     assert _export("tree", m, hyper, 0) == _reference_export("tree", m, hyper, 0)
 
 
@@ -760,9 +775,9 @@ def test_bridge_timeout_kills_the_child(tmp_path):
 
 def test_bridge_stacked_launch_counts_the_rows_of_every_chunk(tmp_path):
     m = _bridge_matrix()
-    chunks = [_bridge_matrix(n=7, seed=1), m, _bridge_matrix(n=4, seed=2)]
+    matrices = [_bridge_matrix(n=7, seed=1), m, _bridge_matrix(n=4, seed=2)]
     with pytest.raises(BridgeError, match="line count mismatch: expected 21, got 1"):
-        external_predict(_script(tmp_path, "print(0.5)\n"), m, chunks)
+        external_predict(_script(tmp_path, "print(0.5)\n"), m, matrices)
 
 
 def test_bridge_launches_nothing_for_no_rows(tmp_path):
