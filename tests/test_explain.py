@@ -241,13 +241,18 @@ def test_engine_makes_one_predict_per_copy(m):
         assert len(scores) == n_copies
         for copy, got in zip(copies, scores):
             assert got.tobytes() == predictor.predict(_copy(m, copy)).tobytes()
-    # with base_scores given, PI predicts each of its copies once and nothing else
-    predictor = CountingPredictor(m.column_names)
-    permutation_importance(
-        predictor, m, m.labels, seed=0, repeats=3, base_scores=np.full(m.n_rows, 0.5)
-    )
-    varying = sum(len(np.unique(m.rows[:, i])) >= 2 for i in range(m.n_columns))
-    assert predictor.calls == [m.n_rows] * (varying * 3)
+
+
+def test_pi_with_base_scores_calls_once_per_chunk():
+    # a chunk is one copy: with base_scores given, PI predicts each of its
+    # copies once, on n_rows rows, and never the unperturbed matrix
+    for m in (SMALL, WIDE):
+        predictor = CountingPredictor(m.column_names)
+        permutation_importance(
+            predictor, m, m.labels, seed=0, repeats=3, base_scores=np.full(m.n_rows, 0.5)
+        )
+        varying = sum(len(np.unique(m.rows[:, i])) >= 2 for i in range(m.n_columns))
+        assert predictor.calls == [m.n_rows] * (varying * 3)
 
 
 class ShortPredictor(CountingPredictor):
