@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Union
 
 import numpy as np
@@ -79,16 +79,26 @@ class SynthSpec:
             raise ValueError("label_noise must be in [0, 0.5)")
         if self.min_trace_length < 1 or self.max_trace_length < self.min_trace_length:
             raise ValueError("invalid trace length range")
+        if not 1 <= self.alphabet_size <= len(string.ascii_uppercase):
+            raise ValueError(f"alphabet_size must be a whole number in 1..26, "
+                             f"got {self.alphabet_size}")
+        for name in ("n_cases", "n_static_categorical", "n_static_numeric",
+                     "n_dynamic_categorical", "n_dynamic_numeric"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be a whole number >= 0, got {getattr(self, name)}")
         alphabet = self.alphabet()
         for activity in _rule_activities(self.rule):
             if activity not in alphabet:
                 raise ValueError(f"rule activity {activity!r} not in alphabet")
+        if isinstance(self.rule, (CaseThreshold, EventMeanThreshold)):
+            role = "static_numeric" if isinstance(self.rule, CaseThreshold) else "dynamic_numeric"
+            numerics = getattr(synth_schema(self), role)
+            if self.rule.attribute not in numerics:
+                raise ValueError(f"rule attribute {self.rule.attribute!r} is not a {role} "
+                                 f"attribute of the spec (it has: {', '.join(numerics) or 'none'})")
 
     def alphabet(self) -> tuple[str, ...]:
-        letters = string.ascii_uppercase
-        if self.alphabet_size > len(letters):
-            raise ValueError("alphabet_size too large")
-        return tuple(letters[: self.alphabet_size])
+        return tuple(string.ascii_uppercase[: self.alphabet_size])
 
 
 def _rule_activities(rule: Rule) -> tuple[str, ...]:
@@ -133,30 +143,40 @@ def synth_schema(spec: SynthSpec) -> AttributeSchema:
 
 
 def generate_log(spec: SynthSpec) -> EventLog:
-    """Generate a labelled log, fully determined by the configured seed."""
+    """Generate a labelled log, fully determined by the configured seed.
+
+    Case ``c`` draws from its own ``default_rng(derive_seed(seed, c))``, in
+    this order: the trace length; the start offset; the static categoricals,
+    then the static numerics; per event its dynamic categoricals, its dynamic
+    numerics, the activity, then the gap to the next event; last, only when
+    ``label_noise > 0``, the noise flip. A level is ``levels[rng.integers(n)]``
+    (the draw ``rng.choice(levels)`` makes) and a numeric ``rng.random()``.
+    This order is the stream contract that the golden files pin: a change to
+    it moves their bytes."""
     schema = synth_schema(spec)
-    alphabet = np.array(spec.alphabet())
-    activities, times, traces, flipped = [], [], [], []
+    alphabet, n_levels = spec.alphabet(), len(_CAT_LEVELS)
+    activities, seconds, traces, flipped = [], [], [], []
     dynamics = {c: [] for c in schema.dynamic_categorical + schema.dynamic_numeric}
     for c in range(spec.n_cases):
         rng = np.random.default_rng(derive_seed(spec.seed, c))
         length = int(rng.integers(spec.min_trace_length, spec.max_trace_length + 1))
-        t = _BASE_TIME + timedelta(seconds=c * 3600 + int(rng.integers(0, 600)))
-        statics = {col: str(rng.choice(_CAT_LEVELS)) for col in schema.static_categorical}
-        statics |= {col: float(rng.uniform(0.0, 1.0)) for col in schema.static_numeric}
+        t = c * 3600 + int(rng.integers(0, 600))  # seconds after _BASE_TIME
+        statics = {col: _CAT_LEVELS[rng.integers(n_levels)] for col in schema.static_categorical}
+        statics |= {col: rng.random() for col in schema.static_numeric}
 
         first = len(activities)
         for _ in range(length):
             for col in schema.dynamic_categorical:
-                dynamics[col].append(str(rng.choice(_CAT_LEVELS)))
+                dynamics[col].append(_CAT_LEVELS[rng.integers(n_levels)])
             for col in schema.dynamic_numeric:
-                dynamics[col].append(float(rng.uniform(0.0, 1.0)))
-            activities.append(str(rng.choice(alphabet)))
-            times.append(t)
-            t = t + timedelta(seconds=int(rng.integers(1, 301)))
+                dynamics[col].append(rng.random())
+            activities.append(alphabet[rng.integers(len(alphabet))])
+            seconds.append(t)
+            t += int(rng.integers(1, 301))
         traces.append(Trace(f"case_{c:05d}", statics, range(first, len(activities))))
-        flipped.append(spec.label_noise > 0.0 and rng.uniform(0.0, 1.0) < spec.label_noise)
+        flipped.append(spec.label_noise > 0.0 and rng.random() < spec.label_noise)
 
+    times = np.datetime64(_BASE_TIME, "us") + np.array(seconds, dtype="timedelta64[s]")
     log = EventLog(tuple(traces), schema, activities, times, dynamics)
     labels = [evaluate_rule(spec.rule, log, t) ^ flip for t, flip in zip(traces, flipped)]
     return replace(log, traces=tuple(replace(t, label=y) for t, y in zip(traces, labels)))

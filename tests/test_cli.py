@@ -234,6 +234,21 @@ def test_cli_bench_rejects_bad_data_values(tmp_path, capsys, key, value, rule):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "rule, reason",
+    [("case_threshold(s_num9, 0.5)",
+      "rule attribute 's_num9' is not a static_numeric attribute of the spec (it has: s_num1)"),
+     ("event_mean_threshold(d_cat1, 0.5)",
+      "rule attribute 'd_cat1' is not a dynamic_numeric attribute of the spec (it has: d_num1)")],
+)
+def test_cli_bench_rejects_a_rule_attribute_the_log_lacks(tmp_path, capsys, rule, reason):
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG.replace("control_presence(A)", rule), encoding="utf-8")
+    _assert_file_error(capsys, ["bench", "--config", str(path), "--out", str(tmp_path / "out")],
+                       path, reason)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["metrics", "evaluate"])
 @pytest.mark.parametrize(
     "old, new, reason",

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xpop.eventlog import AttributeSchema, EventLog, Trace, parse_csv, serialize_csv
+from xpop.seeds import derive_seed
 from xpop.synth import (
+    _BASE_TIME,
+    _CAT_LEVELS,
     CaseThreshold,
     ControlFollows,
     ControlPresence,
@@ -82,6 +87,31 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="not in alphabet"):
         SynthSpec(alphabet_size=3, rule=ControlPresence("Z"))
     assert SynthSpec(alphabet_size=3).alphabet() == ("A", "B", "C")
+    for size in (0, -1, 27):
+        with pytest.raises(ValueError, match=f"^alphabet_size must be a whole number in 1..26, "
+                                             f"got {size}$"):
+            SynthSpec(alphabet_size=size)
+    for name in ("n_cases", "n_static_categorical", "n_static_numeric",
+                 "n_dynamic_categorical", "n_dynamic_numeric"):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number >= 0, got -2$"):
+            SynthSpec(**{name: -2})
+    assert len(generate_log(SynthSpec(n_cases=0))) == 0
+    # a threshold rule needs a numeric attribute of its kind that the spec generates
+    for rule, counts, message in [
+        (CaseThreshold("s_num9", 0.5), {}, "'s_num9' is not a static_numeric attribute of the "
+                                           "spec (it has: s_num1)"),
+        (CaseThreshold("s_cat1", 0.5), {"n_static_numeric": 2},
+         "'s_cat1' is not a static_numeric attribute of the spec (it has: s_num1, s_num2)"),
+        (CaseThreshold("s_num1", 0.5), {"n_static_numeric": 0},
+         "'s_num1' is not a static_numeric attribute of the spec (it has: none)"),
+        (EventMeanThreshold("d_cat1", 0.5), {}, "'d_cat1' is not a dynamic_numeric attribute "
+                                                "of the spec (it has: d_num1)"),
+        (EventMeanThreshold("s_num1", 0.5), {}, "'s_num1' is not a dynamic_numeric attribute "
+                                                "of the spec (it has: d_num1)"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            SynthSpec(rule=rule, **counts)
+        assert str(excinfo.value) == f"rule attribute {message}"
 
 
 # --- generation ----------------------------------------------------------------------
@@ -176,3 +206,80 @@ def test_case_threshold_base_rate_is_near_analytic():
     log = generate_log(spec)
     rate = np.mean([t.label for t in log.traces])
     assert abs(rate - 0.7) < 0.05
+
+
+# --- generation against the rng.choice / datetime oracle ---------------------------
+
+
+def _reference_generate_log(spec: SynthSpec) -> EventLog:
+    """Oracle: the generator as it was written before levels were drawn by
+    index and timestamps built from integer seconds, with one
+    ``rng.choice`` per level and one ``datetime + timedelta`` per event."""
+    schema = synth_schema(spec)
+    alphabet = np.array(spec.alphabet())
+    activities, times, traces, flipped = [], [], [], []
+    dynamics = {c: [] for c in schema.dynamic_categorical + schema.dynamic_numeric}
+    for c in range(spec.n_cases):
+        rng = np.random.default_rng(derive_seed(spec.seed, c))
+        length = int(rng.integers(spec.min_trace_length, spec.max_trace_length + 1))
+        t = _BASE_TIME + timedelta(seconds=c * 3600 + int(rng.integers(0, 600)))
+        statics = {col: str(rng.choice(_CAT_LEVELS)) for col in schema.static_categorical}
+        statics |= {col: float(rng.uniform(0.0, 1.0)) for col in schema.static_numeric}
+
+        first = len(activities)
+        for _ in range(length):
+            for col in schema.dynamic_categorical:
+                dynamics[col].append(str(rng.choice(_CAT_LEVELS)))
+            for col in schema.dynamic_numeric:
+                dynamics[col].append(float(rng.uniform(0.0, 1.0)))
+            activities.append(str(rng.choice(alphabet)))
+            times.append(t)
+            t = t + timedelta(seconds=int(rng.integers(1, 301)))
+        traces.append(Trace(f"case_{c:05d}", statics, range(first, len(activities))))
+        flipped.append(spec.label_noise > 0.0 and rng.uniform(0.0, 1.0) < spec.label_noise)
+
+    log = EventLog(tuple(traces), schema, activities, times, dynamics)
+    labels = [evaluate_rule(spec.rule, log, t) ^ flip for t, flip in zip(traces, flipped)]
+    return dataclasses.replace(
+        log, traces=tuple(dataclasses.replace(t, label=y) for t, y in zip(traces, labels)))
+
+
+@st.composite
+def synth_specs(draw) -> SynthSpec:
+    """Valid specs: up to 30 cases, traces of 1-8 events, 0-3 attributes of
+    each kind, and any of the four rule forms the spec has attributes for."""
+    alphabet_size = draw(st.integers(1, 26))
+    shortest = draw(st.integers(1, 8))
+    counts = {f"n_{kind}": draw(st.integers(0, 3)) for kind in
+              ("static_categorical", "static_numeric", "dynamic_categorical", "dynamic_numeric")}
+    letters = st.sampled_from(SynthSpec(alphabet_size=alphabet_size).alphabet())
+    threshold = st.floats(0.0, 1.0)
+    rules = [st.builds(ControlPresence, letters), st.builds(ControlFollows, letters, letters)]
+    if counts["n_static_numeric"]:
+        names = [f"s_num{i + 1}" for i in range(counts["n_static_numeric"])]
+        rules.append(st.builds(CaseThreshold, st.sampled_from(names), threshold))
+    if counts["n_dynamic_numeric"]:
+        names = [f"d_num{i + 1}" for i in range(counts["n_dynamic_numeric"])]
+        rules.append(st.builds(EventMeanThreshold, st.sampled_from(names), threshold))
+    return SynthSpec(
+        n_cases=draw(st.integers(0, 30)),
+        alphabet_size=alphabet_size,
+        min_trace_length=shortest,
+        max_trace_length=draw(st.integers(shortest, 8)),
+        rule=draw(st.one_of(rules)),
+        label_noise=draw(st.sampled_from([0.0, 0.25])),
+        seed=draw(st.integers(-(2**63), 2**64 - 1)),
+        **counts,
+    )
+
+
+@given(synth_specs())
+def test_generate_log_draws_the_reference_stream(spec):
+    log, expected = generate_log(spec), _reference_generate_log(spec)
+    # line lists, so that a failing example reports its first differing row
+    assert serialize_csv(log).splitlines() == serialize_csv(expected).splitlines()
+    assert [t.label for t in log.traces] == [t.label for t in expected.traces]
+    assert log.timestamps.dtype == expected.timestamps.dtype == np.dtype("datetime64[us]")
+    assert np.array_equal(log.timestamps, expected.timestamps)
+    for trace in log.traces:
+        assert all(type(v) in (str, float) for v in trace.statics.values())
