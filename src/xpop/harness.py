@@ -48,15 +48,7 @@ from xpop.preprocess import (
     temporal_split,
 )
 from xpop.seeds import derive_seed
-from xpop.synth import (
-    CaseThreshold,
-    ControlFollows,
-    ControlPresence,
-    EventMeanThreshold,
-    Rule,
-    SynthSpec,
-    generate_log,
-)
+from xpop.synth import SynthSpec, generate_log, parse_rule
 
 AUC_FLOOR = 0.50
 XAI_FLOOR = 0.75
@@ -133,7 +125,7 @@ _DATA_RULES = {
     "synth_dynamic_numeric": (*_COUNT, "n_dynamic_numeric"),
     "synth_rule": ("a rule such as control_presence(A), control_follows(A, B), "
                    "case_threshold(s_num1, 0.5) or event_mean_threshold(d_num1, 0.5)",
-                   lambda text: parse_rule(text), lambda v: True, "rule"),
+                   parse_rule, lambda v: True, "rule"),
     "synth_noise": ("in [0, 0.5)", float, lambda v: 0 <= v < 0.5, "label_noise"),
     "synth_seed": ("an integer", int, lambda v: True, "seed"),
 }
@@ -183,23 +175,6 @@ class BenchmarkConfig:
             raise ValueError("at least one model is required")
         if self.synth is None and (self.log_path is None or self.schema_path is None):
             raise ValueError("either a synth spec or log + schema paths are required")
-
-
-def parse_rule(text: str) -> Rule:
-    m = re.fullmatch(r"(\w+)\(([^)]*)\)", text.strip())
-    if not m:
-        raise ValueError(f"cannot parse rule {text!r}")
-    name, raw_args = m.groups()
-    args = [a.strip() for a in raw_args.split(",")] if raw_args.strip() else []
-    if name == "control_presence" and len(args) == 1:
-        return ControlPresence(args[0])
-    if name == "control_follows" and len(args) == 2:
-        return ControlFollows(args[0], args[1])
-    if name == "case_threshold" and len(args) == 2:
-        return CaseThreshold(args[0], float(args[1]))
-    if name == "event_mean_threshold" and len(args) == 2:
-        return EventMeanThreshold(args[0], float(args[1]))
-    raise ValueError(f"cannot parse rule {text!r}")
 
 
 def _config_error(exc: configparser.Error) -> str:

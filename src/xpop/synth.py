@@ -8,10 +8,13 @@ rates computable.
 
 from __future__ import annotations
 
+import math
+import numbers
+import re
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
-from typing import Union
+from typing import ClassVar, get_type_hints
 
 import numpy as np
 
@@ -22,42 +25,90 @@ _BASE_TIME = datetime(2024, 1, 1, 8, 0, 0)
 _CAT_LEVELS = ("c0", "c1", "c2", "c3")
 
 
+class Rule:
+    """A planted outcome rule: a frozen dataclass whose fields are its config
+    arguments in order, listed in ``RULES``. ``dominant_type`` is the attribute
+    type that carries the label signal; ``label(log, trace)`` is 1 if deviant."""
+
+    dominant_type: ClassVar[str]
+
+
 @dataclass(frozen=True)
-class ControlPresence:
+class ControlPresence(Rule):
     activity: str
+    dominant_type = "control"
 
-    def dominant_type(self) -> str:
-        return "control"
+    def label(self, log: EventLog, trace: Trace) -> int:
+        return 1 if self.activity in log.activities[trace.events].tolist() else 0
 
 
 @dataclass(frozen=True)
-class ControlFollows:
+class ControlFollows(Rule):
     first: str
     second: str
+    dominant_type = "control"
 
-    def dominant_type(self) -> str:
-        return "control"
-
-
-@dataclass(frozen=True)
-class CaseThreshold:
-    attribute: str
-    threshold: float
-
-    def dominant_type(self) -> str:
-        return "case"
+    def label(self, log: EventLog, trace: Trace) -> int:
+        return eventually_followed_label(log.activities[trace.events].tolist(),
+                                         self.first, self.second)
 
 
 @dataclass(frozen=True)
-class EventMeanThreshold:
+class CaseThreshold(Rule):
     attribute: str
     threshold: float
+    dominant_type = "case"
 
-    def dominant_type(self) -> str:
-        return "event"
+    def label(self, log: EventLog, trace: Trace) -> int:
+        return 1 if float(trace.statics[self.attribute]) > self.threshold else 0
 
 
-Rule = Union[ControlPresence, ControlFollows, CaseThreshold, EventMeanThreshold]
+@dataclass(frozen=True)
+class EventMeanThreshold(Rule):
+    attribute: str
+    threshold: float
+    dominant_type = "event"
+
+    def label(self, log: EventLog, trace: Trace) -> int:
+        mean = float(np.mean(log.dynamics[self.attribute][trace.events]))
+        return 1 if mean > self.threshold else 0
+
+
+# config name -> rule form: the one list of the forms
+RULES = {
+    "control_presence": ControlPresence,
+    "control_follows": ControlFollows,
+    "case_threshold": CaseThreshold,
+    "event_mean_threshold": EventMeanThreshold,
+}
+
+
+def parse_rule(text: str) -> Rule:
+    """The rule a config writes as ``<form>(<arg>, ...)``, such as
+    ``case_threshold(s_num1, 0.5)``: the form is looked up in ``RULES`` and
+    each argument is read as its field's declared type."""
+    m = re.fullmatch(r"(\w+)\(([^)]*)\)", text.strip())
+    form = RULES.get(m.group(1)) if m else None
+    args = [a.strip() for a in m.group(2).split(",")] if m and m.group(2).strip() else []
+    if form is None or len(args) != len(fields(form)):
+        raise ValueError(f"cannot parse rule {text!r}")
+    types = get_type_hints(form)
+    return form(*(types[f.name](arg) for f, arg in zip(fields(form), args)))
+
+
+_COUNT = ("a whole number >= 0", lambda v: v >= 0)
+_LENGTH = ("a whole number >= 1", lambda v: True)  # below 1 is an invalid length range
+# size field of a SynthSpec -> (rule, check), checked when the spec is built
+_SIZES = {
+    "n_cases": _COUNT,
+    "alphabet_size": ("a whole number in 1..26", lambda v: 1 <= v <= len(string.ascii_uppercase)),
+    "min_trace_length": _LENGTH,
+    "max_trace_length": _LENGTH,
+    "n_static_categorical": _COUNT,
+    "n_static_numeric": _COUNT,
+    "n_dynamic_categorical": _COUNT,
+    "n_dynamic_numeric": _COUNT,
+}
 
 
 @dataclass(frozen=True)
@@ -77,51 +128,31 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.label_noise < 0.5:
             raise ValueError("label_noise must be in [0, 0.5)")
+        for name, (must, check) in _SIZES.items():
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and check(value)):
+                raise ValueError(f"{name} must be {must}, got {value}")
         if self.min_trace_length < 1 or self.max_trace_length < self.min_trace_length:
             raise ValueError("invalid trace length range")
-        if not 1 <= self.alphabet_size <= len(string.ascii_uppercase):
-            raise ValueError(f"alphabet_size must be a whole number in 1..26, "
-                             f"got {self.alphabet_size}")
-        for name in ("n_cases", "n_static_categorical", "n_static_numeric",
-                     "n_dynamic_categorical", "n_dynamic_numeric"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be a whole number >= 0, got {getattr(self, name)}")
-        alphabet = self.alphabet()
-        for activity in _rule_activities(self.rule):
-            if activity not in alphabet:
-                raise ValueError(f"rule activity {activity!r} not in alphabet")
-        if isinstance(self.rule, (CaseThreshold, EventMeanThreshold)):
-            role = "static_numeric" if isinstance(self.rule, CaseThreshold) else "dynamic_numeric"
+        rule = self.rule
+        if rule.dominant_type == "control":
+            activities = [getattr(rule, f.name) for f in fields(rule)]
+            for activity in activities:
+                if activity not in self.alphabet():
+                    raise ValueError(f"rule activity {activity!r} not in alphabet")
+            if len(set(activities)) < len(activities):
+                raise ValueError("rule activities must differ")
+        else:
+            role = "static_numeric" if rule.dominant_type == "case" else "dynamic_numeric"
             numerics = getattr(synth_schema(self), role)
-            if self.rule.attribute not in numerics:
-                raise ValueError(f"rule attribute {self.rule.attribute!r} is not a {role} "
+            if rule.attribute not in numerics:
+                raise ValueError(f"rule attribute {rule.attribute!r} is not a {role} "
                                  f"attribute of the spec (it has: {', '.join(numerics) or 'none'})")
+            if not math.isfinite(rule.threshold):
+                raise ValueError(f"rule threshold must be finite, got {rule.threshold}")
 
     def alphabet(self) -> tuple[str, ...]:
         return tuple(string.ascii_uppercase[: self.alphabet_size])
-
-
-def _rule_activities(rule: Rule) -> tuple[str, ...]:
-    if isinstance(rule, ControlPresence):
-        return (rule.activity,)
-    if isinstance(rule, ControlFollows):
-        return (rule.first, rule.second)
-    return ()
-
-
-def evaluate_rule(rule: Rule, log: EventLog, trace: Trace) -> int:
-    """Ground-truth label of a trace of ``log`` under the planted rule (1 = deviant)."""
-    activities = log.activities[trace.events].tolist()
-    if isinstance(rule, ControlPresence):
-        return 1 if rule.activity in activities else 0
-    if isinstance(rule, ControlFollows):
-        return eventually_followed_label(activities, rule.first, rule.second)
-    if isinstance(rule, CaseThreshold):
-        return 1 if float(trace.statics[rule.attribute]) > rule.threshold else 0
-    if isinstance(rule, EventMeanThreshold):
-        mean = float(np.mean(log.dynamics[rule.attribute][trace.events]))
-        return 1 if mean > rule.threshold else 0
-    raise TypeError(f"unknown rule {rule!r}")
 
 
 def synth_schema(spec: SynthSpec) -> AttributeSchema:
@@ -178,5 +209,5 @@ def generate_log(spec: SynthSpec) -> EventLog:
 
     times = np.datetime64(_BASE_TIME, "us") + np.array(seconds, dtype="timedelta64[s]")
     log = EventLog(tuple(traces), schema, activities, times, dynamics)
-    labels = [evaluate_rule(spec.rule, log, t) ^ flip for t, flip in zip(traces, flipped)]
+    labels = [spec.rule.label(log, t) ^ flip for t, flip in zip(traces, flipped)]
     return replace(log, traces=tuple(replace(t, label=y) for t, y in zip(traces, labels)))

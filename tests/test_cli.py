@@ -239,7 +239,10 @@ def test_cli_bench_rejects_bad_data_values(tmp_path, capsys, key, value, rule):
     [("case_threshold(s_num9, 0.5)",
       "rule attribute 's_num9' is not a static_numeric attribute of the spec (it has: s_num1)"),
      ("event_mean_threshold(d_cat1, 0.5)",
-      "rule attribute 'd_cat1' is not a dynamic_numeric attribute of the spec (it has: d_num1)")],
+      "rule attribute 'd_cat1' is not a dynamic_numeric attribute of the spec (it has: d_num1)"),
+     ("case_threshold(s_num1, nan)", "rule threshold must be finite, got nan"),
+     ("event_mean_threshold(d_num1, inf)", "rule threshold must be finite, got inf"),
+     ("control_follows(A, A)", "rule activities must differ")],
 )
 def test_cli_bench_rejects_a_rule_attribute_the_log_lacks(tmp_path, capsys, rule, reason):
     path = tmp_path / "bench.cfg"

@@ -1,10 +1,15 @@
-"""Golden outputs: the exact ``report.csv`` bytes of two fixed configs and
+"""Golden outputs: the exact ``report.csv`` bytes of three fixed configs and
 the exact ``export_model`` text of the three tree models on a small one.
 
 A change that alters these bytes on purpose regenerates the files in a
 change of its own and says why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+``golden/csv_input/`` is an input, not an output: a 200-case log and its
+schema, written once by ``serialize_csv`` and ``format_schema_config`` from
+``SynthSpec(n_cases=200, seed=3)``, so that the CSV-path report does not
+move with the synth stream. The script does not rewrite it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from conftest import bridge_config
 from xpop.harness import (
     BenchmarkConfig,
     ModelSpec,
+    load_config,
     prepare_matrices,
     render_report,
     run_benchmark,
@@ -47,7 +53,26 @@ def criterion_10_config(tmp_path) -> BenchmarkConfig:
     )
 
 
-CONFIGS = {"criterion_10.csv": criterion_10_config, "bridge.csv": bridge_config}
+def csv_path_config(tmp_path) -> BenchmarkConfig:
+    """The CSV path: a config file that reads ``csv_input/`` and relabels it
+    by ``label_a``/``label_b``. Both models stay under the 0.75 mean AUC, so
+    the report pins the ``avg AUC below 75`` exclusion."""
+    path = tmp_path / "bench.cfg"
+    inputs = GOLDEN / "csv_input"
+    path.write_text(
+        f"[data]\nseed = 3\nmax_prefix = 4\nlog_id = csv\n"
+        f"log = {inputs / 'log.csv'}\nschema = {inputs / 'schema.cfg'}\n"
+        f"label_a = A\nlabel_b = B\n\n[model lr]\nkind = logreg\n\n[model tree]\nkind = tree\n",
+        encoding="utf-8",
+    )
+    return load_config(path)
+
+
+CONFIGS = {
+    "criterion_10.csv": criterion_10_config,
+    "bridge.csv": bridge_config,
+    "csv_path.csv": csv_path_config,
+}
 
 # 200 noisy synth cases (536 train rows x 34 columns); the llm gets one
 # constant leaf and three fitted ones.
@@ -74,6 +99,10 @@ def test_criterion_10_report_matches_golden(tmp_path):
 
 def test_bridge_report_matches_golden(tmp_path):
     assert _report_bytes("bridge.csv", tmp_path) == (GOLDEN / "bridge.csv").read_bytes()
+
+
+def test_csv_path_report_matches_golden(tmp_path):
+    assert _report_bytes("csv_path.csv", tmp_path) == (GOLDEN / "csv_path.csv").read_bytes()
 
 
 def _export_bytes() -> dict[str, bytes]:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import shlex
+import string
 import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_matrix
 from xpop import harness
@@ -24,7 +28,14 @@ from xpop.harness import (
 )
 from xpop.metrics import MetricsReport, TypedMetric
 from xpop.models import auc, export_model
-from xpop.synth import CaseThreshold, ControlFollows, ControlPresence, EventMeanThreshold, SynthSpec
+from xpop.synth import (
+    RULES,
+    CaseThreshold,
+    ControlFollows,
+    ControlPresence,
+    EventMeanThreshold,
+    SynthSpec,
+)
 
 
 def _cfg(models, synth=None, **kw):
@@ -98,6 +109,31 @@ def test_parse_rule_variants():
         "d_num1", 0.25
     )
     for bad in ("", "presence", "control_presence(A, B)", "unknown(x)"):
+        with pytest.raises(ValueError, match="cannot parse rule"):
+            parse_rule(bad)
+
+
+_NAMES = st.from_regex(r"[a-z_][a-z0-9_]*", fullmatch=True)
+# rule field -> the values a config may write for it
+_RULE_ARGS = {
+    "activity": st.sampled_from(string.ascii_uppercase),
+    "first": st.sampled_from(string.ascii_uppercase),
+    "second": st.sampled_from(string.ascii_uppercase),
+    "attribute": _NAMES,
+    "threshold": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@given(st.data())
+def test_parse_rule_reads_every_form_back(data):
+    name = data.draw(st.sampled_from(sorted(RULES)))
+    form = RULES[name]
+    args = [data.draw(_RULE_ARGS[f.name]) for f in dataclasses.fields(form)]
+    texts = [arg if isinstance(arg, str) else repr(arg) for arg in args]
+    assert parse_rule(f"{name}({', '.join(texts)})") == form(*args)
+    unknown = data.draw(_NAMES.filter(lambda n: n not in RULES))
+    for bad in (f"{name}({', '.join(texts[:-1])})", f"{name}({', '.join(texts + ['A'])})",
+                f"{unknown}({', '.join(texts)})"):
         with pytest.raises(ValueError, match="cannot parse rule"):
             parse_rule(bad)
 

@@ -18,7 +18,6 @@ from xpop.synth import (
     ControlPresence,
     EventMeanThreshold,
     SynthSpec,
-    evaluate_rule,
     generate_log,
     synth_schema,
 )
@@ -43,37 +42,37 @@ def _trace(activities, statics=None, dynamics_list=None):
 
 def test_control_presence_rule():
     rule = ControlPresence("A")
-    assert evaluate_rule(rule, *_trace(["B", "A", "C"])) == 1
-    assert evaluate_rule(rule, *_trace(["B", "C"])) == 0
+    assert rule.label(*_trace(["B", "A", "C"])) == 1
+    assert rule.label(*_trace(["B", "C"])) == 0
 
 
 def test_control_follows_rule():
     rule = ControlFollows("A", "B")
-    assert evaluate_rule(rule, *_trace(["A", "C", "B"])) == 0
-    assert evaluate_rule(rule, *_trace(["A", "C"])) == 1
-    assert evaluate_rule(rule, *_trace(["B", "A"])) == 1
-    assert evaluate_rule(rule, *_trace(["C", "C"])) == 0
+    assert rule.label(*_trace(["A", "C", "B"])) == 0
+    assert rule.label(*_trace(["A", "C"])) == 1
+    assert rule.label(*_trace(["B", "A"])) == 1
+    assert rule.label(*_trace(["C", "C"])) == 0
 
 
 def test_case_threshold_rule():
     rule = CaseThreshold("s_num1", 0.5)
-    assert evaluate_rule(rule, *_trace(["A"], statics={"s_num1": 0.7})) == 1
-    assert evaluate_rule(rule, *_trace(["A"], statics={"s_num1": 0.5})) == 0
+    assert rule.label(*_trace(["A"], statics={"s_num1": 0.7})) == 1
+    assert rule.label(*_trace(["A"], statics={"s_num1": 0.5})) == 0
 
 
 def test_event_mean_threshold_rule():
     rule = EventMeanThreshold("d_num1", 0.5)
     dyn = [{"d_num1": 0.2}, {"d_num1": 0.9}, {"d_num1": 0.7}]
-    assert evaluate_rule(rule, *_trace(["A", "B", "C"], dynamics_list=dyn)) == 1
+    assert rule.label(*_trace(["A", "B", "C"], dynamics_list=dyn)) == 1
     dyn = [{"d_num1": 0.2}, {"d_num1": 0.3}]
-    assert evaluate_rule(rule, *_trace(["A", "B"], dynamics_list=dyn)) == 0
+    assert rule.label(*_trace(["A", "B"], dynamics_list=dyn)) == 0
 
 
 def test_rule_dominant_types():
-    assert ControlPresence("A").dominant_type() == "control"
-    assert ControlFollows("A", "B").dominant_type() == "control"
-    assert CaseThreshold("s_num1", 0.5).dominant_type() == "case"
-    assert EventMeanThreshold("d_num1", 0.5).dominant_type() == "event"
+    assert ControlPresence("A").dominant_type == "control"
+    assert ControlFollows("A", "B").dominant_type == "control"
+    assert CaseThreshold("s_num1", 0.5).dominant_type == "case"
+    assert EventMeanThreshold("d_num1", 0.5).dominant_type == "event"
 
 
 # --- spec validation ---------------------------------------------------------------
@@ -95,6 +94,13 @@ def test_spec_validation():
                  "n_dynamic_categorical", "n_dynamic_numeric"):
         with pytest.raises(ValueError, match=f"^{name} must be a whole number >= 0, got -2$"):
             SynthSpec(**{name: -2})
+    # a size must be a whole number, numpy's included
+    for name, must in [("n_cases", ">= 0"), ("alphabet_size", "in 1..26"),
+                       ("min_trace_length", ">= 1"), ("max_trace_length", ">= 1"),
+                       ("n_static_categorical", ">= 0"), ("n_dynamic_numeric", ">= 0")]:
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number {must}, got 3\.5$"):
+            SynthSpec(**{name: 3.5})
+    assert SynthSpec(n_cases=np.int64(3), alphabet_size=np.int32(2)).alphabet() == ("A", "B")
     assert len(generate_log(SynthSpec(n_cases=0))) == 0
     # a threshold rule needs a numeric attribute of its kind that the spec generates
     for rule, counts, message in [
@@ -112,6 +118,16 @@ def test_spec_validation():
         with pytest.raises(ValueError) as excinfo:
             SynthSpec(rule=rule, **counts)
         assert str(excinfo.value) == f"rule attribute {message}"
+    # a degenerate rule: a threshold that labels every case alike, a follows rule on one activity
+    for rule, message in [
+        (CaseThreshold("s_num1", float("nan")), "rule threshold must be finite, got nan"),
+        (EventMeanThreshold("d_num1", float("inf")), "rule threshold must be finite, got inf"),
+        (CaseThreshold("s_num1", float("-inf")), "rule threshold must be finite, got -inf"),
+        (ControlFollows("A", "A"), "rule activities must differ"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            SynthSpec(rule=rule)
+        assert str(excinfo.value) == message
 
 
 # --- generation ----------------------------------------------------------------------
@@ -166,14 +182,14 @@ def test_labels_match_rule_without_noise():
     spec = SynthSpec(n_cases=50, rule=ControlPresence("A"), label_noise=0.0, seed=4)
     log = generate_log(spec)
     for trace in log.traces:
-        assert trace.label == evaluate_rule(spec.rule, log, trace)
+        assert trace.label == spec.rule.label(log, trace)
 
 
 def test_label_noise_flips_roughly_the_stated_fraction():
     spec = SynthSpec(n_cases=2000, label_noise=0.2, seed=8)
     log = generate_log(spec)
     flips = sum(
-        t.label != evaluate_rule(spec.rule, log, t) for t in log.traces
+        t.label != spec.rule.label(log, t) for t in log.traces
     )
     # binomial(2000, 0.2): 5 sigma ~ 89
     assert abs(flips - 400) < 90
@@ -239,7 +255,7 @@ def _reference_generate_log(spec: SynthSpec) -> EventLog:
         flipped.append(spec.label_noise > 0.0 and rng.uniform(0.0, 1.0) < spec.label_noise)
 
     log = EventLog(tuple(traces), schema, activities, times, dynamics)
-    labels = [evaluate_rule(spec.rule, log, t) ^ flip for t, flip in zip(traces, flipped)]
+    labels = [spec.rule.label(log, t) ^ flip for t, flip in zip(traces, flipped)]
     return dataclasses.replace(
         log, traces=tuple(dataclasses.replace(t, label=y) for t, y in zip(traces, labels)))
 
@@ -254,7 +270,10 @@ def synth_specs(draw) -> SynthSpec:
               ("static_categorical", "static_numeric", "dynamic_categorical", "dynamic_numeric")}
     letters = st.sampled_from(SynthSpec(alphabet_size=alphabet_size).alphabet())
     threshold = st.floats(0.0, 1.0)
-    rules = [st.builds(ControlPresence, letters), st.builds(ControlFollows, letters, letters)]
+    rules = [st.builds(ControlPresence, letters)]
+    if alphabet_size > 1:  # a follows rule names two different activities
+        pairs = st.lists(letters, min_size=2, max_size=2, unique=True)
+        rules.append(pairs.map(lambda pair: ControlFollows(*pair)))
     if counts["n_static_numeric"]:
         names = [f"s_num{i + 1}" for i in range(counts["n_static_numeric"])]
         rules.append(st.builds(CaseThreshold, st.sampled_from(names), threshold))
