@@ -156,14 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xpop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(p):
+    # the subcommands that read a benchmark config: (name, function, help)
+    for name, func, help_text in (
+        ("synth", cmd_synth, "generate a synthetic log + schema pair"),
+        ("train", cmd_train, "train configured models; dump parameters"),
+        ("evaluate", cmd_evaluate, "train and report test AUC per model"),
+        ("metrics", cmd_bench, "full metric run, rendered as a table"),
+        ("bench", cmd_bench, "full benchmark; writes report.csv"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="benchmark config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output directory")
-
-    p = sub.add_parser("synth", help="generate a synthetic log + schema pair")
-    with_config(p)
-    p.set_defaults(func=cmd_synth)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("encode", help="encode a log into the matrix CSV")
     p.add_argument("--log", required=True)
@@ -171,22 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-prefix", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("train", help="train configured models; dump parameters")
-    with_config(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="train and report test AUC per model")
-    with_config(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("metrics", help="full metric run, rendered as a table")
-    with_config(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("bench", help="full benchmark; writes report.csv")
-    with_config(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="render a report.csv as a table")
     p.add_argument("--input", required=True)

@@ -27,27 +27,9 @@ DEFAULT_TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 # 0000, which strptime rejects, so that year is left to strptime.
 _DEFAULT_SHAPE = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 
-ROLE_CASE_ID = "case_id"
-ROLE_ACTIVITY = "activity"
-ROLE_TIMESTAMP = "timestamp"
-ROLE_LABEL = "label"
-ROLE_STATIC_CAT = "static_categorical"
-ROLE_STATIC_NUM = "static_numeric"
-ROLE_DYNAMIC_CAT = "dynamic_categorical"
-ROLE_DYNAMIC_NUM = "dynamic_numeric"
-
-_ROLES = {
-    ROLE_CASE_ID,
-    ROLE_ACTIVITY,
-    ROLE_TIMESTAMP,
-    ROLE_LABEL,
-    ROLE_STATIC_CAT,
-    ROLE_STATIC_NUM,
-    ROLE_DYNAMIC_CAT,
-    ROLE_DYNAMIC_NUM,
-}
-
-_UNIQUE_ROLES = (ROLE_CASE_ID, ROLE_ACTIVITY, ROLE_TIMESTAMP)
+# the column roles; a schema has exactly one column of each of the first three
+_ROLES = ("case_id", "activity", "timestamp", "label", "static_categorical",
+          "static_numeric", "dynamic_categorical", "dynamic_numeric")
 
 
 class SchemaError(ValueError):
@@ -70,11 +52,11 @@ class AttributeSchema:
         for col, role in self.column_roles.items():
             if role not in _ROLES:
                 raise SchemaError(f"unknown role {role!r} for column {col!r}")
-        for role in _UNIQUE_ROLES:
+        for role in _ROLES[:3]:
             n = len(self._by_role[role])
             if n != 1:
                 raise SchemaError(f"schema needs exactly one {role} column, found {n}")
-        n_label = len(self._by_role[ROLE_LABEL])
+        n_label = len(self._by_role["label"])
         if n_label > 1:
             raise SchemaError(f"schema allows at most one label column, found {n_label}")
 
@@ -85,35 +67,35 @@ class AttributeSchema:
 
     @property
     def case_id_column(self) -> str:
-        return self._by_role[ROLE_CASE_ID][0]
+        return self._by_role["case_id"][0]
 
     @property
     def activity_column(self) -> str:
-        return self._by_role[ROLE_ACTIVITY][0]
+        return self._by_role["activity"][0]
 
     @property
     def timestamp_column(self) -> str:
-        return self._by_role[ROLE_TIMESTAMP][0]
+        return self._by_role["timestamp"][0]
 
     @property
     def label_column(self) -> str | None:
-        return next(iter(self._by_role[ROLE_LABEL]), None)
+        return next(iter(self._by_role["label"]), None)
 
     @property
     def static_categorical(self) -> tuple[str, ...]:
-        return self._by_role[ROLE_STATIC_CAT]
+        return self._by_role["static_categorical"]
 
     @property
     def static_numeric(self) -> tuple[str, ...]:
-        return self._by_role[ROLE_STATIC_NUM]
+        return self._by_role["static_numeric"]
 
     @property
     def dynamic_categorical(self) -> tuple[str, ...]:
-        return self._by_role[ROLE_DYNAMIC_CAT]
+        return self._by_role["dynamic_categorical"]
 
     @property
     def dynamic_numeric(self) -> tuple[str, ...]:
-        return self._by_role[ROLE_DYNAMIC_NUM]
+        return self._by_role["dynamic_numeric"]
 
 
 @dataclass(frozen=True)
@@ -339,15 +321,10 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
             if ts < earliest:
                 first[case_id] = (number, ts, statics, label)
             case_of_row.append(number)
+        times = np.array(stamps, dtype="datetime64[us]")
     except (ValueError, csv.Error):
         if bulk:  # an earlier row's timestamp, not yet checked, fails first
             _check_stamps(stamps, fmt)
-        raise
-
-    try:
-        times = np.array(stamps, dtype="datetime64[us]")
-    except ValueError:
-        _check_stamps(stamps, fmt)
         raise
     # by case, then by time; lexsort is stable, so ties keep input order
     order = np.lexsort((times.view(np.int64), np.array(case_of_row, dtype=np.intp)))

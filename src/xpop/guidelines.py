@@ -2,27 +2,17 @@
 
 The questionnaire walks user priorities (explainability, parsimony,
 faithfulness, disagreement, data heterogeneity) to one of seven model
-labels. Only four labels correspond to built-in learners; the others are
-advisory and can be attached through the external-model bridge.
+labels. Three labels name a built-in learner (their ``builtin_kind`` in
+``LABELS``); the others are advisory and can be attached through the
+external-model bridge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, make_dataclass
+from typing import Callable, Mapping, NamedTuple
 
-MODEL_LABELS = ("GLRM", "CNN", "LSTM", "XGB", "RF", "LLM", "LR")
-
-QUESTION_ORDER = (
-    "explainability_over_performance",
-    "parsimony_very_important",
-    "irc_unimportant",
-    "faithfulness_important",
-    "parsimony_unimportant",
-    "lod_low_required",
-    "data_heterogeneous",
-)
-
+# question -> its text, in the order the guide asks: the one list of the questions
 QUESTION_TEXT = {
     "explainability_over_performance": (
         "Is explainability a lot more important than predictive performance?"
@@ -34,52 +24,52 @@ QUESTION_TEXT = {
     "lod_low_required": "Is a low LOD value required?",
     "data_heterogeneous": "Is the data heterogeneous?",
 }
+QUESTION_ORDER = tuple(QUESTION_TEXT)
 
 DISCLAIMER = (
     "These recommendations are indicative model-selection guidance, "
     "not strict rules; validate against your own event log."
 )
 
-_IMPLEMENTED = {"LR": "logreg", "LLM": "llm", "RF": "forest"}
+PROFILE_METRICS = ("parsimony", "fc", "irc", "lod", "auc")
 
-# tendency flags per label: parsimony / fc / irc / lod / auc
-_PROFILES: Mapping[str, Mapping[str, str]] = {
-    "GLRM": {"parsimony": "tends-good", "fc": "tends-good", "irc": "tends-good",
-             "lod": "tends-good", "auc": "tends-poor"},
-    "CNN": {"parsimony": "tends-good", "fc": "tends-poor", "irc": "tends-poor",
-            "lod": "neutral", "auc": "tends-poor"},
-    "LSTM": {"parsimony": "tends-good", "fc": "tends-poor", "irc": "neutral",
-             "lod": "neutral", "auc": "tends-poor"},
-    "XGB": {"parsimony": "neutral", "fc": "tends-good", "irc": "tends-good",
-            "lod": "tends-good", "auc": "tends-good"},
-    "RF": {"parsimony": "tends-poor", "fc": "neutral", "irc": "tends-poor",
-           "lod": "tends-poor", "auc": "tends-good"},
-    "LLM": {"parsimony": "neutral", "fc": "tends-good", "irc": "neutral",
-            "lod": "tends-poor", "auc": "tends-good"},
-    "LR": {"parsimony": "tends-good", "fc": "tends-good", "irc": "tends-poor",
-           "lod": "tends-poor", "auc": "tends-good"},
-}
 
-_RATIONALE = {
-    "GLRM": "Explainability outweighs predictive performance: a generalized "
-            "linear rule model tends to be parsimonious and faithful at a "
-            "modest accuracy cost.",
-    "CNN": "Parsimony matters most and ranking faithfulness (IRC) does not: "
-           "a convolutional network avoids the wide aggregation encoding, "
-           "and is preferred over an LSTM when IRC is unimportant.",
-    "LSTM": "Parsimony matters most: a sequential deep model works on the "
-            "raw event sequence and keeps the attribute space small.",
-    "XGB": "Faithfulness is a priority: gradient boosting pairs strong "
-           "accuracy with comparatively faithful post-hoc weights. Note: a "
-           "generalized linear rule model is even more faithful on average "
-           "but less accurate.",
-    "RF": "Parsimony is unimportant: a random forest uses essentially all "
-          "attributes while keeping accuracy high.",
-    "LLM": "Heterogeneous data: the logit leaf model segments the cases "
-           "with a tree and fits a dedicated logistic model per segment.",
-    "LR": "No special requirement fired: plain logistic regression is "
-          "accurate and simple on homogeneous data.",
+class Label(NamedTuple):
+    builtin_kind: str | None  # a harness model kind, or None: attach it through the bridge
+    profile: tuple[str, ...]  # the tendency flag per metric of PROFILE_METRICS
+    rationale: str
+
+
+_GOOD, _POOR, _NEUTRAL = "tends-good", "tends-poor", "neutral"
+# label -> its entry, in the guide's order: the one list of the labels
+LABELS = {
+    "GLRM": Label(None, (_GOOD, _GOOD, _GOOD, _GOOD, _POOR),
+                  "Explainability outweighs predictive performance: a generalized "
+                  "linear rule model tends to be parsimonious and faithful at a "
+                  "modest accuracy cost."),
+    "CNN": Label(None, (_GOOD, _POOR, _POOR, _NEUTRAL, _POOR),
+                 "Parsimony matters most and ranking faithfulness (IRC) does not: "
+                 "a convolutional network avoids the wide aggregation encoding, "
+                 "and is preferred over an LSTM when IRC is unimportant."),
+    "LSTM": Label(None, (_GOOD, _POOR, _NEUTRAL, _NEUTRAL, _POOR),
+                  "Parsimony matters most: a sequential deep model works on the "
+                  "raw event sequence and keeps the attribute space small."),
+    "XGB": Label(None, (_NEUTRAL, _GOOD, _GOOD, _GOOD, _GOOD),
+                 "Faithfulness is a priority: gradient boosting pairs strong "
+                 "accuracy with comparatively faithful post-hoc weights. Note: a "
+                 "generalized linear rule model is even more faithful on average "
+                 "but less accurate."),
+    "RF": Label("forest", (_POOR, _NEUTRAL, _POOR, _POOR, _GOOD),
+                "Parsimony is unimportant: a random forest uses essentially all "
+                "attributes while keeping accuracy high."),
+    "LLM": Label("llm", (_NEUTRAL, _GOOD, _NEUTRAL, _POOR, _GOOD),
+                 "Heterogeneous data: the logit leaf model segments the cases "
+                 "with a tree and fits a dedicated logistic model per segment."),
+    "LR": Label("logreg", (_GOOD, _GOOD, _POOR, _POOR, _GOOD),
+                "No special requirement fired: plain logistic regression is "
+                "accurate and simple on homogeneous data."),
 }
+MODEL_LABELS = tuple(LABELS)
 
 # XGB is reachable from two branches; this variant drops the GLRM note.
 _RATIONALE_XGB_LOD = (
@@ -88,16 +78,10 @@ _RATIONALE_XGB_LOD = (
     "importance."
 )
 
-
-@dataclass(frozen=True)
-class Questionnaire:
-    explainability_over_performance: bool = False
-    parsimony_very_important: bool = False
-    irc_unimportant: bool = False
-    faithfulness_important: bool = False
-    parsimony_unimportant: bool = False
-    lod_low_required: bool = False
-    data_heterogeneous: bool = False
+Questionnaire = make_dataclass(
+    "Questionnaire", [(q, bool, False) for q in QUESTION_TEXT], frozen=True,
+    namespace={"__module__": __name__},
+)
 
 
 @dataclass(frozen=True)
@@ -108,32 +92,33 @@ class Recommendation:
 
     @property
     def builtin_kind(self) -> str | None:
-        return _IMPLEMENTED.get(self.model)
+        return LABELS[self.model].builtin_kind
 
 
 def _walk(answer: Callable[[str], bool]) -> tuple[str, str]:
     """Shared decision path; `answer` is called only on reached questions."""
     if answer("explainability_over_performance"):
-        return "GLRM", _RATIONALE["GLRM"]
-    if answer("parsimony_very_important"):
-        if answer("irc_unimportant"):
-            return "CNN", _RATIONALE["CNN"]
-        return "LSTM", _RATIONALE["LSTM"]
-    if answer("faithfulness_important"):
-        return "XGB", _RATIONALE["XGB"]
-    if answer("parsimony_unimportant"):
-        return "RF", _RATIONALE["RF"]
-    if answer("lod_low_required"):
+        label = "GLRM"
+    elif answer("parsimony_very_important"):
+        label = "CNN" if answer("irc_unimportant") else "LSTM"
+    elif answer("faithfulness_important"):
+        label = "XGB"
+    elif answer("parsimony_unimportant"):
+        label = "RF"
+    elif answer("lod_low_required"):
         return "XGB", _RATIONALE_XGB_LOD
-    if answer("data_heterogeneous"):
-        return "LLM", _RATIONALE["LLM"]
-    return "LR", _RATIONALE["LR"]
+    elif answer("data_heterogeneous"):
+        label = "LLM"
+    else:
+        label = "LR"
+    return label, LABELS[label].rationale
 
 
 def _build(label: str, rationale: str) -> Recommendation:
-    if label not in _IMPLEMENTED:
+    entry = LABELS[label]
+    if entry.builtin_kind is None:
         rationale += " (Not built in: attach it through the external-model bridge.)"
-    return Recommendation(label, rationale, dict(_PROFILES[label]))
+    return Recommendation(label, rationale, dict(zip(PROFILE_METRICS, entry.profile)))
 
 
 def recommend(q: Questionnaire) -> Recommendation:

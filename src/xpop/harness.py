@@ -14,6 +14,7 @@ import configparser
 import csv
 import io
 import math
+import numbers
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -52,11 +53,6 @@ from xpop.synth import SynthSpec, generate_log, parse_rule
 
 AUC_FLOOR = 0.50
 XAI_FLOOR = 0.75
-
-REPORT_HEADER = (
-    "log,model,auc,C_control,C_case,C_event,"
-    "FC_control,FC_case,FC_event,IRC,LOD@10,excluded_reason"
-)
 
 
 def _external_weights(spec: ModelSpec, model: TrainedModel):
@@ -105,13 +101,14 @@ _HYPER_RULES = {
 }
 
 
-_COUNT = ("a whole number >= 0", int, lambda v: v >= 0)
-_POSITIVE = ("a whole number >= 1", int, lambda v: v >= 1)
+_COUNT = ("a whole number >= 0", int, lambda v: isinstance(v, numbers.Integral) and v >= 0)
+_POSITIVE = ("a whole number >= 1", int, lambda v: isinstance(v, numbers.Integral) and v >= 1)
 # [data] key -> (rule, parse, check, the SynthSpec field a synth_* key sets),
-# checked when a config is read. A synth_* key left out keeps the field's
-# default (synth_seed: the [data] seed).
+# checked when a config is read; a key without a SynthSpec field is a
+# BenchmarkConfig field, checked again when the config is built. A synth_* key
+# left out keeps the field's default (synth_seed: the [data] seed).
 _DATA_RULES = {
-    "seed": ("an integer", int, lambda v: True, None),
+    "seed": ("an integer", int, lambda v: isinstance(v, numbers.Integral), None),
     "max_prefix": (*_POSITIVE, None),
     "train_ratio": ("in (0, 1)", float, lambda v: 0 < v < 1, None),
     "pi_repeats": (*_POSITIVE, None),
@@ -171,6 +168,9 @@ class BenchmarkConfig:
     log_id: str = "log"
 
     def __post_init__(self) -> None:
+        for key, (rule, _, check, synth_field) in _DATA_RULES.items():
+            if synth_field is None and not check(getattr(self, key)):
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)}")
         if not self.models:
             raise ValueError("at least one model is required")
         if self.synth is None and (self.log_path is None or self.schema_path is None):
@@ -403,23 +403,22 @@ def _fmt(value, spec: str = ".6f") -> str:
     return format(value, spec)
 
 
-def _report_row(r: MetricsReport) -> list[str]:
-    pars = r.parsimony
-    fc = r.fc
-    return [
-        r.log_id,
-        r.model_id,
-        _fmt(r.auc),
-        _fmt(int(pars.control), "d") if pars else "",
-        _fmt(int(pars.case), "d") if pars else "",
-        _fmt(int(pars.event), "d") if pars else "",
-        _fmt(fc.control) if fc else "",
-        _fmt(fc.case) if fc else "",
-        _fmt(fc.event) if fc else "",
-        _fmt(r.irc),
-        _fmt(r.lod_at_10),
-        r.excluded_reason,
-    ]
+# report column -> its cell of a MetricsReport, in the report's order
+_COLUMNS = {
+    "log": lambda r: r.log_id,
+    "model": lambda r: r.model_id,
+    "auc": lambda r: _fmt(r.auc),
+    "C_control": lambda r: _fmt(r.parsimony and int(r.parsimony.control), "d"),
+    "C_case": lambda r: _fmt(r.parsimony and int(r.parsimony.case), "d"),
+    "C_event": lambda r: _fmt(r.parsimony and int(r.parsimony.event), "d"),
+    "FC_control": lambda r: _fmt(r.fc and r.fc.control),
+    "FC_case": lambda r: _fmt(r.fc and r.fc.case),
+    "FC_event": lambda r: _fmt(r.fc and r.fc.event),
+    "IRC": lambda r: _fmt(r.irc),
+    "LOD@10": lambda r: _fmt(r.lod_at_10),
+    "excluded_reason": lambda r: r.excluded_reason,
+}
+REPORT_HEADER = ",".join(_COLUMNS)
 
 
 def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -439,8 +438,8 @@ def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def render_report(reports: Sequence[MetricsReport], fmt: str = "table") -> str:
     """Render reports as RFC 4180 CSV (LF line ends) or an aligned text table."""
-    header = REPORT_HEADER.split(",")
-    rows = [_report_row(r) for r in reports]
+    header = list(_COLUMNS)
+    rows = [[cell(r) for cell in _COLUMNS.values()] for r in reports]
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

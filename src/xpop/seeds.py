@@ -6,6 +6,8 @@ metric never perturbs the randomness consumed by another cell.
 
 from __future__ import annotations
 
+import operator
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -19,8 +21,9 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(seed: int, *parts: int) -> int:
-    """Fold integer path components into a fresh 64-bit seed."""
-    s = seed & _MASK
+    """Fold integer path components into a fresh 64-bit seed; ``seed`` may be
+    any integer type, numpy's included."""
+    s = operator.index(seed) & _MASK
     for p in parts:
         s = splitmix64(s ^ ((p * _GOLDEN) & _MASK))
     return s

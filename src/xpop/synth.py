@@ -98,8 +98,9 @@ def parse_rule(text: str) -> Rule:
 
 _COUNT = ("a whole number >= 0", lambda v: v >= 0)
 _LENGTH = ("a whole number >= 1", lambda v: True)  # below 1 is an invalid length range
-# size field of a SynthSpec -> (rule, check), checked when the spec is built
+# integer field of a SynthSpec -> (rule, check), checked when the spec is built
 _SIZES = {
+    "seed": ("an integer", lambda v: True),
     "n_cases": _COUNT,
     "alphabet_size": ("a whole number in 1..26", lambda v: 1 <= v <= len(string.ascii_uppercase)),
     "min_trace_length": _LENGTH,

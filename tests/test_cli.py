@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import shlex
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from conftest import bridge_config
-from xpop.cli import main
+from xpop import cli
+from xpop.cli import build_parser, main
 from xpop.harness import load_config, prepare_matrices, train_model
 from xpop.models import auc
 from xpop.seeds import derive_seed, splitmix64
@@ -39,6 +41,25 @@ def config_path(tmp_path):
     path = tmp_path / "bench.cfg"
     path.write_text(CONFIG, encoding="utf-8")
     return str(path)
+
+
+CONFIG_COMMANDS = ("synth", "train", "evaluate", "metrics", "bench")
+
+
+def test_parser_knows_every_subcommand():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {*CONFIG_COMMANDS, "encode", "report", "guide"}
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_config_subcommands_take_config_seed_and_out(command):
+    args = build_parser().parse_args([command, "--config", "b.cfg", "--seed", "3", "--out", "o"])
+    assert (args.command, args.config, args.seed, args.out) == (command, "b.cfg", 3, "o")
+    run = "bench" if command == "metrics" else command
+    assert args.func is getattr(cli, f"cmd_{run}")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command])  # --config is required
 
 
 def test_seed_derivation_properties():

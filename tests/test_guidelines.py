@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
 from xpop.guidelines import (
     DISCLAIMER,
+    LABELS,
     MODEL_LABELS,
+    PROFILE_METRICS,
     QUESTION_ORDER,
     QUESTION_TEXT,
     Questionnaire,
@@ -71,6 +74,30 @@ def test_implemented_flags_and_builtin_kinds():
     glrm = recommend(_q(explainability_over_performance=True))
     assert glrm.builtin_kind is None
     assert "bridge" in glrm.rationale
+
+
+def test_questionnaire_fields_are_the_questions_in_order():
+    assert tuple(f.name for f in dataclasses.fields(Questionnaire)) == QUESTION_ORDER
+    assert all(f.type is bool and f.default is False for f in dataclasses.fields(Questionnaire))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        _q().data_heterogeneous = True
+
+
+def test_every_builtin_kind_is_a_harness_model_kind():
+    from xpop.harness import MODELS
+
+    kinds = {label: entry.builtin_kind for label, entry in LABELS.items()}
+    assert {k for k in kinds.values() if k is not None} <= set(MODELS)
+    assert kinds == {"GLRM": None, "CNN": None, "LSTM": None, "XGB": None,
+                     "RF": "forest", "LLM": "llm", "LR": "logreg"}
+
+
+def test_every_profile_names_the_metrics_in_order():
+    assert PROFILE_METRICS == ("parsimony", "fc", "irc", "lod", "auc")
+    for bits in itertools.product([False, True], repeat=len(QUESTION_ORDER)):
+        rec = recommend(_q(**dict(zip(QUESTION_ORDER, bits))))
+        assert tuple(rec.metric_profile) == PROFILE_METRICS
+        assert set(rec.metric_profile.values()) <= {"tends-good", "tends-poor", "neutral"}
 
 
 def test_two_xgb_branches_have_distinct_rationales():

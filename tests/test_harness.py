@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import re
 import shlex
 import string
 import sys
@@ -206,6 +209,29 @@ def test_model_spec_validation():
         BenchmarkConfig(seed=0, max_prefix=3, models=(ModelSpec("m", "logreg"),))
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("pi_repeats", 0, "pi_repeats must be a whole number >= 1, got 0"),
+    ("max_prefix", 2.5, "max_prefix must be a whole number >= 1, got 2.5"),
+    ("max_prefix", 0, "max_prefix must be a whole number >= 1, got 0"),
+    ("seed", 2.5, "seed must be an integer, got 2.5"),
+    ("train_ratio", 1.5, "train_ratio must be in (0, 1), got 1.5"),
+    ("train_ratio", 0.0, "train_ratio must be in (0, 1), got 0.0"),
+])
+def test_benchmark_config_checks_its_fields(key, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _cfg([ModelSpec("lr", "logreg")], **{key: value})
+
+
+def test_benchmark_config_takes_numpy_ints_and_a_seed_override():
+    cfg = _cfg([ModelSpec("lr", "logreg")], seed=np.int64(7), max_prefix=np.int32(3),
+               pi_repeats=np.int64(2))
+    assert dataclasses.replace(cfg, seed=11).seed == 11  # the cli --seed override
+    assert run_benchmark(cfg) == run_benchmark(_cfg([ModelSpec("lr", "logreg")], seed=7,
+                                                    max_prefix=3, pi_repeats=2))
+    with pytest.raises(ValueError, match="^seed must be an integer, got 2.5$"):
+        dataclasses.replace(cfg, seed=2.5)
+
+
 # --- benchmark runs --------------------------------------------------------------------
 
 
@@ -328,6 +354,14 @@ def test_render_csv_header_and_values():
     bad = lines[2].split(",")
     assert bad[2] == ""  # no AUC
     assert bad[11] == "error: boom"
+
+
+def test_every_report_row_has_a_cell_per_column():
+    reports = _sample_reports() + run_benchmark(_cfg([ModelSpec("lr", "logreg")]))
+    rows = list(csv.reader(io.StringIO(render_report(reports, "csv"))))
+    assert rows[0] == REPORT_HEADER.split(",")
+    assert len(rows) == len(reports) + 1
+    assert all(len(row) == len(rows[0]) == 12 for row in rows)
 
 
 def test_render_table_is_aligned():

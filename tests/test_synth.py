@@ -133,6 +133,13 @@ def test_spec_validation():
 # --- generation ----------------------------------------------------------------------
 
 
+def test_spec_seed_must_be_an_integer():
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.5$"):
+        SynthSpec(seed=2.5)
+    spec = SynthSpec(n_cases=3, seed=np.int64(4))
+    assert generate_log(spec) == generate_log(SynthSpec(n_cases=3, seed=4))
+
+
 def test_generated_log_matches_spec_dimensions():
     spec = SynthSpec(n_cases=30, alphabet_size=4, min_trace_length=2,
                      max_trace_length=5, seed=1)
