@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import chain, repeat
 from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
@@ -339,33 +340,45 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
 
 
 def serialize_csv(log: EventLog) -> str:
-    """Write the log back to CSV in schema column order (round-trippable)."""
+    """Write the log back to CSV in schema column order (round-trippable).
+    Each column's text is built once, then all rows are written."""
     schema = log.schema
     negative = "regular" if schema.positive_label != "regular" else "non_deviant"
     numeric = set(schema.static_numeric + schema.dynamic_numeric)
+    traces = log.traces
+    if schema.label_column is not None:
+        unlabelled = next((t for t in traces if t.label is None), None)
+        if unlabelled is not None:
+            raise ParseError(f"case {unlabelled.case_id!r} has no label to serialize")
+    lengths = [len(t) for t in traces]
+    events = np.fromiter(chain.from_iterable(t.events for t in traces), dtype=np.intp,
+                         count=sum(lengths))
+
+    def per_case(cells):  # a case's cell, once for each of its events
+        return list(chain.from_iterable(map(repeat, cells, lengths)))
+
+    fmt = schema.timestamp_format
+    times = log.timestamps[events].tolist()  # naive datetimes in UTC
+    if "%z" in fmt.lower():  # an offset directive writes +0000 (%z) or UTC (%Z)
+        times = [t.replace(tzinfo=timezone.utc) for t in times]
+    columns = {
+        schema.case_id_column: per_case(t.case_id for t in traces),
+        schema.activity_column: log.activities[events].tolist(),
+        schema.timestamp_column: [t.strftime(fmt) for t in times],
+    }
+    if schema.label_column is not None:
+        columns[schema.label_column] = per_case(
+            schema.positive_label if t.label == 1 else negative for t in traces)
+    for c in schema.static_categorical + schema.static_numeric:
+        columns[c] = per_case(repr(float(t.statics[c])) if c in numeric else str(t.statics[c])
+                              for t in traces)
+    for c, values in log.dynamics.items():
+        columns[c] = list(map(repr if c in numeric else str, values[events].tolist()))
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(schema.column_roles)
-    fmt = schema.timestamp_format
-    times = log.timestamps.tolist()  # naive datetimes in UTC
-    if "%z" in fmt.lower():  # an offset directive writes +0000 (%z) or UTC (%Z)
-        times = [t.replace(tzinfo=timezone.utc) for t in times]
-    activities = log.activities.tolist()
-    text = {c: list(map(repr if c in numeric else str, values.tolist()))
-            for c, values in log.dynamics.items()}
-    for trace in log.traces:
-        case = {c: repr(float(v)) if c in numeric else str(v) for c, v in trace.statics.items()}
-        case[schema.case_id_column] = trace.case_id
-        if schema.label_column is not None:
-            if trace.label is None:
-                raise ParseError(f"case {trace.case_id!r} has no label to serialize")
-            case[schema.label_column] = schema.positive_label if trace.label == 1 else negative
-        for i in trace.events:
-            row = case | {c: column[i] for c, column in text.items()}
-            row[schema.activity_column] = activities[i]
-            row[schema.timestamp_column] = times[i].strftime(fmt)
-            writer.writerow(row[c] for c in schema.column_roles)
+    writer.writerows(zip(*(columns[c] for c in schema.column_roles)))
     return out.getvalue()
 
 

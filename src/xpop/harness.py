@@ -101,14 +101,19 @@ _HYPER_RULES = {
 }
 
 
-_COUNT = ("a whole number >= 0", int, lambda v: isinstance(v, numbers.Integral) and v >= 0)
-_POSITIVE = ("a whole number >= 1", int, lambda v: isinstance(v, numbers.Integral) and v >= 1)
+def _integer(value) -> bool:
+    """An integer of any type, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_COUNT = ("a whole number >= 0", int, lambda v: _integer(v) and v >= 0)
+_POSITIVE = ("a whole number >= 1", int, lambda v: _integer(v) and v >= 1)
 # [data] key -> (rule, parse, check, the SynthSpec field a synth_* key sets),
 # checked when a config is read; a key without a SynthSpec field is a
 # BenchmarkConfig field, checked again when the config is built. A synth_* key
 # left out keeps the field's default (synth_seed: the [data] seed).
 _DATA_RULES = {
-    "seed": ("an integer", int, lambda v: isinstance(v, numbers.Integral), None),
+    "seed": ("an integer", int, _integer, None),
     "max_prefix": (*_POSITIVE, None),
     "train_ratio": ("in (0, 1)", float, lambda v: 0 < v < 1, None),
     "pi_repeats": (*_POSITIVE, None),

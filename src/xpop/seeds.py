@@ -22,7 +22,8 @@ def splitmix64(x: int) -> int:
 
 def derive_seed(seed: int, *parts: int) -> int:
     """Fold integer path components into a fresh 64-bit seed; ``seed`` may be
-    any integer type, numpy's included."""
+    any integer type, numpy's included. Parts given as uint64 arrays fold
+    elementwise into an array of seeds."""
     s = operator.index(seed) & _MASK
     for p in parts:
         s = splitmix64(s ^ ((p * _GOLDEN) & _MASK))

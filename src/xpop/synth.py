@@ -131,7 +131,8 @@ class SynthSpec:
             raise ValueError("label_noise must be in [0, 0.5)")
         for name, (must, check) in _SIZES.items():
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and check(value)):
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and check(value)):
                 raise ValueError(f"{name} must be {must}, got {value}")
         if self.min_trace_length < 1 or self.max_trace_length < self.min_trace_length:
             raise ValueError("invalid trace length range")
@@ -174,6 +175,123 @@ def synth_schema(spec: SynthSpec) -> AttributeSchema:
     return AttributeSchema(roles)
 
 
+# Raw words decoded per block of cases: bounds the decoder's memory
+# whatever the number of cases.
+_BLOCK_WORDS = 1 << 16
+_HALF = np.uint64(0xFFFFFFFF)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_MASK128 = (1 << 128) - 1
+
+
+def _stream(spec: SynthSpec, schema: AttributeSchema) -> tuple[list, list]:
+    """The stream contract: a case's draws, then each of its events' draws,
+    in order. ``(low, n)`` stands for ``rng.integers(low, low + n)`` and
+    ``None`` for ``rng.random()``."""
+    level = (0, len(_CAT_LEVELS))
+    case = [(spec.min_trace_length, spec.max_trace_length - spec.min_trace_length + 1), (0, 600),
+            *[level] * len(schema.static_categorical), *[None] * len(schema.static_numeric)]
+    event = [*[level] * len(schema.dynamic_categorical), *[None] * len(schema.dynamic_numeric),
+             (0, spec.alphabet_size), (1, 300)]
+    return case, event
+
+
+def _draw(rng: np.random.Generator, draws: list) -> list:
+    """``draws`` made by numpy's own scalar calls."""
+    return [rng.random() if d is None else rng.integers(d[0], d[0] + d[1]) for d in draws]
+
+
+def _layout(draws: list) -> tuple[np.ndarray, ...]:
+    """Where each draw reads a case's raw PCG64 words, by numpy's rules:
+    ``random()`` reads a fresh word ``w`` as ``(w >> 11) * 2**-53``;
+    ``integers(low, low + n)`` with n > 1 reads 32 bits ``x``, the low half
+    of a fresh word or else the high half that the previous such draw left
+    spare (``random()`` leaves it alone), as ``low + (x * n >> 32)``
+    (Lemire 2019; every n here is at most 2**32); with n == 1 it reads
+    nothing. Returns, per draw, the word, the shift that brings its bits
+    down (11 for a double), ``low``, ``n`` (1 for a double) and the number
+    of words used once it is drawn."""
+    rows, fresh, spare = [], 0, None
+    for d in draws:
+        if d is None:
+            row, fresh = (fresh, 11, 0, 1), fresh + 1
+        elif d[1] == 1:
+            row = (0, 0, *d)
+        elif spare is not None:
+            row, spare = (spare, 32, *d), None
+        else:
+            row, spare, fresh = (fresh, 0, *d), fresh, fresh + 1
+        rows.append((*row, fresh))
+    word, shift, low, n, used = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return word, shift.astype(np.uint64), low.astype(np.float64), n.astype(np.uint64), used
+
+
+def _redraws(product: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Where numpy rejects a bounded draw whose 32 bits times ``n`` are
+    ``product``, and draws again (Lemire's threshold)."""
+    return (product & _HALF) < (2**32 - n) % n
+
+
+def _decode(words: np.ndarray, word, shift, low, n) -> tuple[np.ndarray, np.ndarray]:
+    """The draws laid out at ``word``/``shift`` (see ``_layout``) read from
+    each row of raw words, as float64, and where a draw was rejected."""
+    raw = words[:, word] >> shift
+    product = (raw & _HALF) * n
+    value = np.where(shift == 11, raw * 2.0**-53, low + (product >> 32))
+    return value, _redraws(product, n)
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """The (state, increment) that ``PCG64(seed)`` starts from, for uint64
+    seeds, vectorised: numpy's ``SeedSequence`` hashes the seed's two 32-bit
+    words into a pool of four and draws four 64-bit words from it (a seed
+    and a stream for PCG's ``srandom``, O'Neill 2014)."""
+    u32, hash_a = np.uint32, 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ u32(hash_a)
+        hash_a = hash_a * 0x931E8875 & 0xFFFFFFFF
+        value = value * u32(hash_a)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        value = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
+        return value ^ (value >> u32(16))
+
+    zero = np.zeros(len(seeds), dtype=u32)
+    words = (seeds & _HALF).astype(u32), (seeds >> 32).astype(u32), zero, zero
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_b, halves = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ u32(hash_b)
+        hash_b = hash_b * 0x58F38DED & 0xFFFFFFFF
+        value = value * u32(hash_b)
+        halves.append((value ^ (value >> u32(16))).astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = ((halves[2 * j] | halves[2 * j + 1] << 32).tolist()
+                                        for j in range(4))
+    states = []  # srandom: state = inc, then += seed, then one LCG step
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _raw_words(seeds: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` raw words of ``default_rng(seed)``'s bit generator,
+    one row per uint64 seed: each seed's state set on one ``PCG64``, then
+    one ``random_raw``."""
+    bits, rows = np.random.PCG64(0), []
+    for state, inc in _pcg64_states(seeds):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        rows.append(bits.random_raw(k))
+    return np.array(rows, dtype=np.uint64).reshape(len(seeds), k)
+
+
 def generate_log(spec: SynthSpec) -> EventLog:
     """Generate a labelled log, fully determined by the configured seed.
 
@@ -184,31 +302,68 @@ def generate_log(spec: SynthSpec) -> EventLog:
     ``label_noise > 0``, the noise flip. A level is ``levels[rng.integers(n)]``
     (the draw ``rng.choice(levels)`` makes) and a numeric ``rng.random()``.
     This order is the stream contract that the golden files pin: a change to
-    it moves their bytes."""
+    it moves their bytes.
+
+    The draws are not made one numpy call at a time. Each case's PCG64
+    starts from the state numpy's seeding gives it (``_pcg64_states``, for
+    all cases at once) and yields its raw words in one ``random_raw``. The
+    draws are decoded from those words for a block of cases at once, by the
+    rules that numpy's ``integers`` and ``random`` follow (``_layout``). A
+    case in which numpy would reject a bounded draw and draw again is made
+    by numpy's own calls instead. The tests pin the seeding and the decoded
+    stream against live numpy."""
     schema = synth_schema(spec)
-    alphabet, n_levels = spec.alphabet(), len(_CAT_LEVELS)
-    activities, seconds, traces, flipped = [], [], [], []
-    dynamics = {c: [] for c in schema.dynamic_categorical + schema.dynamic_numeric}
-    for c in range(spec.n_cases):
-        rng = np.random.default_rng(derive_seed(spec.seed, c))
-        length = int(rng.integers(spec.min_trace_length, spec.max_trace_length + 1))
-        t = c * 3600 + int(rng.integers(0, 600))  # seconds after _BASE_TIME
-        statics = {col: _CAT_LEVELS[rng.integers(n_levels)] for col in schema.static_categorical}
-        statics |= {col: rng.random() for col in schema.static_numeric}
+    case_draws, event_draws = _stream(spec, schema)
+    n_case, n_event, longest = len(case_draws), len(event_draws), spec.max_trace_length
+    word, shift, low, n, used = _layout(case_draws + event_draws * longest)
+    case_at = word[:n_case], shift[:n_case], low[:n_case], n[:n_case]
+    event_at = [a[n_case:].reshape(longest, n_event) for a in (word, shift, low, n)]
+    ends = used[n_case - 1 :: n_event]  # words used once e events are drawn
+    k = int(ends[-1]) + 1  # the longest trace's words and a noise word
+    per_block = max(1, _BLOCK_WORDS // k)
+    seeds = derive_seed(spec.seed, np.arange(spec.n_cases, dtype=np.uint64))
+    cases, events, elapsed, flips = [], [], [], []
+    for first in range(0, max(spec.n_cases, 1), per_block):  # an empty log has one empty block
+        block = seeds[first : first + per_block]
+        words = _raw_words(block, k)
+        case, case_redraws = _decode(words, *case_at)
+        event, event_redraws = _decode(words, *event_at)
+        length = case[:, 0].astype(np.intp)
+        live = np.arange(longest) < length[:, None]
+        # the noise flip reads the word after the last event; no noise never flips
+        flip = (words[np.arange(len(block)), ends[length]] >> 11) * 2.0**-53 < spec.label_noise
+        for b in np.flatnonzero(case_redraws.any(1) | (event_redraws.any(2) & live).any(1)):
+            rng = np.random.default_rng(int(block[b]))
+            case[b] = _draw(rng, case_draws)
+            length[b] = case[b, 0]
+            event[b, : length[b]] = [_draw(rng, event_draws) for _ in range(length[b])]
+            live[b] = np.arange(longest) < length[b]
+            flip[b] = rng.random() < spec.label_noise
+        gap = event[:, :, -1]
+        elapsed.append((np.cumsum(gap, axis=1) - gap)[live])  # seconds since the case's start
+        cases.append(case)
+        events.append(event[live])
+        flips.append(flip)
 
-        first = len(activities)
-        for _ in range(length):
-            for col in schema.dynamic_categorical:
-                dynamics[col].append(_CAT_LEVELS[rng.integers(n_levels)])
-            for col in schema.dynamic_numeric:
-                dynamics[col].append(rng.random())
-            activities.append(alphabet[rng.integers(len(alphabet))])
-            seconds.append(t)
-            t += int(rng.integers(1, 301))
-        traces.append(Trace(f"case_{c:05d}", statics, range(first, len(activities))))
-        flipped.append(spec.label_noise > 0.0 and rng.random() < spec.label_noise)
-
-    times = np.datetime64(_BASE_TIME, "us") + np.array(seconds, dtype="timedelta64[s]")
-    log = EventLog(tuple(traces), schema, activities, times, dynamics)
-    labels = [spec.rule.label(log, t) ^ flip for t, flip in zip(traces, flipped)]
-    return replace(log, traces=tuple(replace(t, label=y) for t, y in zip(traces, labels)))
+    case, event = np.concatenate(cases), np.concatenate(events)
+    length = case[:, 0].astype(np.intp)
+    start = np.arange(spec.n_cases) * 3600 + case[:, 1]
+    seconds = np.repeat(start, length) + np.concatenate(elapsed)
+    times = np.datetime64(_BASE_TIME, "us") + seconds.astype(np.int64).astype("timedelta64[s]")
+    levels, alphabet = np.array(_CAT_LEVELS, dtype=object), np.array(spec.alphabet(), dtype=object)
+    n_scat = len(schema.static_categorical)
+    statics = np.empty((spec.n_cases, n_case - 2), dtype=object)
+    statics[:, :n_scat] = levels[case[:, 2 : 2 + n_scat].astype(np.intp)]
+    statics[:, n_scat:] = case[:, 2 + n_scat :]
+    n_dcat, n_dnum = len(schema.dynamic_categorical), len(schema.dynamic_numeric)
+    dynamics = dict(zip(schema.dynamic_categorical, levels[event[:, :n_dcat].T.astype(np.intp)]))
+    dynamics |= dict(zip(schema.dynamic_numeric, event[:, n_dcat : n_dcat + n_dnum].T.copy()))
+    names = schema.static_categorical + schema.static_numeric
+    bounds = np.concatenate(([0], np.cumsum(length))).tolist()
+    traces = [Trace(f"case_{c:05d}", dict(zip(names, values)), range(bounds[c], bounds[c + 1]))
+              for c, values in enumerate(statics.tolist())]
+    log = EventLog(tuple(traces), schema, alphabet[event[:, -2].astype(np.intp)], times, dynamics)
+    flipped = np.concatenate(flips).tolist()
+    labels = [spec.rule.label(log, t) ^ f for t, f in zip(traces, flipped)]
+    return replace(log, traces=tuple(Trace(t.case_id, t.statics, t.events, y)
+                                     for t, y in zip(traces, labels)))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import random
 import re
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from xpop.eventlog import (
     DEFAULT_TIMESTAMP_FORMAT,
     MISSING,
     AttributeSchema,
+    EventLog,
     ParseError,
     SchemaError,
+    Trace,
     label_eventually_followed_by,
     parse_csv,
     parse_schema_config,
@@ -298,6 +302,78 @@ def test_serialize_parse_round_trip():
     assert again == log
     # and a second round trip is byte-identical
     assert serialize_csv(again) == text
+
+
+def _reference_serialize_csv(log):
+    """Oracle: the writer as it was before columns were built whole, one
+    dict merge and one ``writerow`` per event."""
+    schema = log.schema
+    negative = "regular" if schema.positive_label != "regular" else "non_deviant"
+    numeric = set(schema.static_numeric + schema.dynamic_numeric)
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(schema.column_roles)
+    fmt = schema.timestamp_format
+    times = log.timestamps.tolist()  # naive datetimes in UTC
+    if "%z" in fmt.lower():  # an offset directive writes +0000 (%z) or UTC (%Z)
+        times = [t.replace(tzinfo=timezone.utc) for t in times]
+    activities = log.activities.tolist()
+    text = {c: list(map(repr if c in numeric else str, values.tolist()))
+            for c, values in log.dynamics.items()}
+    for trace in log.traces:
+        case = {c: repr(float(v)) if c in numeric else str(v) for c, v in trace.statics.items()}
+        case[schema.case_id_column] = trace.case_id
+        if schema.label_column is not None:
+            if trace.label is None:
+                raise ParseError(f"case {trace.case_id!r} has no label to serialize")
+            case[schema.label_column] = schema.positive_label if trace.label == 1 else negative
+        for i in trace.events:
+            row = case | {c: column[i] for c, column in text.items()}
+            row[schema.activity_column] = activities[i]
+            row[schema.timestamp_column] = times[i].strftime(fmt)
+            writer.writerow(row[c] for c in schema.column_roles)
+    return out.getvalue()
+
+
+@st.composite
+def _logs_to_write(draw):
+    """Synth logs cut as a split or prefixes cut them (some traces, in any
+    order, each a prefix of its events), with text that needs quoting, with
+    or without a label column, one trace perhaps unlabelled, and a timestamp
+    format with or without an offset."""
+    base = generate_log(SynthSpec(n_cases=draw(st.integers(0, 8)), label_noise=0.25,
+                                  seed=draw(st.integers(0, 99))))
+    roles = dict(base.schema.column_roles)
+    if draw(st.booleans()):
+        del roles["label"]
+    schema = AttributeSchema(roles, draw(st.sampled_from(
+        [DEFAULT_TIMESTAMP_FORMAT, "%Y-%m-%dT%H:%M:%S%z", "%d.%m.%Y %H:%M %Z"])),
+        draw(st.sampled_from(["deviant", "regular"])))
+    texts = st.text(st.sampled_from('a ,"\n\r\'é'), max_size=3)
+    renamed = st.sampled_from("ABCDE") | st.sampled_from(("c0", "c1"))
+    rename = draw(st.dictionaries(renamed, texts))
+    traces = draw(st.permutations(base.traces))[: draw(st.integers(0, len(base)))]
+    unlabelled = draw(st.integers(-1, len(traces) - 1))
+    traces = tuple(
+        Trace(t.case_id, {c: rename.get(v, v) for c, v in t.statics.items()},
+              t.events[: draw(st.integers(0, len(t)))], None if i == unlabelled else t.label)
+        for i, t in enumerate(traces))
+    dynamics = {c: [rename.get(v, v) for v in values.tolist()]
+                for c, values in base.dynamics.items()}
+    return EventLog(traces, schema, [rename.get(a, a) for a in base.activities.tolist()],
+                    base.timestamps, dynamics)
+
+
+@given(_logs_to_write())
+def test_serialize_csv_writes_what_the_row_writer_wrote(log):
+    try:
+        expected = _reference_serialize_csv(log)
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+            serialize_csv(log)
+    else:
+        assert serialize_csv(log) == expected
 
 
 def _trace_with(activities, basic_schema):

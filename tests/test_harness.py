@@ -216,6 +216,10 @@ def test_model_spec_validation():
     ("seed", 2.5, "seed must be an integer, got 2.5"),
     ("train_ratio", 1.5, "train_ratio must be in (0, 1), got 1.5"),
     ("train_ratio", 0.0, "train_ratio must be in (0, 1), got 0.0"),
+    # a bool is an Integral, but not a size or a seed
+    ("seed", True, "seed must be an integer, got True"),
+    ("max_prefix", True, "max_prefix must be a whole number >= 1, got True"),
+    ("pi_repeats", True, "pi_repeats must be a whole number >= 1, got True"),
 ])
 def test_benchmark_config_checks_its_fields(key, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

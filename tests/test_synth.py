@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from xpop.eventlog import AttributeSchema, EventLog, Trace, parse_csv, serialize_csv
+from xpop import synth
 from xpop.seeds import derive_seed
 from xpop.synth import (
     _BASE_TIME,
@@ -18,6 +20,7 @@ from xpop.synth import (
     ControlPresence,
     EventMeanThreshold,
     SynthSpec,
+    _draw,
     generate_log,
     synth_schema,
 )
@@ -131,6 +134,13 @@ def test_spec_validation():
 
 
 # --- generation ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,must", [(name, must) for name, (must, _) in synth._SIZES.items()])
+def test_spec_rejects_a_bool_size_or_seed(name, must):
+    # a bool is an Integral, but SynthSpec(n_cases=True) is no 1-case spec
+    with pytest.raises(ValueError, match=f"^{name} must be {re.escape(must)}, got True$"):
+        SynthSpec(**{name: True})
 
 
 def test_spec_seed_must_be_an_integer():
@@ -269,10 +279,10 @@ def _reference_generate_log(spec: SynthSpec) -> EventLog:
 
 @st.composite
 def synth_specs(draw) -> SynthSpec:
-    """Valid specs: up to 30 cases, traces of 1-8 events, 0-3 attributes of
+    """Valid specs: up to 30 cases, traces of 1-40 events, 0-3 attributes of
     each kind, and any of the four rule forms the spec has attributes for."""
     alphabet_size = draw(st.integers(1, 26))
-    shortest = draw(st.integers(1, 8))
+    shortest = draw(st.integers(1, 40))
     counts = {f"n_{kind}": draw(st.integers(0, 3)) for kind in
               ("static_categorical", "static_numeric", "dynamic_categorical", "dynamic_numeric")}
     letters = st.sampled_from(SynthSpec(alphabet_size=alphabet_size).alphabet())
@@ -291,7 +301,7 @@ def synth_specs(draw) -> SynthSpec:
         n_cases=draw(st.integers(0, 30)),
         alphabet_size=alphabet_size,
         min_trace_length=shortest,
-        max_trace_length=draw(st.integers(shortest, 8)),
+        max_trace_length=draw(st.integers(shortest, 40)),
         rule=draw(st.one_of(rules)),
         label_noise=draw(st.sampled_from([0.0, 0.25])),
         seed=draw(st.integers(-(2**63), 2**64 - 1)),
@@ -299,9 +309,7 @@ def synth_specs(draw) -> SynthSpec:
     )
 
 
-@given(synth_specs())
-def test_generate_log_draws_the_reference_stream(spec):
-    log, expected = generate_log(spec), _reference_generate_log(spec)
+def _assert_same_log(log, expected):
     # line lists, so that a failing example reports its first differing row
     assert serialize_csv(log).splitlines() == serialize_csv(expected).splitlines()
     assert [t.label for t in log.traces] == [t.label for t in expected.traces]
@@ -309,3 +317,79 @@ def test_generate_log_draws_the_reference_stream(spec):
     assert np.array_equal(log.timestamps, expected.timestamps)
     for trace in log.traces:
         assert all(type(v) in (str, float) for v in trace.statics.values())
+
+
+# long_csv's attribute mix: 26 activities, traces of 10-40 events, 13 attributes
+_WIDE = SynthSpec(n_cases=40, alphabet_size=26, min_trace_length=10, max_trace_length=40,
+                  n_static_categorical=3, n_static_numeric=2, n_dynamic_categorical=4,
+                  n_dynamic_numeric=4, rule=CaseThreshold("s_num1", 0.5), seed=1)
+
+
+@given(synth_specs())
+@example(_WIDE)
+@example(dataclasses.replace(_WIDE, label_noise=0.25, seed=2))
+# a fixed length and a one-letter alphabet: draws that read no word
+@example(SynthSpec(n_cases=12, alphabet_size=1, min_trace_length=3, max_trace_length=3,
+                   label_noise=0.25, seed=3))
+@example(SynthSpec(n_cases=12, alphabet_size=1, min_trace_length=1, max_trace_length=1,
+                   n_static_categorical=0, n_static_numeric=0, n_dynamic_categorical=0,
+                   n_dynamic_numeric=0, seed=4))
+@example(SynthSpec(n_cases=12, label_noise=0.25, seed=2**64 - 1))
+def test_generate_log_draws_the_reference_stream(spec):
+    _assert_same_log(generate_log(spec), _reference_generate_log(spec))
+
+
+def test_every_case_drawn_by_numpy_calls_is_the_reference_stream(monkeypatch):
+    # as if numpy rejected some bounded draw in every case: each case is then
+    # made by numpy's own scalar calls, and nothing decoded from the raw
+    # words (all zero here) is left
+    drawn = []
+    monkeypatch.setattr(synth, "_redraws", lambda product, n: np.ones(product.shape, dtype=bool))
+    monkeypatch.setattr(synth, "_raw_words",
+                        lambda seeds, k: np.zeros((len(seeds), k), dtype=np.uint64))
+    monkeypatch.setattr(synth, "_draw", lambda rng, draws: drawn.append(1) or _draw(rng, draws))
+    for spec in (_WIDE, dataclasses.replace(_WIDE, label_noise=0.25, n_cases=7),
+                 SynthSpec(n_cases=9, alphabet_size=1, min_trace_length=2, max_trace_length=2,
+                           rule=EventMeanThreshold("d_num1", 0.5), label_noise=0.25, seed=5)):
+        drawn.clear()
+        log = generate_log(spec)
+        assert len(drawn) == spec.n_cases + sum(len(t) for t in log.traces)
+        _assert_same_log(log, _reference_generate_log(spec))
+
+
+def _pcg64_emitting(word: int) -> np.random.PCG64:
+    """A PCG64 whose next raw word is ``word``: its XSL-RR output is inverted
+    (``hi ^ lo`` rotated right by ``hi >> 58``) and one LCG step undone."""
+    hi, inc = 0x0123456789ABCDEF, 0x5851F42D4C957F2D
+    rot, mask = hi >> 58, 2**64 - 1
+    lo = hi ^ ((word << rot | word >> (64 - rot)) & mask)
+    state = ((hi << 64 | lo) - inc) * pow(synth._PCG_MULT, -1, 2**128) % 2**128
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return bits
+
+
+def test_a_draw_numpy_rejects_is_flagged():
+    # integers(26) on a word whose low half is 0: 0 * 26 mod 2**32 lies below
+    # Lemire's threshold 2**32 mod 26 == 22, so numpy rejects those 32 bits
+    # and reads the high half instead
+    word = 0xDEADBEEF << 32
+    assert _pcg64_emitting(word).random_raw() == word
+    assert np.random.Generator(_pcg64_emitting(word)).integers(26) == 0xDEADBEEF * 26 >> 32
+    low_half, high_half = [synth._decode(np.array([[word]], dtype=np.uint64), *at[:4])
+                           for at in (synth._layout([(0, 26)]), synth._layout([(0, 26)] * 2))]
+    assert low_half[0].tolist() == [[0.0]] and low_half[1].tolist() == [[True]]
+    assert high_half[0].tolist() == [[0.0, 0xDEADBEEF * 26 >> 32]]
+    assert high_half[1].tolist() == [[True, False]]
+
+
+@given(st.integers(0, 2**64 - 1))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**64 - 1)
+def test_pcg64_states_are_numpys_seeding(seed):
+    expected = np.random.PCG64(seed).state["state"]
+    assert synth._pcg64_states(np.array([seed], dtype=np.uint64)) == [
+        (expected["state"], expected["inc"])]
