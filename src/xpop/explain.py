@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from xpop.models import ConstantLeaf, TrainedModel, _check_two_classes, predict_each
+from xpop.models import ConstantLeaf, TrainedModel, _check_two_classes, score_copies
 from xpop.preprocess import EncodedMatrix
 
 
@@ -57,21 +57,17 @@ def perturbed_scores(
     """Scores of perturbed copies of ``m``, one array per copy, in order.
 
     Each copy maps column indices to replacement values; the other columns
-    keep ``m``'s values. Copies are drawn lazily, each built as its own
-    ``EncodedMatrix`` that shares ``m``'s labels, and scored by
-    ``models.predict_each``: one ``predictor.predict`` call per copy, or
-    for an external model one launch for all copies. No copy outlives its
-    scoring (for an external model, its write to stdin), so memory is
-    bounded by one copy.
+    keep ``m``'s values. Copies are drawn lazily and scored by
+    ``models.score_copies``: one ``predictor.predict`` call per copy, built
+    as its own matrix, or for an external model one launch for all copies,
+    each written as ``m``'s cell strings with its own columns substituted.
+    No copy outlives its scoring (for an external model, its write to
+    stdin), so memory is bounded by one copy. A bench cell sends its
+    permutation-importance copies (``pi_copies``) and then its
+    functional-complexity copies through one stream, so an external model
+    gets one launch for both, after the one for the test scores.
     """
-
-    def perturbed(copy: Mapping[int, np.ndarray]) -> EncodedMatrix:
-        rows = np.array(m.rows, dtype=np.float64)
-        for column, values in copy.items():
-            rows[:, column] = values
-        return EncodedMatrix(m.columns, rows, m.labels)
-
-    for out in predict_each(predictor, m, map(perturbed, copies)):
+    for out in score_copies(predictor, m, copies):
         out = np.asarray(out, dtype=np.float64)
         if out.shape != (m.n_rows,):
             raise ValueError(f"predictor returned {out.shape} scores for {m.n_rows} rows")
@@ -91,6 +87,25 @@ def _base_scores(predictor, m: EncodedMatrix, base_scores) -> np.ndarray:
     return base
 
 
+def _varying(m: EncodedMatrix) -> Iterator[tuple[int, np.ndarray]]:
+    """(index, distinct values) of each column of ``m`` with two or more,
+    computed one column at a time."""
+    for i in range(m.n_columns):
+        distinct = np.unique(m.rows[:, i])
+        if len(distinct) >= 2:
+            yield i, distinct
+
+
+def pi_copies(m: EncodedMatrix, seed: int, repeats: int = 1) -> Iterator[dict[int, np.ndarray]]:
+    """The copies ``permutation_importance`` scores, in (column, repeat)
+    order: ``repeats`` excluded-value permutations of each column of ``m``
+    that holds two or more distinct values, drawn from seed + column index."""
+    for i, distinct in _varying(m):
+        rng = np.random.default_rng(seed + i)
+        for _ in range(repeats):
+            yield {i: permute_column(m.rows[:, i], distinct, rng)}
+
+
 def permutation_importance(
     predictor,
     m: EncodedMatrix,
@@ -98,6 +113,7 @@ def permutation_importance(
     seed: int,
     repeats: int = 1,
     base_scores: Optional[np.ndarray] = None,
+    scores: Optional[Iterator[np.ndarray]] = None,
 ) -> WeightVector:
     """Per-column change in MSE after an excluded-value permutation.
 
@@ -105,24 +121,19 @@ def permutation_importance(
     averaged over `repeats` independent permutations. Per-column seeds are
     derived as seed + column index, so columns can run in parallel.
     ``base_scores``, when given, are the predictor's scores of ``m``.
+    ``scores``, when given, is a started ``perturbed_scores`` stream whose
+    next arrays score ``pi_copies(m, seed, repeats)``; exactly those are
+    drawn from it, and later copies in it are left to its next reader.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     y = np.asarray(labels, dtype=np.float64)
     _check_two_classes(y)
     base = _mse(y, _base_scores(predictor, m, base_scores))
-    distinct = [np.unique(m.rows[:, i]) for i in range(m.n_columns)]
-    active = [i for i in range(m.n_columns) if len(distinct[i]) >= 2]
-
-    def copies():
-        for i in active:
-            rng = np.random.default_rng(seed + i)
-            for _ in range(repeats):
-                yield {i: permute_column(m.rows[:, i], distinct[i], rng)}
-
-    scores = perturbed_scores(predictor, m, copies())
+    if scores is None:
+        scores = perturbed_scores(predictor, m, pi_copies(m, seed, repeats))
     weights = np.zeros(m.n_columns)
-    for i in active:
+    for i, _ in _varying(m):
         total = 0.0
         for _ in range(repeats):
             total += _mse(y, next(scores)) - base

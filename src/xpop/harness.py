@@ -18,6 +18,7 @@ import numbers
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,8 +31,15 @@ from xpop.eventlog import (
     parse_csv,
     parse_schema_config,
 )
-from xpop.explain import coefficient_weights, impurity_weights, load_external_weights, permutation_importance
-from xpop.metrics import MetricsReport, functional_complexity, irc, lod_at_k, parsimony
+from xpop.explain import (
+    coefficient_weights,
+    impurity_weights,
+    load_external_weights,
+    permutation_importance,
+    perturbed_scores,
+    pi_copies,
+)
+from xpop.metrics import MetricsReport, fc_copies, functional_complexity, irc, lod_at_k, parsimony
 from xpop.models import (
     TrainedModel,
     auc,
@@ -106,6 +114,11 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _real(value) -> bool:
+    """A real number of any type, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 _COUNT = ("a whole number >= 0", int, lambda v: _integer(v) and v >= 0)
 _POSITIVE = ("a whole number >= 1", int, lambda v: _integer(v) and v >= 1)
 # [data] key -> (rule, parse, check, the SynthSpec field a synth_* key sets),
@@ -152,7 +165,7 @@ class ModelSpec:
         if self.kind == "external" and not self.command:
             raise ValueError("external model needs a command")
         for key, value in self.hyper.items():
-            if key in _HYPER_RULES and not _HYPER_RULES[key][1](value):
+            if key in _HYPER_RULES and not (_real(value) and _HYPER_RULES[key][1](value)):
                 raise ValueError(
                     f"model {self.name!r}: {key} must be {_HYPER_RULES[key][0]}, got {value!r}"
                 )
@@ -372,15 +385,19 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
         model_seed = derive_seed(cfg.seed, idx)
         reason = error or low_auc
         if not reason:
+            pi_seed, fc_seed = derive_seed(model_seed, 1), derive_seed(model_seed, 2)
+            # PI's copies, then FC's, in one stream: one launch for an external model
+            stream = perturbed_scores(model, test_m, chain(
+                pi_copies(test_m, pi_seed, cfg.pi_repeats), fc_copies(test_m, fc_seed)))
             try:
                 w_pi = permutation_importance(
-                    model, test_m, test_m.labels, seed=derive_seed(model_seed, 1),
-                    repeats=cfg.pi_repeats, base_scores=scores,
+                    model, test_m, test_m.labels, seed=pi_seed,
+                    repeats=cfg.pi_repeats, base_scores=scores, scores=stream,
                 )
                 w_e = MODELS[spec.kind][1](spec, model)
                 pars = parsimony(w_e, test_m.columns)
                 fc = functional_complexity(
-                    model, test_m, derive_seed(model_seed, 2), base_scores=scores
+                    model, test_m, fc_seed, base_scores=scores, scores=stream
                 )
                 try:
                     rank_corr = irc(w_pi, w_e)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -62,30 +62,43 @@ def parsimony(
     return TypedMetric(*counts, sum(counts))
 
 
+def _present(m: EncodedMatrix) -> list[str]:
+    """The attribute types that own a column of ``m``, in ``_TYPE_ORDINAL`` order."""
+    return [t for t in _TYPE_ORDINAL if m.columns_of_type(t)]
+
+
+def fc_copies(m: EncodedMatrix, seed: int) -> Iterator[dict[int, np.ndarray]]:
+    """The copies ``functional_complexity`` scores: one per attribute type
+    present, in ``_TYPE_ORDINAL`` order, with every column of the type given
+    an excluded-value permutation drawn from seed + the type's ordinal."""
+    for attribute_type in _present(m):
+        rng = np.random.default_rng(seed + _TYPE_ORDINAL[attribute_type])
+        yield {i: permute_column(m.rows[:, i], np.unique(m.rows[:, i]), rng)
+               for i in m.columns_of_type(attribute_type)}
+
+
 def functional_complexity(
     predictor,
     m: EncodedMatrix,
     seed: int,
     base_scores: Optional[np.ndarray] = None,
+    scores: Optional[Iterator[np.ndarray]] = None,
 ) -> TypedMetric:
     """Per attribute type, the fraction of binarized predictions that change
-    after simultaneously permuting every column of that type (drawn from
-    seed + the type's ordinal). A type without columns reads NaN; the total
-    is the mean over the types present. The copies of all types are scored
-    in one ``perturbed_scores`` call. ``base_scores``, when given, are the
-    predictor's scores of ``m``."""
-    present = [t for t in _TYPE_ORDINAL if m.columns_of_type(t)]
-
-    def copies():
-        for attribute_type in present:
-            rng = np.random.default_rng(seed + _TYPE_ORDINAL[attribute_type])
-            yield {i: permute_column(m.rows[:, i], np.unique(m.rows[:, i]), rng)
-                   for i in m.columns_of_type(attribute_type)}
-
+    after simultaneously permuting every column of that type (``fc_copies``).
+    A type without columns reads NaN; the total is the mean over the types
+    present. The copies of all types are scored in one ``perturbed_scores``
+    stream: ``scores`` when given, a started stream whose next arrays score
+    ``fc_copies(m, seed)`` (exactly those are drawn from it), else one of
+    its own. ``base_scores``, when given, are the predictor's scores of ``m``."""
+    present = _present(m)
     original = _base_scores(predictor, m, base_scores) >= BINARIZE_THRESHOLD
+    if scores is None:
+        scores = perturbed_scores(predictor, m, fc_copies(m, seed))
     values = dict.fromkeys(_TYPE_ORDINAL, math.nan)
-    for attribute_type, permuted in zip(present, perturbed_scores(predictor, m, copies())):
-        values[attribute_type] = float((original != (permuted >= BINARIZE_THRESHOLD)).mean())
+    for attribute_type in present:
+        permuted = next(scores) >= BINARIZE_THRESHOLD
+        values[attribute_type] = float((original != permuted).mean())
     total = float(np.mean([values[t] for t in present])) if present else math.nan
     return TypedMetric(values[CONTROL], values[CASE], values[EVENT], total)
 

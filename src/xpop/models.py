@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from xpop.preprocess import EncodedMatrix
+from xpop.preprocess import EncodedMatrix, copy_csv_rows
 
 DEFAULT_LOGREG = {"l2": 0.01, "max_iter": 2000, "tol": 1e-7}
 DEFAULT_TREE = {"max_depth": 6, "min_samples_leaf": 5}
@@ -456,53 +456,66 @@ def predict_proba(model: TrainedModel, m: EncodedMatrix) -> np.ndarray:
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def predict_each(
-    predictor, m: EncodedMatrix, matrices: Iterable[EncodedMatrix]
+def score_copies(
+    predictor, m: EncodedMatrix, copies: Iterable[Mapping[int, np.ndarray]]
 ) -> Iterator[np.ndarray]:
-    """Scores of matrices with ``m``'s columns, drawn one at a time from
-    ``matrices``, one array per matrix. An external model scores them all
-    in one launch, split back by the row count of each; any other predictor
-    (a ``TrainedModel`` or any object with ``predict``) gets one ``predict``
-    call per matrix. Neither holds a matrix past its scoring or writing."""
+    """Scores of copies of ``m``, drawn one at a time from ``copies``, one
+    array per copy. A copy maps column indices to replacement values; its
+    other columns keep ``m``'s values. An external model scores all copies
+    in one launch (``external_predict``), split back by ``m``'s row count;
+    any other predictor (a ``TrainedModel`` or any object with ``predict``)
+    gets one ``predict`` call per copy, built as its own ``EncodedMatrix``
+    that shares ``m``'s labels. Neither holds a copy past its scoring or
+    writing."""
     if isinstance(predictor, TrainedModel) and predictor.kind == "external":
-        sizes = []
+        drawn = 0
 
-        def counted(matrix: EncodedMatrix) -> EncodedMatrix:
-            sizes.append(matrix.n_rows)
-            return matrix
+        def counted(copy: Mapping[int, np.ndarray]) -> Mapping[int, np.ndarray]:
+            nonlocal drawn
+            drawn += 1
+            return copy
 
-        scores = external_predict(predictor.command, m, map(counted, matrices))
-        start = 0
-        for size in sizes:
-            yield scores[start:start + size]
-            start += size
+        scores = external_predict(predictor.command, m, map(counted, copies))
+        yield from scores.reshape(drawn, m.n_rows)
     else:
-        yield from map(predictor.predict, matrices)
+
+        def built(copy: Mapping[int, np.ndarray]) -> EncodedMatrix:
+            rows = np.array(m.rows, dtype=np.float64)
+            for column, values in copy.items():
+                rows[:, column] = values
+            return EncodedMatrix(m.columns, rows, m.labels)
+
+        yield from map(predictor.predict, map(built, copies))
 
 
 def external_predict(
     command: str,
     m: EncodedMatrix,
-    matrices: Optional[Iterable[EncodedMatrix]] = None,
+    copies: Optional[Iterable[Mapping[int, np.ndarray]]] = None,
     timeout: float = 300.0,
 ) -> np.ndarray:
     """Score rows through an external command over the stdin/stdout bridge,
     in one launch that ``timeout`` seconds bound.
 
     stdin: a regular file holding CSV without the label column, ``m``'s
-    header and then the rows of each of ``matrices`` (with ``m``'s columns,
-    each written as it is drawn, so one matrix's CSV is held in memory at a
-    time) or, without matrices, of ``m``; stdout: one probability in
-    [0, 1] per row sent, LF-terminated; exit code 0 required. Nothing is
-    launched when no row is to be sent.
+    header and then, one copy under another, the rows of each of ``copies``
+    (column maps as in ``score_copies``) or, without copies, of ``m``;
+    stdout: one probability in [0, 1] per row sent, LF-terminated; exit
+    code 0 required. ``m``'s cells are formatted once, and each copy's rows
+    are written as it is drawn, with only its own columns formatted anew.
+    Nothing is launched when no row is to be sent. A bench cell launches
+    twice: once without copies for the test scores, and once with its
+    permutation-importance copies in (column, repeat) order followed by one
+    functional-complexity copy per attribute type (control, case, event).
     """
+    cells = m.csv_cells()
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as stdin:
         stdin.write(m.csv_header(include_label=False))
         n_rows = 0
-        for matrix in [m] if matrices is None else matrices:
-            stdin.write(matrix.csv_rows(include_label=False))
-            n_rows += matrix.n_rows
-            del matrix  # freed before the next one is drawn
+        for copy in [{}] if copies is None else copies:
+            stdin.write(copy_csv_rows(cells, copy, m.n_rows))
+            n_rows += m.n_rows
+            del copy  # freed before the next one is drawn
         if n_rows == 0:
             return np.empty(0, dtype=np.float64)
         stdin.seek(0)  # flushes, and the child reads from the start

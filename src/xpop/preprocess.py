@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -80,14 +80,41 @@ class EncodedMatrix:
             header.append("label")
         return ",".join(header) + "\n"
 
+    def csv_cells(self) -> list[list[str]]:
+        """The cells of ``csv_rows`` without the label, column by column."""
+        return [_decimals(column) for column in self.rows.T]
+
     def csv_rows(self, include_label: bool = True) -> str:
         """The row lines of ``export_csv``, one per matrix row."""
-        labels = self.labels.tolist()
-        lines = []
-        for j, row in enumerate(self.rows.tolist()):
-            cells = ",".join(map(repr, row))
-            lines.append(f"{cells},{int(labels[j])}\n" if include_label else cells + "\n")
-        return "".join(lines)
+        cells = self.csv_cells()
+        if include_label:
+            cells.append([str(int(label)) for label in self.labels.tolist()])
+        return _csv_lines(cells, self.n_rows)
+
+
+def _decimals(values) -> list[str]:
+    """Each value as a float64's shortest round-trip decimal (``repr``): the
+    cell format of ``EncodedMatrix.export_csv``."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def _csv_lines(cells: Sequence[Sequence[str]], n_rows: int) -> str:
+    """``n_rows`` LF-terminated CSV lines from cell strings given column by
+    column (``EncodedMatrix.csv_cells``)."""
+    if not cells:
+        return "\n" * n_rows
+    return "".join([line + "\n" for line in map(",".join, zip(*cells))])
+
+
+def copy_csv_rows(cells: Sequence[list[str]], copy: Mapping[int, np.ndarray], n_rows: int) -> str:
+    """``csv_rows(include_label=False)`` of a copy of a matrix, from the
+    matrix's ``csv_cells`` and the copy's ``{column index: values}`` map
+    (values broadcast to ``n_rows``): only the copy's own columns are
+    formatted anew."""
+    columns = list(cells)
+    for column, values in copy.items():
+        columns[column] = _decimals(np.broadcast_to(values, n_rows))
+    return _csv_lines(columns, n_rows)
 
 
 def temporal_split(log: EventLog, train_ratio: float) -> tuple[EventLog, EventLog]:

@@ -18,9 +18,10 @@ from xpop.synth import CaseThreshold, SynthSpec
 # host an example's wall time says nothing about its correctness.
 settings.register_profile("xpop", deadline=None)
 settings.load_profile("xpop")
-# A deeper run of the synth stream oracles, for CI (--hypothesis-profile
-# xpop-oracle): the decoder in `synth` mirrors numpy's seeding, `integers`
-# and `random`, so it is checked against whichever numpy is installed.
+# A deeper run of the oracles CI names (--hypothesis-profile xpop-oracle):
+# the synth stream oracles, because the decoder in `synth` mirrors numpy's
+# seeding, `integers` and `random`, so it is checked against whichever numpy
+# is installed; and the bridge copy-text oracle.
 settings.register_profile("xpop-oracle", settings.get_profile("xpop"), max_examples=500)
 
 

@@ -22,7 +22,9 @@ from xpop.explain import (
     permute_column,
     perturbed_scores,
 )
-from xpop.harness import run_benchmark
+from xpop import harness
+from xpop.harness import ModelSpec, prepare_matrices, run_benchmark
+from xpop.metrics import functional_complexity
 from xpop.models import (
     external_model,
     external_predict,
@@ -32,6 +34,7 @@ from xpop.models import (
     train_tree,
 )
 from xpop.preprocess import EncodedMatrix
+from xpop.seeds import derive_seed
 
 # --- excluded-value permutation ----------------------------------------------
 
@@ -268,14 +271,137 @@ def test_engine_rejects_wrong_score_count_and_bad_base():
         permutation_importance(_stub(m), m, m.labels, seed=0, base_scores=np.zeros(2))
 
 
-def test_bridge_cell_launches_one_process_per_stage(tmp_path):
+def test_bridge_cell_launches_two_processes(tmp_path):
     launches = tmp_path / "launches.txt"
     cfg = bridge_config(tmp_path, launch_log=launches)
     cfg = dataclasses.replace(cfg, models=cfg.models[:1], pi_repeats=2)
     (report,) = run_benchmark(cfg)
     assert report.excluded_reason == "" and report.fc is not None
-    # one launch each for AUC (whose scores PI and FC reuse), all PI copies and all FC types
-    assert len(launches.read_text(encoding="utf-8").splitlines()) == 3
+    # one launch for the test scores (AUC; PI and FC reuse them), one for
+    # every PI copy and every FC copy
+    assert len(launches.read_text(encoding="utf-8").splitlines()) == 2
+
+
+# Runs the command after argv[3], saving each launch's stdin as
+# <argv[1]>/<launch number>.csv. Launch number argv[2] misbehaves instead:
+# with argv[3] "exit" it exits 1, with "short" it prints one line.
+RECORDING_WRAPPER = """\
+import pathlib
+import subprocess
+import sys
+
+out, bad, how = pathlib.Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+n = len(list(out.glob("*.csv"))) + 1
+data = sys.stdin.buffer.read()
+(out / f"{n}.csv").write_bytes(data)
+if n == bad and how == "exit":
+    sys.stderr.write("refused launch 2\\n")
+    sys.exit(1)
+if n == bad and how == "short":
+    print(0.5)
+    sys.exit(0)
+proc = subprocess.run(sys.argv[4:], input=data, capture_output=True)
+sys.stdout.buffer.write(proc.stdout)
+sys.stderr.buffer.write(proc.stderr)
+sys.exit(proc.returncode)
+"""
+
+
+def _recorded_bridge(tmp_path, bad=0, how="exit", pi_repeats=2):
+    """The bridge config's ``ext`` cell alone, its command wrapped so that
+    each launch's stdin is saved under ``tmp_path/stdin``."""
+    cfg = bridge_config(tmp_path)
+    ext = cfg.models[0]
+    script = tmp_path / "wrapper.py"
+    script.write_text(RECORDING_WRAPPER, encoding="utf-8")
+    saved = tmp_path / "stdin"
+    saved.mkdir()
+    command = shlex.join([sys.executable, str(script), str(saved), str(bad), how])
+    ext = dataclasses.replace(ext, command=f"{command} {ext.command}")
+    return dataclasses.replace(cfg, models=(ext,), pi_repeats=pi_repeats), saved
+
+
+def test_bridge_cell_second_launch_sends_pi_rows_then_one_fc_copy_per_type(tmp_path):
+    cfg, saved = _recorded_bridge(tmp_path)
+    (report,) = run_benchmark(cfg)
+    assert report.excluded_reason == ""
+    assert sorted(p.name for p in saved.iterdir()) == ["1.csv", "2.csv"]
+    _, m = prepare_matrices(cfg)
+    assert (saved / "1.csv").read_bytes() == m.export_csv(include_label=False).encode("utf-8")
+    model_seed = derive_seed(cfg.seed, 0)
+    pi_seed, fc_seed = derive_seed(model_seed, 1), derive_seed(model_seed, 2)
+    blocks = []
+    for i in range(m.n_columns):  # PI: (column, repeat) order
+        distinct = np.unique(m.rows[:, i])
+        if len(distinct) < 2:
+            continue
+        rng = np.random.default_rng(pi_seed + i)
+        for _ in range(cfg.pi_repeats):
+            rows = m.rows.copy()
+            rows[:, i] = permute_column(m.rows[:, i], distinct, rng)
+            blocks.append(rows)
+    for ordinal, attribute_type in enumerate(("control", "case", "event")):  # FC
+        columns = m.columns_of_type(attribute_type)
+        assert columns  # the bridge log has every type
+        rng = np.random.default_rng(fc_seed + ordinal)
+        rows = m.rows.copy()
+        for i in columns:
+            rows[:, i] = permute_column(m.rows[:, i], np.unique(m.rows[:, i]), rng)
+        blocks.append(rows)
+    stacked = EncodedMatrix(m.columns, np.vstack(blocks), np.tile(m.labels, len(blocks)))
+    assert (saved / "2.csv").read_bytes() == stacked.export_csv(include_label=False).encode()
+
+
+def test_joint_stream_gives_the_weights_and_fc_of_separate_calls(tmp_path, monkeypatch):
+    # every cell of the bridge config (external and in process), and a forest
+    cfg = bridge_config(tmp_path)
+    cfg = dataclasses.replace(cfg, pi_repeats=2, models=(
+        *cfg.models, ModelSpec("rf", "forest", {"n_trees": 5})))
+    calls = {}
+    for name in ("permutation_importance", "functional_complexity"):
+        def recorded(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+            result = _fn(*args, **kwargs)
+            calls.setdefault(_name, []).append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(harness, name, recorded)
+    reports = run_benchmark(cfg)
+    assert [r.excluded_reason for r in reports] == ["", "", ""]
+    for args, kwargs, w_pi in calls["permutation_importance"]:
+        assert "scores" in kwargs
+        del kwargs["scores"]
+        alone = permutation_importance(*args, **kwargs)
+        assert w_pi.weights.tobytes() == alone.weights.tobytes()
+        assert w_pi.columns == alone.columns
+    for args, kwargs, fc in calls["functional_complexity"]:
+        assert "scores" in kwargs
+        del kwargs["scores"]
+        alone = functional_complexity(*args, **kwargs)
+        assert np.array([*dataclasses.astuple(fc)]).tobytes() == \
+            np.array([*dataclasses.astuple(alone)]).tobytes()
+    assert len(calls["permutation_importance"]) == len(calls["functional_complexity"]) == 3
+
+
+def test_bridge_cell_failing_second_launch_keeps_the_auc(tmp_path):
+    cfg, saved = _recorded_bridge(tmp_path, bad=2, how="exit")
+    # the in-process twin of the exported logreg has the same AUC
+    cfg = dataclasses.replace(cfg, models=(*cfg.models, ModelSpec("lr", "logreg")))
+    report, twin = run_benchmark(cfg)
+    assert report.auc is not None and report.auc == twin.auc
+    assert report.excluded_reason == "error: external command exited with 1: refused launch 2"
+    assert report.fc is None and report.irc is None
+    assert len(list(saved.iterdir())) == 2
+
+
+def test_bridge_cell_line_count_error_names_the_joint_row_count(tmp_path):
+    cfg, _ = _recorded_bridge(tmp_path, bad=2, how="short")
+    (report,) = run_benchmark(cfg)
+    _, m = prepare_matrices(cfg)
+    varying = sum(len(np.unique(m.rows[:, i])) >= 2 for i in range(m.n_columns))
+    copies = varying * cfg.pi_repeats + 3  # PI copies, then one FC copy per type
+    assert report.auc is not None
+    assert report.excluded_reason == (
+        f"error: line count mismatch: expected {copies * m.n_rows}, got 1")
 
 
 # Writes its stdin to argv[1] and scores each row by its first cell modulo 1.

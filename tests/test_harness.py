@@ -226,6 +226,22 @@ def test_benchmark_config_checks_its_fields(key, value, message):
         _cfg([ModelSpec("lr", "logreg")], **{key: value})
 
 
+@pytest.mark.parametrize("key", list(harness._HYPER_RULES))
+@pytest.mark.parametrize("value", [True, "20"], ids=["bool", "str"])
+def test_model_spec_rejects_a_hyperparameter_that_is_not_a_real_number(key, value):
+    # a bool is a Real (1 or 0) and a string is no number: both are refused
+    # with the rule, not accepted or left to a bare TypeError
+    message = f"model 'rf': {key} must be {harness._HYPER_RULES[key][0]}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModelSpec("rf", "forest", {key: value})
+
+
+def test_model_spec_takes_numpy_and_python_numbers():
+    hyper = {"n_trees": np.int64(3), "l2": np.float64(0.5), "max_depth": 4,
+             "max_features_fraction": 0.5}
+    assert ModelSpec("rf", "forest", hyper).hyper == hyper
+
+
 def test_benchmark_config_takes_numpy_ints_and_a_seed_override():
     cfg = _cfg([ModelSpec("lr", "logreg")], seed=np.int64(7), max_prefix=np.int32(3),
                pi_repeats=np.int64(2))

@@ -26,6 +26,7 @@ from xpop.models import (
     export_model,
     external_model,
     external_predict,
+    score_copies,
     train_forest,
     train_llm,
     train_logreg,
@@ -773,11 +774,11 @@ def test_bridge_timeout_kills_the_child(tmp_path):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_bridge_stacked_launch_counts_the_rows_of_every_chunk(tmp_path):
+def test_bridge_joint_launch_counts_the_rows_of_every_copy(tmp_path):
     m = _bridge_matrix()
-    matrices = [_bridge_matrix(n=7, seed=1), m, _bridge_matrix(n=4, seed=2)]
-    with pytest.raises(BridgeError, match="line count mismatch: expected 21, got 1"):
-        external_predict(_script(tmp_path, "print(0.5)\n"), m, matrices)
+    copies = [{0: np.zeros(m.n_rows)}, {}, {1: np.ones(m.n_rows), 2: np.ones(m.n_rows)}]
+    with pytest.raises(BridgeError, match="^line count mismatch: expected 30, got 1$"):
+        external_predict(_script(tmp_path, "print(0.5)\n"), m, copies)
 
 
 def test_bridge_launches_nothing_for_no_rows(tmp_path):
@@ -785,6 +786,67 @@ def test_bridge_launches_nothing_for_no_rows(tmp_path):
     m = _bridge_matrix()
     assert external_predict(failing, m, []).shape == (0,)
     assert external_predict(failing, _bridge_matrix(n=0)).shape == (0,)
+
+
+class _Counting:
+    """Scores row sums and records the row count of every predict call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def predict(self, m):
+        self.calls.append(m.n_rows)
+        return m.rows.sum(axis=1)
+
+
+def test_score_copies_predicts_each_copy_once_in_process():
+    m = _bridge_matrix()
+    copies = [{0: np.zeros(m.n_rows)}, {}, {1: np.arange(m.n_rows), 2: 3.0}]
+    predictor = _Counting()
+    scores = list(score_copies(predictor, m, iter(copies)))
+    assert predictor.calls == [m.n_rows] * len(copies)
+    for copy, got in zip(copies, scores):
+        rows = m.rows.copy()
+        for column, values in copy.items():
+            rows[:, column] = values
+        assert got.tobytes() == rows.sum(axis=1).tobytes()
+    assert list(score_copies(predictor, m, iter([]))) == []
+    assert predictor.calls == [m.n_rows] * len(copies)
+
+
+def test_score_copies_draws_one_copy_at_a_time_in_process():
+    m = _bridge_matrix()
+    drawn = []
+
+    def copies():
+        for k in range(3):
+            drawn.append(k)
+            yield {0: np.full(m.n_rows, float(k))}
+
+    scores = score_copies(_Counting(), m, copies())
+    next(scores)
+    assert drawn == [0]  # the next copy is not drawn before its score is asked for
+
+
+def test_score_copies_scores_every_copy_in_one_launch_and_none_for_no_copies(tmp_path):
+    launches = tmp_path / "launches.txt"
+    body = f"""\
+import sys
+with open({str(launches)!r}, "a", encoding="utf-8") as fh:
+    fh.write("launch\\n")
+for line in sys.stdin.read().splitlines()[1:]:
+    print(repr(abs(float(line.split(",")[0])) % 1.0))
+"""
+    model = external_model(_script(tmp_path, body), _bridge_matrix().column_names)
+    m = _bridge_matrix()
+    copies = [{0: np.full(m.n_rows, 0.25)}, {}, {0: np.full(m.n_rows, 1.5)}]
+    scores = list(score_copies(model, m, iter(copies)))
+    assert launches.read_text(encoding="utf-8") == "launch\n"
+    assert [s.tolist() for s in scores] == [
+        [0.25] * m.n_rows, (np.abs(m.rows[:, 0]) % 1.0).tolist(), [0.5] * m.n_rows]
+    assert list(score_copies(model, m, iter([]))) == []
+    assert [s.shape for s in score_copies(model, _bridge_matrix(n=0), iter([{}, {}]))] == [(0,)] * 2
+    assert launches.read_text(encoding="utf-8") == "launch\n"  # nothing more was launched
 
 
 def test_bridge_values_round_trip_exactly(tmp_path):

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,6 +18,7 @@ from xpop.preprocess import (
     EVENT,
     STATS,
     aggregate_encode,
+    copy_csv_rows,
     extract_prefixes,
     fit_vocabulary,
     temporal_split,
@@ -487,3 +488,38 @@ def test_export_csv_equals_per_cell_formatting(rows, include_label):
     labels = np.arange(rows.shape[0]) % 2
     m = make_matrix(rows, labels)
     assert m.export_csv(include_label) == _per_cell_export(m, include_label)
+
+
+@st.composite
+def _matrix_and_copy(draw):
+    """A matrix's rows and a ``{column index: values}`` map over its columns."""
+    rows = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                           elements=_cells))
+    n, p = rows.shape
+    columns = draw(st.lists(st.integers(0, p - 1), unique=True, max_size=p))
+    return rows, {c: draw(hnp.arrays(np.float64, n, elements=_cells)) for c in columns}
+
+
+_EDGES = np.array([[-0.0, 5e-324, 1e16, 1e-7],
+                   [3.0, -2.2250738585072014e-308, 2.0**53, -1e-7]])
+
+
+@given(_matrix_and_copy())
+@example((_EDGES, {}))
+@example((_EDGES, {1: np.array([-0.0, 1e16]), 3: np.array([4.0, 5e-324])}))
+@example((_EDGES, {c: _EDGES[::-1, (c + 1) % 4] for c in range(4)}))  # rewrites every column
+@example((np.zeros((2, 3)), {0: np.array([1e-7, -0.0]), 1: np.array([1e16, 7.0]),
+                             2: np.array([2.5e-320, -3.0])}))
+def test_copy_csv_rows_equals_csv_rows_of_the_built_copy(matrix_and_copy):
+    # the bridge's stdin text for a copy, written from the matrix's cell
+    # strings with only the copy's columns formatted, against the copy built
+    # as a matrix and formatted whole, and cell by cell
+    rows, copy = matrix_and_copy
+    m = make_matrix(rows, np.arange(rows.shape[0]) % 2)
+    built_rows = rows.copy()
+    for column, values in copy.items():
+        built_rows[:, column] = values
+    built = make_matrix(built_rows, m.labels)
+    sent = m.csv_header(include_label=False) + copy_csv_rows(m.csv_cells(), copy, m.n_rows)
+    assert sent == built.csv_header(include_label=False) + built.csv_rows(include_label=False)
+    assert sent == _per_cell_export(built, include_label=False)
