@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from xpop.models import ConstantLeaf, TrainedModel, _check_two_classes, score_copies
+from xpop.models import (
+    ConstantLeaf, TrainedModel, _check_two_classes, checked_predict, score_copies,
+)
 from xpop.preprocess import EncodedMatrix
 
 
@@ -51,36 +53,13 @@ def _mse(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(np.mean((labels - scores) ** 2))
 
 
-def perturbed_scores(
-    predictor, m: EncodedMatrix, copies: Iterable[Mapping[int, np.ndarray]]
-) -> Iterator[np.ndarray]:
-    """Scores of perturbed copies of ``m``, one array per copy, in order.
-
-    Each copy maps column indices to replacement values; the other columns
-    keep ``m``'s values. Copies are drawn lazily and scored by
-    ``models.score_copies``: one ``predictor.predict`` call per copy, built
-    as its own matrix, or for an external model one launch for all copies,
-    each written as ``m``'s cell strings with its own columns substituted.
-    No copy outlives its scoring (for an external model, its write to
-    stdin), so memory is bounded by one copy. A bench cell sends its
-    permutation-importance copies (``pi_copies``) and then its
-    functional-complexity copies through one stream, so an external model
-    gets one launch for both, after the one for the test scores.
-    """
-    for out in score_copies(predictor, m, copies):
-        out = np.asarray(out, dtype=np.float64)
-        if out.shape != (m.n_rows,):
-            raise ValueError(f"predictor returned {out.shape} scores for {m.n_rows} rows")
-        yield out
-
-
 def _base_scores(predictor, m: EncodedMatrix, base_scores) -> np.ndarray:
-    """The unperturbed scores: ``base_scores`` when given, else one predict.
-    A predictor that names its columns must name ``m``'s."""
+    """The unperturbed scores: ``base_scores`` when given, else one
+    ``checked_predict``. A predictor that names its columns must name ``m``'s."""
     if getattr(predictor, "columns", m.column_names) != m.column_names:
         raise ValueError("column signature mismatch between predictor and matrix")
     if base_scores is None:
-        return np.asarray(predictor.predict(m), dtype=np.float64)
+        return checked_predict(predictor, m)
     base = np.asarray(base_scores, dtype=np.float64)
     if base.shape != (m.n_rows,):
         raise ValueError("base_scores must hold one score per matrix row")
@@ -121,7 +100,7 @@ def permutation_importance(
     averaged over `repeats` independent permutations. Per-column seeds are
     derived as seed + column index, so columns can run in parallel.
     ``base_scores``, when given, are the predictor's scores of ``m``.
-    ``scores``, when given, is a started ``perturbed_scores`` stream whose
+    ``scores``, when given, is a started ``score_copies`` stream whose
     next arrays score ``pi_copies(m, seed, repeats)``; exactly those are
     drawn from it, and later copies in it are left to its next reader.
     """
@@ -131,7 +110,7 @@ def permutation_importance(
     _check_two_classes(y)
     base = _mse(y, _base_scores(predictor, m, base_scores))
     if scores is None:
-        scores = perturbed_scores(predictor, m, pi_copies(m, seed, repeats))
+        scores = score_copies(predictor, m, pi_copies(m, seed, repeats))
     weights = np.zeros(m.n_columns)
     for i, _ in _varying(m):
         total = 0.0

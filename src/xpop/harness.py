@@ -36,18 +36,20 @@ from xpop.explain import (
     impurity_weights,
     load_external_weights,
     permutation_importance,
-    perturbed_scores,
     pi_copies,
 )
 from xpop.metrics import MetricsReport, fc_copies, functional_complexity, irc, lod_at_k, parsimony
 from xpop.models import (
+    HYPER,
     TrainedModel,
     auc,
     external_model,
+    score_copies,
     train_forest,
     train_llm,
     train_logreg,
     train_tree,
+    with_defaults,
 )
 from xpop.preprocess import (
     EncodedMatrix,
@@ -96,27 +98,9 @@ MODELS = {
 }
 
 
-_WHOLE = ("a whole number >= 1", lambda v: float(v).is_integer() and v >= 1)
-# hyperparameter -> (rule, check), checked when a ModelSpec is built
-_HYPER_RULES = {
-    "l2": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
-    "tol": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
-    "max_iter": _WHOLE,
-    "max_depth": _WHOLE,
-    "min_samples_leaf": _WHOLE,
-    "n_trees": _WHOLE,
-    "max_features_fraction": ("in (0, 1]", lambda v: 0 < v <= 1),
-}
-
-
 def _integer(value) -> bool:
     """An integer of any type, numpy's included, but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _real(value) -> bool:
-    """A real number of any type, numpy's included, but not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 _COUNT = ("a whole number >= 0", int, lambda v: _integer(v) and v >= 0)
@@ -148,7 +132,7 @@ _DATA_RULES = {
 
 # the keys a [data] and a [model ...] section may hold; any other is an error
 _DATA_KEYS = {"log", "schema", "label_a", "label_b", "out", "log_id", *_DATA_RULES}
-_MODEL_KEYS = {"kind", "command", "weights", *_HYPER_RULES}
+_MODEL_KEYS = {"kind", "command", "weights", *HYPER}
 
 
 @dataclass(frozen=True)
@@ -164,11 +148,10 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "external" and not self.command:
             raise ValueError("external model needs a command")
-        for key, value in self.hyper.items():
-            if key in _HYPER_RULES and not (_real(value) and _HYPER_RULES[key][1](value)):
-                raise ValueError(
-                    f"model {self.name!r}: {key} must be {_HYPER_RULES[key][0]}, got {value!r}"
-                )
+        try:
+            with_defaults(self.hyper)
+        except ValueError as exc:
+            raise ValueError(f"model {self.name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -285,7 +268,7 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
             continue
         section = parser[section_name]
         name = section_name.split(None, 1)[1] if " " in section_name else section_name
-        hyper = {k: _number(name, k, section[k]) for k in _HYPER_RULES if k in section}
+        hyper = {k: _number(name, k, section[k]) for k in HYPER if k in section}
         models.append(
             ModelSpec(
                 name=name,
@@ -387,7 +370,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
         if not reason:
             pi_seed, fc_seed = derive_seed(model_seed, 1), derive_seed(model_seed, 2)
             # PI's copies, then FC's, in one stream: one launch for an external model
-            stream = perturbed_scores(model, test_m, chain(
+            stream = score_copies(model, test_m, chain(
                 pi_copies(test_m, pi_seed, cfg.pi_repeats), fc_copies(test_m, fc_seed)))
             try:
                 w_pi = permutation_importance(

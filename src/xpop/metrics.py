@@ -16,8 +16,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from xpop.explain import WeightVector, _base_scores, perturbed_scores, permute_column
-from xpop.models import average_ranks
+from xpop.explain import WeightVector, _base_scores, permute_column
+from xpop.models import average_ranks, score_copies
 from xpop.preprocess import CASE, CONTROL, EVENT, ColumnMeta, EncodedMatrix
 
 BINARIZE_THRESHOLD = 0.5
@@ -87,14 +87,14 @@ def functional_complexity(
     """Per attribute type, the fraction of binarized predictions that change
     after simultaneously permuting every column of that type (``fc_copies``).
     A type without columns reads NaN; the total is the mean over the types
-    present. The copies of all types are scored in one ``perturbed_scores``
+    present. The copies of all types are scored in one ``score_copies``
     stream: ``scores`` when given, a started stream whose next arrays score
     ``fc_copies(m, seed)`` (exactly those are drawn from it), else one of
     its own. ``base_scores``, when given, are the predictor's scores of ``m``."""
     present = _present(m)
     original = _base_scores(predictor, m, base_scores) >= BINARIZE_THRESHOLD
     if scores is None:
-        scores = perturbed_scores(predictor, m, fc_copies(m, seed))
+        scores = score_copies(predictor, m, fc_copies(m, seed))
     values = dict.fromkeys(_TYPE_ORDINAL, math.nan)
     for attribute_type in present:
         permuted = next(scores) >= BINARIZE_THRESHOLD

@@ -7,6 +7,8 @@ one per row, deterministic for a fixed model state.
 
 from __future__ import annotations
 
+import math
+import numbers
 import shlex
 import subprocess
 import tempfile
@@ -17,14 +19,34 @@ import numpy as np
 
 from xpop.preprocess import EncodedMatrix, copy_csv_rows
 
-DEFAULT_LOGREG = {"l2": 0.01, "max_iter": 2000, "tol": 1e-7}
-DEFAULT_TREE = {"max_depth": 6, "min_samples_leaf": 5}
-DEFAULT_FOREST = {
-    "n_trees": 100,
-    "max_depth": 6,
-    "min_samples_leaf": 5,
-    "max_features_fraction": 0.5,
+_WHOLE = ("a whole number >= 1", lambda v: float(v).is_integer() and v >= 1)
+# hyperparameter -> (default, rule, check). Each trainer checks every key its
+# caller gives against the rule, lays them over the defaults and reads the
+# keys of its kind; a ModelSpec checks its keys when it is built.
+HYPER = {
+    "l2": (0.01, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+    "tol": (1e-7, "finite and > 0", lambda v: math.isfinite(v) and v > 0),
+    "max_iter": (2000, *_WHOLE),
+    "max_depth": (6, *_WHOLE),
+    "min_samples_leaf": (5, *_WHOLE),
+    "n_trees": (100, *_WHOLE),
+    "max_features_fraction": (0.5, "in (0, 1]", lambda v: 0 < v <= 1),
 }
+
+
+def with_defaults(hyper: Mapping[str, float] | None) -> dict:
+    """Every default of ``HYPER``, overridden by ``hyper``. Each key of
+    ``hyper`` must be in ``HYPER``, and its value a real number, not a bool,
+    that keeps the key's rule; else a ValueError names the key."""
+    hyper = dict(hyper or {})
+    for key, value in hyper.items():
+        if key not in HYPER:
+            raise ValueError(f"unknown hyperparameter {key!r}")
+        _, rule, check = HYPER[key]
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and check(value)):
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
+    return {key: default for key, (default, _, _) in HYPER.items()} | hyper
 
 
 class BridgeError(RuntimeError):
@@ -198,7 +220,7 @@ def train_logreg(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> 
     the iterations. ``n_iter`` and ``converged`` on the fitted
     ``LogRegParams`` say how it ended; ``export_model`` does not print them.
     """
-    h = {**DEFAULT_LOGREG, **(hyper or {})}
+    h = with_defaults(hyper)
     y = m.labels.astype(np.float64)
     if m.n_rows < 2:
         raise ValueError("need at least 2 rows")
@@ -363,7 +385,7 @@ def _grow_tree(
 
 def train_tree(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> TrainedModel:
     """CART with Gini impurity; single-class input yields a depth-0 leaf."""
-    h = {**DEFAULT_TREE, **(hyper or {})}
+    h = with_defaults(hyper)
     X = np.ascontiguousarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
     tree = _grow_tree(X, y, int(h["max_depth"]), int(h["min_samples_leaf"]))
@@ -376,7 +398,7 @@ def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
 
     The training matrix is sorted once for all trees; each tree's bootstrap
     sample reaches ``_grow_tree`` as row multiplicities."""
-    h = {**DEFAULT_FOREST, **(hyper or {})}
+    h = with_defaults(hyper)
     X = np.ascontiguousarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
     n, p = X.shape
@@ -407,7 +429,7 @@ def train_llm(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tra
     """Logit leaf model: CART segmentation with a forced root split and an
     independent logistic regression per leaf (single-class leaves become
     constant 0/1 predictors)."""
-    h = {**DEFAULT_TREE, **DEFAULT_LOGREG, **(hyper or {})}
+    h = with_defaults(hyper)
     X = np.ascontiguousarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
     _check_two_classes(m.labels)
@@ -456,17 +478,26 @@ def predict_proba(model: TrainedModel, m: EncodedMatrix) -> np.ndarray:
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
+def checked_predict(predictor, m: EncodedMatrix) -> np.ndarray:
+    """``predictor``'s scores of ``m`` as float64, refused unless there is
+    one per row."""
+    scores = np.asarray(predictor.predict(m), dtype=np.float64)
+    if scores.shape != (m.n_rows,):
+        raise ValueError(f"predictor returned {scores.shape} scores for {m.n_rows} rows")
+    return scores
+
+
 def score_copies(
     predictor, m: EncodedMatrix, copies: Iterable[Mapping[int, np.ndarray]]
 ) -> Iterator[np.ndarray]:
     """Scores of copies of ``m``, drawn one at a time from ``copies``, one
-    array per copy. A copy maps column indices to replacement values; its
-    other columns keep ``m``'s values. An external model scores all copies
-    in one launch (``external_predict``), split back by ``m``'s row count;
-    any other predictor (a ``TrainedModel`` or any object with ``predict``)
-    gets one ``predict`` call per copy, built as its own ``EncodedMatrix``
-    that shares ``m``'s labels. Neither holds a copy past its scoring or
-    writing."""
+    array per copy, in order. A copy maps column indices to replacement
+    values; its other columns keep ``m``'s values. An external model scores
+    all copies in one launch (``external_predict``), split back by ``m``'s
+    row count; any other predictor (a ``TrainedModel`` or any object with
+    ``predict``) gets one ``checked_predict`` per copy, built as its own
+    ``EncodedMatrix`` that shares ``m``'s labels. Neither holds a copy past
+    its scoring or writing."""
     if isinstance(predictor, TrainedModel) and predictor.kind == "external":
         drawn = 0
 
@@ -479,13 +510,13 @@ def score_copies(
         yield from scores.reshape(drawn, m.n_rows)
     else:
 
-        def built(copy: Mapping[int, np.ndarray]) -> EncodedMatrix:
+        def scored(copy: Mapping[int, np.ndarray]) -> np.ndarray:
             rows = np.array(m.rows, dtype=np.float64)
             for column, values in copy.items():
                 rows[:, column] = values
-            return EncodedMatrix(m.columns, rows, m.labels)
+            return checked_predict(predictor, EncodedMatrix(m.columns, rows, m.labels))
 
-        yield from map(predictor.predict, map(built, copies))
+        yield from map(scored, copies)
 
 
 def external_predict(

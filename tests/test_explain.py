@@ -20,7 +20,6 @@ from xpop.explain import (
     load_external_weights,
     permutation_importance,
     permute_column,
-    perturbed_scores,
 )
 from xpop import harness
 from xpop.harness import ModelSpec, prepare_matrices, run_benchmark
@@ -28,6 +27,7 @@ from xpop.metrics import functional_complexity
 from xpop.models import (
     external_model,
     external_predict,
+    score_copies,
     train_forest,
     train_llm,
     train_logreg,
@@ -239,7 +239,7 @@ def test_engine_makes_one_predict_per_copy(m):
     for n_copies in (0, 1, 2, 13):
         predictor = CountingPredictor(m.column_names)
         copies = [{0: np.full(m.n_rows, c / 7.0)} for c in range(n_copies)]
-        scores = list(perturbed_scores(predictor, m, iter(copies)))
+        scores = list(score_copies(predictor, m, iter(copies)))
         assert predictor.calls == [m.n_rows] * n_copies
         assert len(scores) == n_copies
         for copy, got in zip(copies, scores):
@@ -266,9 +266,32 @@ class ShortPredictor(CountingPredictor):
 def test_engine_rejects_wrong_score_count_and_bad_base():
     m = SMALL
     with pytest.raises(ValueError, match="scores for"):
-        list(perturbed_scores(ShortPredictor(m.column_names), m, [{}]))
+        list(score_copies(ShortPredictor(m.column_names), m, [{}]))
     with pytest.raises(ValueError, match="base_scores"):
         permutation_importance(_stub(m), m, m.labels, seed=0, base_scores=np.zeros(2))
+
+
+class ShortBasePredictor(CountingPredictor):
+    """One score for the matrix it was made with; one per row for any copy."""
+
+    def __init__(self, m):
+        super().__init__(m.column_names)
+        self.base = m
+
+    def predict(self, m):
+        return np.zeros(1) if m is self.base else super().predict(m)
+
+
+def test_pi_and_fc_check_the_base_scores_they_predict():
+    # the unperturbed scores pass the check every copy's scores pass, rather
+    # than being broadcast over the rows
+    X = _tie_heavy_matrix(20, 3, seed=23)
+    m = make_matrix(X.rows, X.labels, types=["control", "case", "event"])
+    message = r"^predictor returned \(1,\) scores for 20 rows$"
+    with pytest.raises(ValueError, match=message):
+        permutation_importance(ShortBasePredictor(m), m, m.labels, seed=0)
+    with pytest.raises(ValueError, match=message):
+        functional_complexity(ShortBasePredictor(m), m, seed=0)
 
 
 def test_bridge_cell_launches_two_processes(tmp_path):
@@ -450,14 +473,14 @@ def test_perturbed_scores_equal_each_copy_scored_alone(shifts):
     copies = [{c: np.roll(m.rows[:, c], k) for c, k in copy.items()} for copy in shifts]
     alone = [_copy(m, copy) for copy in copies]
     stub = CountingPredictor(m.column_names)
-    scores = list(perturbed_scores(stub, m, iter(copies)))
+    scores = list(score_copies(stub, m, iter(copies)))
     assert stub.calls == [m.n_rows] * len(copies)
     assert [s.tobytes() for s in scores] == [stub.predict(c).tobytes() for c in alone]
     with tempfile.TemporaryDirectory() as tmp:
         script, received = pathlib.Path(tmp, "copy.py"), pathlib.Path(tmp, "stdin.csv")
         script.write_text(COPYING_SCORER, encoding="utf-8")
         command = shlex.join([sys.executable, str(script), str(received)])
-        scores = list(perturbed_scores(external_model(command, m.column_names), m, iter(copies)))
+        scores = list(score_copies(external_model(command, m.column_names), m, iter(copies)))
         if not copies:
             assert scores == [] and not received.exists()  # nothing was launched
             return

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_matrix
-from xpop import harness
+from xpop import harness, models
 from xpop.explain import WeightVector
 from xpop.harness import (
     MODELS,
@@ -226,14 +226,20 @@ def test_benchmark_config_checks_its_fields(key, value, message):
         _cfg([ModelSpec("lr", "logreg")], **{key: value})
 
 
-@pytest.mark.parametrize("key", list(harness._HYPER_RULES))
+@pytest.mark.parametrize("key", list(models.HYPER))
 @pytest.mark.parametrize("value", [True, "20"], ids=["bool", "str"])
 def test_model_spec_rejects_a_hyperparameter_that_is_not_a_real_number(key, value):
     # a bool is a Real (1 or 0) and a string is no number: both are refused
     # with the rule, not accepted or left to a bare TypeError
-    message = f"model 'rf': {key} must be {harness._HYPER_RULES[key][0]}, got {value!r}"
+    message = f"model 'rf': {key} must be {models.HYPER[key][1]}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ModelSpec("rf", "forest", {key: value})
+
+
+def test_model_spec_rejects_an_unknown_hyperparameter():
+    # a misspelt key would otherwise be ignored and its default used
+    with pytest.raises(ValueError, match="^model 'rf': unknown hyperparameter 'ntrees'$"):
+        ModelSpec("rf", "forest", {"ntrees": 5})
 
 
 def test_model_spec_takes_numpy_and_python_numbers():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -15,8 +16,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import make_matrix
 from xpop import models
 from xpop.models import (
-    DEFAULT_FOREST,
-    DEFAULT_LOGREG,
+    HYPER,
     BridgeError,
     ConstantLeaf,
     LogRegParams,
@@ -126,7 +126,7 @@ def test_logreg_single_class_is_error():
         train_logreg(make_matrix(X, np.ones(10, dtype=int)))
 
 
-TOL = DEFAULT_LOGREG["tol"]
+TOL = HYPER["tol"][0]
 
 
 def _objective(params: LogRegParams, X, y, l2):
@@ -188,7 +188,7 @@ def test_logreg_gradient_at_the_returned_point_is_below_tol(problem):
     X, y, l2 = problem
     params = train_logreg(make_matrix(X, y), {"l2": l2}).logreg
     _, grad = _objective(params, X, y, l2)
-    assert params.converged and 0 <= params.n_iter <= DEFAULT_LOGREG["max_iter"]
+    assert params.converged and 0 <= params.n_iter <= HYPER["max_iter"][0]
     assert np.abs(grad).max() < TOL
 
 
@@ -323,6 +323,22 @@ def test_forest_signal_recovery():
     assert auc(m.labels, model.predict(m)) > 0.95
 
 
+@pytest.mark.parametrize("train", [train_logreg, train_tree, train_forest, train_llm])
+@pytest.mark.parametrize("hyper,message", [
+    ({"ntrees": 3}, "unknown hyperparameter 'ntrees'"),
+    ({"n_trees": 0}, "n_trees must be a whole number >= 1, got 0"),
+    ({"l2": True}, "l2 must be finite and >= 0, got True"),
+])
+def test_trainers_check_their_hyperparameters(train, hyper, message):
+    # a trainer called from the library checks what a ModelSpec checks: a
+    # misspelt key is not left to its default, nor an empty forest grown
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3))
+    m = make_matrix(X, (X[:, 0] > 0).astype(int))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train(m, hyper)
+
+
 # --- logit leaf model -----------------------------------------------------------
 
 
@@ -350,7 +366,7 @@ def test_llm_leaves_are_newton_optima_of_their_rows():
     assert len(fitted) >= 2
     for leaf, leaf_model in fitted:
         rows = reached == leaf
-        _, grad = _objective(leaf_model, X[rows], y[rows], DEFAULT_LOGREG["l2"])
+        _, grad = _objective(leaf_model, X[rows], y[rows], HYPER["l2"][0])
         assert leaf_model.converged and np.abs(grad).max() < TOL
         alone = train_logreg(make_matrix(X[rows], y[rows])).logreg
         assert np.array_equal(alone.coef, leaf_model.coef)
@@ -530,7 +546,7 @@ def _reference_export(kind, m, hyper, seed):
     by the reference CART; forest trees grow on a copy of their bootstrap
     rows, and the llm's leaves are fitted by ``train_llm`` itself."""
     X, y = m.rows, m.labels.astype(np.float64)
-    h = {**DEFAULT_FOREST, **hyper}
+    h = models.with_defaults(hyper)
     depth, min_leaf = int(h["max_depth"]), int(h["min_samples_leaf"])
     try:
         if kind == "tree":
