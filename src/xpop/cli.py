@@ -25,6 +25,7 @@ from xpop.harness import (
     reading,
     render_report,
     run_benchmark,
+    score_models,
     train_model,
 )
 from xpop.models import auc, export_model
@@ -64,7 +65,7 @@ def cmd_encode(args) -> int:
     with reading(args.log):  # e.g. an unlabelled case
         vocab = fit_vocabulary(log)
         matrix = aggregate_encode(extract_prefixes(log, args.max_prefix), schema, vocab)
-    text = matrix.export_csv(include_label=True)
+    text = matrix.export_csv()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out} ({matrix.n_rows} rows x {matrix.n_columns} columns)")
@@ -96,13 +97,8 @@ def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     with reading(args.config):
         train_m, test_m = prepare_matrices(cfg)
-    for idx, spec in enumerate(cfg.models):
-        try:
-            model = train_model(spec, train_m, derive_seed(cfg.seed, idx))
-            score = auc(test_m.labels, model.predict(test_m))
-            print(f"{spec.name}: test AUC {score:.6f}")
-        except Exception as exc:
-            print(f"{spec.name}: error: {exc}")
+    for spec, _, _, _, score, error in score_models(cfg, train_m, test_m):
+        print(f"{spec.name}: {error or f'test AUC {score:.6f}'}")
     return 0
 
 

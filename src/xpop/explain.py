@@ -66,13 +66,9 @@ def _base_scores(predictor, m: EncodedMatrix, base_scores) -> np.ndarray:
     return base
 
 
-def _varying(m: EncodedMatrix) -> Iterator[tuple[int, np.ndarray]]:
-    """(index, distinct values) of each column of ``m`` with two or more,
-    computed one column at a time."""
-    for i in range(m.n_columns):
-        distinct = np.unique(m.rows[:, i])
-        if len(distinct) >= 2:
-            yield i, distinct
+def _varying(m: EncodedMatrix) -> list[tuple[int, np.ndarray]]:
+    """(index, distinct values) of each column of ``m`` with two or more."""
+    return [(i, distinct) for i, distinct in enumerate(m.distinct) if len(distinct) >= 2]
 
 
 def pi_copies(m: EncodedMatrix, seed: int, repeats: int = 1) -> Iterator[dict[int, np.ndarray]]:

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -130,8 +130,10 @@ _DATA_RULES = {
 }
 
 
+# the [data] keys of a CSV log; none of them goes with a synth_* key
+_CSV_KEYS = ("log", "schema", "label_a", "label_b")
 # the keys a [data] and a [model ...] section may hold; any other is an error
-_DATA_KEYS = {"log", "schema", "label_a", "label_b", "out", "log_id", *_DATA_RULES}
+_DATA_KEYS = {*_CSV_KEYS, "out", "log_id", *_DATA_RULES}
 _MODEL_KEYS = {"kind", "command", "weights", *HYPER}
 
 
@@ -174,6 +176,14 @@ class BenchmarkConfig:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)}")
         if not self.models:
             raise ValueError("at least one model is required")
+        names = [spec.name for spec in self.models]
+        repeated = next((name for name in names if names.count(name) > 1), None)
+        if repeated is not None:
+            raise ValueError(f"two models are named {repeated!r}")
+        csv_field = next((f for f in ("log_path", "schema_path", "label_rule")
+                          if getattr(self, f) is not None), None)
+        if self.synth is not None and csv_field is not None:
+            raise ValueError(f"synth cannot be combined with {csv_field}")
         if self.synth is None and (self.log_path is None or self.schema_path is None):
             raise ValueError("either a synth spec or log + schema paths are required")
 
@@ -226,6 +236,13 @@ def _data_value(data: configparser.SectionProxy, key: str, default=None):
     return value
 
 
+def _model_name(section_name: str) -> Optional[str]:
+    """The name a ``[model <name>]`` section gives its model (a bare
+    ``[model]``: ``model``); None for a section whose first word is not ``model``."""
+    words = section_name.split(None, 1)
+    return words[-1] if words and words[0] == "model" else None
+
+
 def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
     if "data" not in parser:
         raise ValueError("config needs a [data] section")
@@ -234,7 +251,7 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
     for section_name in parser.sections():
         if section_name == "data":
             known = _DATA_KEYS
-        elif section_name.startswith("model"):
+        elif _model_name(section_name) is not None:
             known = _MODEL_KEYS
         else:
             raise ValueError(f"unknown section [{section_name}]")
@@ -245,6 +262,10 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
     if "seed" not in data:
         raise ValueError("config needs an explicit seed (no wall-clock seeding)")
     seed = _data_value(data, "seed")
+    synth_key = next((k for k in data if k.startswith("synth_")), None)
+    csv_key = next((k for k in data if k in _CSV_KEYS), None)
+    if synth_key is not None and csv_key is not None:
+        raise ValueError(f"[data] {synth_key} cannot be combined with {csv_key}")
 
     synth = None
     if "synth_rule" in data or "synth_cases" in data:
@@ -264,10 +285,10 @@ def _read_config(parser: configparser.ConfigParser) -> BenchmarkConfig:
 
     models = []
     for section_name in parser.sections():
-        if not section_name.startswith("model"):
+        name = _model_name(section_name)
+        if name is None:
             continue
         section = parser[section_name]
-        name = section_name.split(None, 1)[1] if " " in section_name else section_name
         hyper = {k: _number(name, k, section[k]) for k in HYPER if k in section}
         models.append(
             ModelSpec(
@@ -338,22 +359,28 @@ def train_model(spec: ModelSpec, train_m: EncodedMatrix, seed: int) -> TrainedMo
     return MODELS[spec.kind][0](spec, train_m, seed)
 
 
+def score_models(cfg: BenchmarkConfig, train_m: EncodedMatrix,
+                 test_m: EncodedMatrix) -> Iterator[tuple]:
+    """Each model's cell in config order, ``(spec, seed, model, test scores,
+    test AUC, error)``: the model is trained with its seed and scores ``test_m``
+    once. A failed step leaves ``error: <reason>`` and None in the middle three."""
+    for idx, spec in enumerate(cfg.models):
+        seed = derive_seed(cfg.seed, idx)
+        try:
+            model = train_model(spec, train_m, seed)
+            scores = model.predict(test_m)
+            cell = (spec, seed, model, scores, auc(test_m.labels, scores), "")
+        except Exception as exc:  # per-cell fault isolation
+            cell = (spec, seed, None, None, None, f"error: {exc}")
+        yield cell
+
+
 def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
     train_m, test_m = prepare_matrices(cfg)
 
     # Each model scores the test matrix once; AUC, PI and FC share the scores.
-    cells: list[tuple[ModelSpec, Optional[TrainedModel], Optional[np.ndarray],
-                      Optional[float], str]] = []
-    for idx, spec in enumerate(cfg.models):
-        model_seed = derive_seed(cfg.seed, idx)
-        try:
-            model = train_model(spec, train_m, model_seed)
-            scores = model.predict(test_m)
-            cells.append((spec, model, scores, auc(test_m.labels, scores), ""))
-        except Exception as exc:  # per-cell fault isolation
-            cells.append((spec, None, None, None, f"error: {exc}"))
-
-    aucs = [a for _, _, _, a, _ in cells if a is not None]
+    cells = list(score_models(cfg, train_m, test_m))
+    aucs = [a for _, _, _, _, a, _ in cells if a is not None]
     mean_auc = float(np.mean(aucs)) if aucs else math.nan
 
     if math.isnan(mean_auc) or mean_auc < AUC_FLOOR:
@@ -364,8 +391,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
         low_auc = ""
 
     reports = []
-    for idx, (spec, model, scores, model_auc, error) in enumerate(cells):
-        model_seed = derive_seed(cfg.seed, idx)
+    for spec, model_seed, model, scores, model_auc, error in cells:
         reason = error or low_auc
         if not reason:
             pi_seed, fc_seed = derive_seed(model_seed, 1), derive_seed(model_seed, 2)

@@ -73,7 +73,7 @@ def fc_copies(m: EncodedMatrix, seed: int) -> Iterator[dict[int, np.ndarray]]:
     an excluded-value permutation drawn from seed + the type's ordinal."""
     for attribute_type in _present(m):
         rng = np.random.default_rng(seed + _TYPE_ORDINAL[attribute_type])
-        yield {i: permute_column(m.rows[:, i], np.unique(m.rows[:, i]), rng)
+        yield {i: permute_column(m.rows[:, i], m.distinct[i], rng)
                for i in m.columns_of_type(attribute_type)}
 
 

@@ -541,7 +541,7 @@ def external_predict(
     """
     cells = m.csv_cells()
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as stdin:
-        stdin.write(m.csv_header(include_label=False))
+        stdin.write(m.csv_header())
         n_rows = 0
         for copy in [{}] if copies is None else copies:
             stdin.write(copy_csv_rows(cells, copy, m.n_rows))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -69,27 +70,28 @@ class EncodedMatrix:
     def columns_of_type(self, attribute_type: str) -> list[int]:
         return [i for i, c in enumerate(self.columns) if c.attribute_type == attribute_type]
 
-    def export_csv(self, include_label: bool = True) -> str:
-        """Bridge wire format: ``name:type`` header, shortest-form decimals."""
-        return self.csv_header(include_label) + self.csv_rows(include_label)
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, ...]:
+        """Each column's sorted distinct values, computed once; read-only like ``rows``."""
+        distinct = tuple(np.unique(column) for column in self.rows.T)
+        for values in distinct:
+            values.setflags(write=False)
+        return distinct
 
-    def csv_header(self, include_label: bool = True) -> str:
-        """The header line of ``export_csv``."""
-        header = [f"{c.name}:{c.attribute_type}" for c in self.columns]
-        if include_label:
-            header.append("label")
-        return ",".join(header) + "\n"
+    def export_csv(self) -> str:
+        """``csv_header`` and ``label``, then each row's ``csv_cells`` and label."""
+        header = self.csv_header()[:-1]
+        labels = [str(int(label)) for label in self.labels.tolist()]
+        return (f"{header}{',' if header else ''}label\n"
+                + _csv_lines([*self.csv_cells(), labels], self.n_rows))
+
+    def csv_header(self) -> str:
+        """The bridge's header line: one ``name:type`` cell per column."""
+        return ",".join(f"{c.name}:{c.attribute_type}" for c in self.columns) + "\n"
 
     def csv_cells(self) -> list[list[str]]:
-        """The cells of ``csv_rows`` without the label, column by column."""
+        """Each column's cells as shortest-form decimals (``_decimals``)."""
         return [_decimals(column) for column in self.rows.T]
-
-    def csv_rows(self, include_label: bool = True) -> str:
-        """The row lines of ``export_csv``, one per matrix row."""
-        cells = self.csv_cells()
-        if include_label:
-            cells.append([str(int(label)) for label in self.labels.tolist()])
-        return _csv_lines(cells, self.n_rows)
 
 
 def _decimals(values) -> list[str]:
@@ -107,7 +109,7 @@ def _csv_lines(cells: Sequence[Sequence[str]], n_rows: int) -> str:
 
 
 def copy_csv_rows(cells: Sequence[list[str]], copy: Mapping[int, np.ndarray], n_rows: int) -> str:
-    """``csv_rows(include_label=False)`` of a copy of a matrix, from the
+    """The row lines the bridge sends for a copy of a matrix, from the
     matrix's ``csv_cells`` and the copy's ``{column index: values}`` map
     (values broadcast to ``n_rows``): only the copy's own columns are
     formatted anew."""

@@ -279,13 +279,57 @@ def test_cli_bench_rejects_a_rule_attribute_the_log_lacks(tmp_path, capsys, rule
     [("synth_noise = 0.05\n", "synth_nosie = 0.3\n", "[data] unknown key 'synth_nosie'"),
      ("kind = logreg\n", "kind = logreg\nmax_iters = 1\n", "[model lr] unknown key 'max_iters'"),
      ("[model rf]", "[modle rf]", "unknown section [modle rf]"),
-     ("[data]", "[DEFAULT]\nkind = tree\n\n[data]", "unknown section [DEFAULT]")],
-    ids=["data_key", "model_key", "section", "default_section"],
+     ("[data]", "[DEFAULT]\nkind = tree\n\n[data]", "unknown section [DEFAULT]"),
+     # a model section's first word is exactly "model"
+     ("[model rf]", "[models rf]", "unknown section [models rf]"),
+     ("[model rf]", "[modelling]", "unknown section [modelling]")],
+    ids=["data_key", "model_key", "section", "default_section", "models_section",
+         "modelling_section"],
 )
 def test_cli_config_rejects_unknown_key_or_section(tmp_path, capsys, command, old, new, reason):
     path = tmp_path / "bench.cfg"
     path.write_text(CONFIG.replace(old, new), encoding="utf-8")
     _assert_file_error(capsys, [command, "--config", str(path)], path, reason)
+
+
+@pytest.mark.parametrize("command", ["bench", "train"])
+def test_cli_config_rejects_two_sections_naming_one_model(tmp_path, capsys, command):
+    # [model lr] and [model  lr] are two sections; both would write lr.model.txt
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG.replace("[model rf]\nkind = forest", "[model  lr]\nkind = tree"),
+                    encoding="utf-8")
+    _assert_file_error(capsys, [command, "--config", str(path), "--out", str(tmp_path / "out")],
+                       path, "two models are named 'lr'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_takes_a_bare_model_section(tmp_path, capsys):
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG.split("[model lr]")[0] + "[model]\nkind = tree\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("model: test AUC ")
+
+
+@pytest.mark.parametrize("command", ["bench", "evaluate"])
+@pytest.mark.parametrize(
+    "data, reason",
+    [("log = missing.csv\n", "[data] synth_cases cannot be combined with log"),
+     ("schema = schema.cfg\n", "[data] synth_cases cannot be combined with schema"),
+     ("label_a = A\nlabel_b = B\n", "[data] synth_cases cannot be combined with label_a")],
+    ids=["log", "schema", "label_rule"],
+)
+def test_cli_config_rejects_a_synth_log_with_csv_keys(tmp_path, capsys, command, data, reason):
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG.replace("[data]\n", "[data]\n" + data), encoding="utf-8")
+    _assert_file_error(capsys, [command, "--config", str(path)], path, reason)
+
+
+@pytest.mark.parametrize("command", ["bench", "evaluate"])
+def test_cli_config_rejects_a_csv_log_with_synth_keys(tmp_path, capsys, command):
+    path = _csv_config(tmp_path, ["c1,A,2024-01-01 10:00:00,1", "c2,B,2024-01-01 11:00:00,0"],
+                       data="synth_noise = 0.3\n")
+    _assert_file_error(capsys, [command, "--config", str(path)], path,
+                       "[data] synth_noise cannot be combined with log")
 
 
 def _csv_config(tmp_path, rows, data="", label=True):
@@ -443,6 +487,26 @@ def test_cli_train_and_evaluate(tmp_path, config_path, capsys):
     assert main(["evaluate", "--config", config_path]) == 0
     stdout = capsys.readouterr().out
     assert stdout.count("test AUC") == 2
+
+
+def test_cli_evaluate_prints_the_bench_auc_or_error_of_each_model(tmp_path, capsys):
+    fails = shlex.join([sys.executable, "-c", "import sys; sys.exit(1)"])
+    path = tmp_path / "bench.cfg"
+    path.write_text(CONFIG.replace("[model rf]", f"[model bad]\nkind = external\n"
+                                                 f"command = {fails}\n\n[model rf]"),
+                    encoding="utf-8")
+    assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out" / "report.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["model"] for row in rows] == ["lr", "bad", "rf"]
+    assert rows[1]["excluded_reason"].startswith("error: external command exited with 1")
+
+    assert main(["evaluate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{row['model']}: {row['excluded_reason']}" if row["excluded_reason"].startswith("error")
+        else f"{row['model']}: test AUC {row['auc']}" for row in rows
+    ]
 
 
 def test_cli_train_prints_training_auc_without_launching_external(tmp_path, capsys):

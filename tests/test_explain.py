@@ -175,6 +175,22 @@ def _stub(m):
     return StubPredictor(lambda row: 1.0 / (1.0 + math.exp(-float(row @ w))), m.column_names)
 
 
+def test_pi_and_fc_take_each_column_domain_from_the_matrix(monkeypatch):
+    # np.unique runs over each column once per matrix, in EncodedMatrix.distinct
+    m = make_matrix(SMALL.rows.copy(), SMALL.labels.copy())
+    over_rows = []
+
+    def counted(values, *args, _unique=np.unique, **kwargs):
+        if np.shares_memory(values, m.rows):
+            over_rows.append(values)
+        return _unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    permutation_importance(_stub(m), m, m.labels, seed=1, repeats=2)
+    functional_complexity(_stub(m), m, seed=2)
+    assert len(over_rows) == m.n_columns
+
+
 def _forest(m):
     return train_forest(m, {"n_trees": 5, "max_depth": 4}, seed=3)
 
@@ -330,6 +346,12 @@ sys.exit(proc.returncode)
 """
 
 
+def _unlabelled_csv(m: EncodedMatrix) -> list[str]:
+    """The lines of ``m.export_csv()`` without the label column: the bridge's
+    header, then the rows it sends for ``m``."""
+    return [line.rsplit(",", 1)[0] + "\n" for line in m.export_csv().splitlines()]
+
+
 def _recorded_bridge(tmp_path, bad=0, how="exit", pi_repeats=2):
     """The bridge config's ``ext`` cell alone, its command wrapped so that
     each launch's stdin is saved under ``tmp_path/stdin``."""
@@ -350,7 +372,7 @@ def test_bridge_cell_second_launch_sends_pi_rows_then_one_fc_copy_per_type(tmp_p
     assert report.excluded_reason == ""
     assert sorted(p.name for p in saved.iterdir()) == ["1.csv", "2.csv"]
     _, m = prepare_matrices(cfg)
-    assert (saved / "1.csv").read_bytes() == m.export_csv(include_label=False).encode("utf-8")
+    assert (saved / "1.csv").read_bytes() == "".join(_unlabelled_csv(m)).encode("utf-8")
     model_seed = derive_seed(cfg.seed, 0)
     pi_seed, fc_seed = derive_seed(model_seed, 1), derive_seed(model_seed, 2)
     blocks = []
@@ -372,7 +394,7 @@ def test_bridge_cell_second_launch_sends_pi_rows_then_one_fc_copy_per_type(tmp_p
             rows[:, i] = permute_column(m.rows[:, i], np.unique(m.rows[:, i]), rng)
         blocks.append(rows)
     stacked = EncodedMatrix(m.columns, np.vstack(blocks), np.tile(m.labels, len(blocks)))
-    assert (saved / "2.csv").read_bytes() == stacked.export_csv(include_label=False).encode()
+    assert (saved / "2.csv").read_bytes() == "".join(_unlabelled_csv(stacked)).encode()
 
 
 def test_joint_stream_gives_the_weights_and_fc_of_separate_calls(tmp_path, monkeypatch):
@@ -459,7 +481,7 @@ def test_bridge_stacked_launch_sends_header_then_each_copy_in_draw_order(tmp_pat
             rows[:, i] = permute_column(m.rows[:, i], distinct, rng)
             blocks.append(rows)
     stacked = EncodedMatrix(m.columns, np.vstack(blocks), np.tile(m.labels, len(blocks)))
-    assert received.read_bytes() == stacked.export_csv(include_label=False).encode("utf-8")
+    assert received.read_bytes() == "".join(_unlabelled_csv(stacked)).encode("utf-8")
 
 
 STREAM = _tie_heavy_matrix(12, 4, seed=24)
@@ -484,8 +506,8 @@ def test_perturbed_scores_equal_each_copy_scored_alone(shifts):
         if not copies:
             assert scores == [] and not received.exists()  # nothing was launched
             return
-        sent = m.csv_header(include_label=False) + "".join(
-            c.csv_rows(include_label=False) for c in alone)
+        sent = m.csv_header() + "".join(
+            line for c in alone for line in _unlabelled_csv(c)[1:])
         assert received.read_text(encoding="utf-8") == sent
         assert [s.tobytes() for s in scores] == [external_predict(command, c).tobytes()
                                                  for c in alone]

@@ -209,6 +209,18 @@ def test_model_spec_validation():
         BenchmarkConfig(seed=0, max_prefix=3, models=(ModelSpec("m", "logreg"),))
 
 
+def test_benchmark_config_refuses_a_repeated_model_name():
+    with pytest.raises(ValueError, match="^two models are named 'lr'$"):
+        _cfg([ModelSpec("lr", "logreg"), ModelSpec("rf", "forest"), ModelSpec("lr", "tree")])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("log_path", "log.csv"), ("schema_path", "schema.cfg"), ("label_rule", ("A", "B"))])
+def test_benchmark_config_refuses_a_synth_spec_with_a_csv_log_field(key, value):
+    with pytest.raises(ValueError, match=f"^synth cannot be combined with {key}$"):
+        _cfg([ModelSpec("lr", "logreg")], **{key: value})
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("pi_repeats", 0, "pi_repeats must be a whole number >= 1, got 0"),
     ("max_prefix", 2.5, "max_prefix must be a whole number >= 1, got 2.5"),

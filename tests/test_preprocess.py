@@ -448,8 +448,16 @@ def test_matrix_is_read_only(golden):
         golden.labels[0] = 1
 
 
+def test_distinct_values_are_each_columns_cached_and_read_only(golden):
+    distinct = golden.distinct
+    assert golden.distinct is distinct
+    assert [d.tolist() for d in distinct] == [np.unique(c).tolist() for c in golden.rows.T]
+    with pytest.raises(ValueError):
+        distinct[0][0] = 99.0
+
+
 def test_export_csv_round_trips_values(golden):
-    text = golden.export_csv(include_label=True)
+    text = golden.export_csv()
     lines = text.strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "act=A:control"
@@ -480,14 +488,12 @@ _cells = st.one_of(
 )
 
 
-@given(
-    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_cells),
-    st.booleans(),
-)
-def test_export_csv_equals_per_cell_formatting(rows, include_label):
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=_cells))
+def test_export_csv_equals_per_cell_formatting(rows):
     labels = np.arange(rows.shape[0]) % 2
     m = make_matrix(rows, labels)
-    assert m.export_csv(include_label) == _per_cell_export(m, include_label)
+    assert m.export_csv() == _per_cell_export(m, include_label=True)
 
 
 @st.composite
@@ -520,6 +526,6 @@ def test_copy_csv_rows_equals_csv_rows_of_the_built_copy(matrix_and_copy):
     for column, values in copy.items():
         built_rows[:, column] = values
     built = make_matrix(built_rows, m.labels)
-    sent = m.csv_header(include_label=False) + copy_csv_rows(m.csv_cells(), copy, m.n_rows)
-    assert sent == built.csv_header(include_label=False) + built.csv_rows(include_label=False)
+    sent = m.csv_header() + copy_csv_rows(m.csv_cells(), copy, m.n_rows)
+    assert sent == built.csv_header() + copy_csv_rows(built.csv_cells(), {}, m.n_rows)
     assert sent == _per_cell_export(built, include_label=False)
