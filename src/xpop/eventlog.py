@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain, repeat
-from typing import IO, Mapping, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -185,15 +185,27 @@ def format_schema_config(schema: AttributeSchema) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_text_stream(stream: Union[str, bytes, IO]) -> IO[str]:
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    if isinstance(stream, bytes):
-        return io.TextIOWrapper(io.BytesIO(stream), encoding="utf-8", newline="")
-    data = stream.read()
-    if isinstance(data, bytes):
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    return io.StringIO(data)
+def _as_text_stream(stream: Union[str, bytes, IO]) -> Iterable[str]:
+    """The lines of ``stream``. Bytes are decoded as UTF-8 chunk by chunk,
+    without a leading byte-order mark; an invalid byte is a ParseError that
+    names its row."""
+    data = stream if isinstance(stream, (str, bytes)) else stream.read()
+    return io.StringIO(data) if isinstance(data, str) else _decoded_lines(data)
+
+
+def _decoded_lines(data: bytes) -> Iterator[str]:
+    try:
+        yield from io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    except UnicodeDecodeError:  # its position counts from its chunk
+        try:  # only now the whole log, to place the first bad byte
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the rows of the text before it, with a stand-in for it that
+            # counts the row it sits in even when it starts one
+            before = io.StringIO(data[:exc.start].decode("utf-8-sig") + "?", newline="")
+            row = sum(1 for _ in csv.reader(before))
+            raise ParseError(f"row {row}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+        raise
 
 
 def _parse_numeric(value: str, column: str, row_number: int) -> float:

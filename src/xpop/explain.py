@@ -134,13 +134,11 @@ def coefficient_weights(model: TrainedModel) -> WeightVector:
 def impurity_weights(model: TrainedModel) -> WeightVector:
     """Total Gini impurity decrease per column, node-fraction weighted;
     forests average over member trees."""
-    trees = {"tree": (model.tree,), "forest": model.trees}.get(model.kind)
-    if trees is None:
+    if model.kind not in ("tree", "forest"):
         raise ValueError(f"impurity weights undefined for model kind {model.kind!r}")
     out = np.zeros(len(model.columns))
-    for tree in trees:  # one running sum in preorder, tree after tree
-        np.add.at(out, *tree.split_gains())
-    return WeightVector(out / len(trees), model.columns)
+    np.add.at(out, *model.tree.split_gains())  # one running sum in preorder, tree after tree
+    return WeightVector(out / len(model.tree.roots), model.columns)
 
 
 def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:

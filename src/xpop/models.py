@@ -83,11 +83,12 @@ class LogRegParams:
 
 @dataclass(frozen=True)
 class Tree:
-    """A fitted CART tree: one array per field, one entry per node in
-    preorder, left subtree first. So a split's left child is the next node,
-    leaves in array order run left to right, and array order is export
-    order. At a leaf, ``column`` is -1, ``threshold`` is NaN, and ``left``
-    and ``right`` point back at the leaf."""
+    """Fitted CART trees in one table: one array per field, one entry per
+    node, each tree in preorder (left subtree first) after the one before;
+    a tree's root is its node at depth 0. So a split's left child is the
+    next node, leaves in array order run left to right, and array order is
+    export order. At a leaf, ``column`` is -1, ``threshold`` is NaN, and
+    ``left`` and ``right`` point back at the leaf."""
 
     depth: np.ndarray
     column: np.ndarray
@@ -99,29 +100,35 @@ class Tree:
     prob: np.ndarray
 
     @property
+    def roots(self) -> np.ndarray:  # one per tree, in tree order
+        return np.flatnonzero(self.depth == 0)
+
+    @property
     def leaves(self) -> np.ndarray:
-        """Leaf node indices, left to right."""
+        """Leaf node indices, left to right, tree after tree."""
         return np.flatnonzero(self.column < 0)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """The leaf each row of ``X`` reaches; ``x <= threshold`` goes left.
-        All rows step together as deep as the tree goes; a row that reached
-        its leaf steps back onto it."""
-        rows = np.arange(len(X))
+        """The (trees x rows) leaves the rows of ``X`` (C-contiguous) reach;
+        ``x <= threshold`` goes left. All pairs step together as deep as the
+        deepest tree goes; a pair that reached its leaf steps back onto it."""
+        at_row = np.arange(len(X)) * X.shape[1]  # flat offset of each row in X
         column = np.maximum(self.column, 0)  # any valid column: a leaf's test is moot
-        node = np.zeros(len(X), dtype=np.intp)
+        children = np.stack([self.right, self.left], axis=1).ravel()  # 2 * node + go_left
+        node = np.repeat(self.roots[:, None], len(X), axis=1)
         for _ in range(self.depth.max()):
-            go_left = X[rows, column[node]] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
+            go_left = X.take(at_row + column.take(node)) <= self.threshold.take(node)
+            node = children.take(2 * node + go_left)
         return node
 
     def split_gains(self) -> tuple[np.ndarray, np.ndarray]:
-        """(column, Gini decrease weighted by the node's share of the root's
-        rows) of each split, in preorder."""
+        """(column, Gini decrease weighted by the node's share of its root's
+        rows) of each split, in table order."""
         s = np.flatnonzero(self.column >= 0)
         left, right, n = self.left[s], self.right[s], self.n[s]
+        root_n = self.n[self.roots][np.cumsum(self.depth == 0)[s] - 1]
         child_gini = self.n[left] / n * self.gini[left] + self.n[right] / n * self.gini[right]
-        return self.column[s], n / self.n[0] * (self.gini[s] - child_gini)
+        return self.column[s], n / root_n * (self.gini[s] - child_gini)
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,7 @@ class TrainedModel:
     kind: str
     columns: tuple[str, ...]
     logreg: Optional[LogRegParams] = None
-    tree: Optional[Tree] = None
-    trees: tuple[Tree, ...] = ()
+    tree: Optional[Tree] = None  # tree, forest and llm: every tree of the model
     leaf_models: tuple = ()  # llm: one ConstantLeaf or LogRegParams per leaf, in leaf order
     command: Optional[str] = None
 
@@ -297,6 +303,7 @@ def _best_split(
 
 
 def _grow_tree(
+    nodes: list[list],
     X: np.ndarray,
     y: np.ndarray,
     max_depth: int,
@@ -306,9 +313,9 @@ def _grow_tree(
     rng: Optional[np.random.Generator] = None,
     mtry: Optional[int] = None,
     force_root: bool = False,
-) -> Tree:
+) -> list[list]:
     """CART on the rows of ``X`` (C-contiguous) and the labels ``y``, grown
-    in preorder.
+    in preorder onto ``nodes`` (returned), one row per node as ``_table`` reads.
 
     Rows are sorted by each column once: here, or by the caller, who passes
     ``_presort(X)`` as ``order`` (int32 row ids, so fewer than 2**31 rows).
@@ -339,8 +346,6 @@ def _grow_tree(
         # A node splits whenever it is impure (or forced) and a legal split exists.
         return depth < max_depth and n >= 2 * min_samples_leaf and (forced or 0 < n_pos < n)
 
-    # one [depth, column, threshold, right, n, gini, prob] per node, preorder
-    nodes: list[list] = []
     # (sorted row ids or None for a leaf, n, n_pos, depth, parent of a right child)
     stack = [(order if searches(n, n_pos, 0, force_root) else None, n, n_pos, 0, None)]
     del order  # the stack holds a node's sorted rows alone, so they are freed once it splits
@@ -378,6 +383,11 @@ def _grow_tree(
                 right_order = order.ravel().compress(~mask).reshape(p, n_right)
         stack.append((right_order, n_right, pos_right, depth + 1, node))
         stack.append((left_order, n_left, pos_left, depth + 1, None))
+    return nodes
+
+
+def _table(nodes: list[list]) -> Tree:
+    """The ``Tree`` of the node rows ``_grow_tree`` appended."""
     depth, column, threshold, right, n, gini, prob = map(np.array, zip(*nodes))
     left = np.arange(len(nodes)) + (column >= 0)
     return Tree(depth, column, threshold, left, right, n, gini, prob)
@@ -388,8 +398,8 @@ def train_tree(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tr
     h = with_defaults(hyper)
     X = np.ascontiguousarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
-    tree = _grow_tree(X, y, int(h["max_depth"]), int(h["min_samples_leaf"]))
-    return TrainedModel("tree", m.column_names, tree=tree)
+    nodes = _grow_tree([], X, y, int(h["max_depth"]), int(h["min_samples_leaf"]))
+    return TrainedModel("tree", m.column_names, tree=_table(nodes))
 
 
 def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
@@ -397,24 +407,20 @@ def train_forest(m: EncodedMatrix, hyper: Mapping[str, float] | None = None,
     """Bagged CART forest with per-split column subsampling, fully seeded.
 
     The training matrix is sorted once for all trees; each tree's bootstrap
-    sample reaches ``_grow_tree`` as row multiplicities."""
+    sample reaches ``_grow_tree`` as row multiplicities, into one node list."""
     h = with_defaults(hyper)
     X = np.ascontiguousarray(m.rows, dtype=np.float64)
     y = m.labels.astype(np.float64)
     n, p = X.shape
     mtry = max(1, int(np.ceil(float(h["max_features_fraction"]) * p)))
     order = _presort(X)
-    trees = []
+    nodes = []
     for t in range(int(h["n_trees"])):
         rng = np.random.default_rng(seed + t)
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        trees.append(
-            _grow_tree(
-                X, y, int(h["max_depth"]), int(h["min_samples_leaf"]),
-                order=order, counts=counts, rng=rng, mtry=mtry,
-            )
-        )
-    return TrainedModel("forest", m.column_names, trees=tuple(trees))
+        _grow_tree(nodes, X, y, int(h["max_depth"]), int(h["min_samples_leaf"]),
+                   order=order, counts=counts, rng=rng, mtry=mtry)
+    return TrainedModel("forest", m.column_names, tree=_table(nodes))
 
 
 @dataclass(frozen=True)
@@ -436,8 +442,8 @@ def train_llm(m: EncodedMatrix, hyper: Mapping[str, float] | None = None) -> Tra
     min_leaf = int(h["min_samples_leaf"])
     if len(y) < 2 * min_leaf:
         raise ValueError("no legal forced split: too few rows")
-    tree = _grow_tree(X, y, int(h["max_depth"]), min_leaf, force_root=True)
-    reached = tree.apply(X)
+    tree = _table(_grow_tree([], X, y, int(h["max_depth"]), min_leaf, force_root=True))
+    reached = tree.apply(X)[0]
     leaf_models = []
     for leaf in tree.leaves:
         rows = reached == leaf
@@ -459,15 +465,13 @@ def external_model(command: str, columns: Sequence[str]) -> TrainedModel:
 def predict_proba(model: TrainedModel, m: EncodedMatrix) -> np.ndarray:
     if model.columns != m.column_names:
         raise ValueError("column signature mismatch between model and matrix")
-    X = np.asarray(m.rows, dtype=np.float64)
+    X = np.ascontiguousarray(m.rows, dtype=np.float64)
     if model.kind == "logreg":
         return model.logreg.score(X)
-    if model.kind == "tree":
-        return model.tree.prob[model.tree.apply(X)]
-    if model.kind == "forest":
-        return np.stack([t.prob[t.apply(X)] for t in model.trees]).mean(axis=0)
+    if model.kind in ("tree", "forest"):
+        return model.tree.prob[model.tree.apply(X)].mean(axis=0)
     if model.kind == "llm":
-        reached = model.tree.apply(X)
+        reached = model.tree.apply(X)[0]
         out = np.empty(len(X), dtype=np.float64)
         for leaf, leaf_model in zip(model.tree.leaves, model.leaf_models):
             rows = reached == leaf
@@ -603,13 +607,15 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _format_tree(tree: Tree, columns: Sequence[str], indent: int, leaf_ids=False) -> list[str]:
+def _format_tree(tree: Tree, columns: Sequence[str], forest=False, leaf_ids=False) -> list[str]:
     """One line per node in array order, indented by depth; ``leaf_ids``
-    numbers the leaves left to right."""
+    numbers the leaves left to right, ``forest`` heads each tree (indented)."""
     lines = []
-    leaf_id = np.cumsum(tree.column < 0) - 1
+    leaf_id, tree_id = np.cumsum([tree.column < 0, tree.depth == 0], axis=1) - 1
     for i in range(len(tree.n)):
-        pad = "  " * (indent + int(tree.depth[i]))
+        if forest and tree.depth[i] == 0:
+            lines.append(f"tree\t{tree_id[i]}")
+        pad = "  " * (forest + int(tree.depth[i]))
         stats = f"n={tree.n[i]} gini={float(tree.gini[i])!r}"
         if tree.column[i] >= 0:
             lines.append(f"{pad}split column={columns[tree.column[i]]} "
@@ -634,14 +640,10 @@ def export_model(model: TrainedModel) -> str:
     lines = [f"kind\t{model.kind}"]
     if model.kind == "logreg":
         lines.extend(_format_logreg(model.logreg, model.columns))
-    elif model.kind == "tree":
-        lines.extend(_format_tree(model.tree, model.columns, 0))
-    elif model.kind == "forest":
-        for t, tree in enumerate(model.trees):
-            lines.append(f"tree\t{t}")
-            lines.extend(_format_tree(tree, model.columns, 1))
+    elif model.kind in ("tree", "forest"):
+        lines.extend(_format_tree(model.tree, model.columns, forest=model.kind == "forest"))
     elif model.kind == "llm":
-        lines.extend(_format_tree(model.tree, model.columns, 0, leaf_ids=True))
+        lines.extend(_format_tree(model.tree, model.columns, leaf_ids=True))
         for leaf_id, leaf_model in enumerate(model.leaf_models):
             lines.append(f"leaf_model\t{leaf_id}")
             if isinstance(leaf_model, ConstantLeaf):

@@ -21,8 +21,17 @@ settings.load_profile("xpop")
 # A deeper run of the oracles CI names (--hypothesis-profile xpop-oracle):
 # the synth stream oracles, because the decoder in `synth` mirrors numpy's
 # seeding, `integers` and `random`, so it is checked against whichever numpy
-# is installed; and the bridge copy-text oracle.
+# is installed; the bridge copy-text oracle; and the tree oracles that the
+# packed node table rests on (presorted CART against the per-node argsort,
+# apply against a row's descent, the table against its trees walked alone).
 settings.register_profile("xpop-oracle", settings.get_profile("xpop"), max_examples=500)
+
+
+def oracle_examples(tier1: int) -> int:
+    """An oracle's example count: ``tier1``, unless the loaded profile runs
+    more examples than "xpop" (as xpop-oracle does), whose count it takes."""
+    loaded = settings.default.max_examples
+    return loaded if loaded > settings.get_profile("xpop").max_examples else tier1
 
 
 def make_matrix(X, labels, types=None, names=None) -> EncodedMatrix:

@@ -447,6 +447,33 @@ def test_cli_encode_bad_timestamp_names_log_and_row(tmp_path, config_path, capsy
     _assert_file_error(capsys, argv, log, "row 2: unparseable timestamp 'notatime'")
 
 
+def test_cli_encode_log_with_a_byte_order_mark_encodes_as_without(tmp_path, config_path, capsys):
+    out = tmp_path / "synth"
+    main(["synth", "--config", config_path, "--out", str(out)])
+    log = out / "log.csv"
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + log.read_bytes())
+    matrices = []
+    for path in (log, bom):
+        encoded = tmp_path / f"{path.stem}_matrix.csv"
+        assert main(["encode", "--log", str(path), "--schema", str(out / "schema.cfg"),
+                     "--max-prefix", "3", "--out", str(encoded)]) == 0
+        matrices.append(encoded.read_bytes())
+    assert matrices[0] == matrices[1]
+
+
+@pytest.mark.parametrize("row", [1, 6], ids=["header", "data_row"])
+def test_cli_encode_invalid_utf8_names_log_row_and_byte(tmp_path, config_path, capsys, row):
+    out = tmp_path / "synth"
+    main(["synth", "--config", config_path, "--out", str(out)])
+    lines = (out / "log.csv").read_bytes().split(b"\n")
+    lines[row - 1] += b"\xff"
+    log = tmp_path / "bad.csv"
+    log.write_bytes(b"\n".join(lines))
+    argv = ["encode", "--log", str(log), "--schema", str(out / "schema.cfg"), "--max-prefix", "3"]
+    _assert_file_error(capsys, argv, log, f"row {row}: invalid UTF-8 byte 0xff")
+
+
 def test_cli_metrics_prints_the_bench_table_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "from_config"
     config = tmp_path / "bench.cfg"

@@ -288,6 +288,20 @@ def test_bytes_stream_accepted(basic_schema):
     assert len(log) == 1
 
 
+def test_invalid_utf8_byte_is_reported_by_row_past_the_first_chunk(basic_schema):
+    # a quoted cell spans two lines, so rows and lines differ; the bad byte
+    # lies far past the decoder's first chunk, in a multi-byte sequence cut short
+    rows = [f"c{i},A,2024-01-01 10:00:00,ok,web,1.0,r1,{i}.0" for i in range(1000)]
+    rows[0] = 'c0,A,2024-01-01 10:00:00,ok,"w\neb",1.0,r1,0.0'
+    data = _csv(*rows).encode("utf-8")
+    at = data.index(b"c900,") + 1
+    with pytest.raises(ParseError, match=r"^row 902: invalid UTF-8 byte 0xe2$"):
+        parse_csv(data[:at] + b"\xe2\x82" + data[at:], basic_schema)
+    with pytest.raises(ParseError, match=r"^row 902: invalid UTF-8 byte 0xff$"):
+        parse_csv(io.BytesIO(b"\xef\xbb\xbf" + data[:at - 1] + b"\xff" + data[at:]), basic_schema)
+    assert len(parse_csv(b"\xef\xbb\xbf" + data, basic_schema)) == 1000
+
+
 def test_schema_config_round_trip(basic_schema):
     text = format_schema_config(basic_schema)
     again = parse_schema_config(text)

@@ -578,25 +578,27 @@ def test_forest_impurity_weights_average_and_rank():
 
 
 def test_forest_impurity_weights_are_one_running_sum_in_preorder():
-    # oracle: descend each tree from its root, adding every split's weighted
-    # Gini decrease to one running total per column, tree after tree; the
-    # report's bytes depend on this summation order
+    # oracle: descend each tree of the table from its root, adding every
+    # split's weighted Gini decrease to one running total per column, tree
+    # after tree; the report's bytes depend on this summation order
     m, _ = _signal_matrix(seed=5, n=300)
     model = train_forest(m, {"n_trees": 15}, seed=2)
+    tree = model.tree
     total = np.zeros(m.n_columns)
 
-    def visit(tree, i):
+    def visit(root, i):
         if tree.column[i] < 0:
             return
         left, right = tree.left[i], tree.right[i]
         child = tree.n[left] / tree.n[i] * tree.gini[left] + tree.n[right] / tree.n[i] * tree.gini[right]
-        total[tree.column[i]] += tree.n[i] / tree.n[0] * (tree.gini[i] - child)
-        visit(tree, left)
-        visit(tree, right)
+        total[tree.column[i]] += tree.n[i] / tree.n[root] * (tree.gini[i] - child)
+        visit(root, left)
+        visit(root, right)
 
-    for tree in model.trees:
-        visit(tree, 0)
-    assert np.array_equal(impurity_weights(model).weights, total / len(model.trees))
+    for root in tree.roots:
+        visit(root, root)
+    assert len(tree.roots) == 15
+    assert np.array_equal(impurity_weights(model).weights, total / len(tree.roots))
 
 
 # --- external weights --------------------------------------------------------------

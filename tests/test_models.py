@@ -4,7 +4,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest.mock import patch
 
 import numpy as np
@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_matrix
+from conftest import make_matrix, oracle_examples
 from xpop import models
+from xpop.explain import impurity_weights
 from xpop.models import (
     HYPER,
     BridgeError,
@@ -309,8 +310,9 @@ def test_forest_is_mean_of_trees():
     y = (X[:, 0] > 0).astype(int)
     m = make_matrix(X, y)
     model = train_forest(m, {"n_trees": 7}, seed=1)
-    assert len(model.trees) == 7
-    stacked = np.stack([t.prob[t.apply(m.rows)] for t in model.trees])
+    trees = _cut(model.tree)
+    assert len(trees) == 7
+    stacked = np.stack([t.prob[_walk(t, m.rows)] for t in trees])
     assert np.allclose(model.predict(m), stacked.mean(axis=0))
 
 
@@ -360,7 +362,7 @@ def test_llm_leaves_are_newton_optima_of_their_rows():
     X = rng.normal(size=(400, 4))
     y = (rng.random(400) < 1.0 / (1.0 + np.exp(-2.0 * X[:, 0] * X[:, 1]))).astype(int)
     model = train_llm(make_matrix(X, y), {"max_depth": 2})
-    reached = model.tree.apply(X)
+    reached = model.tree.apply(X)[0]
     fitted = [(leaf, lm) for leaf, lm in zip(model.tree.leaves, model.leaf_models)
               if not isinstance(lm, ConstantLeaf)]
     assert len(fitted) >= 2
@@ -397,9 +399,8 @@ def test_llm_no_legal_forced_split_is_error():
 # --- flat tree layout -------------------------------------------------------------
 
 
-def _descend(tree, row) -> int:
-    """Oracle: walk one row from the root; ``x <= threshold`` goes left."""
-    i = 0
+def _descend(tree, row, i=0) -> int:
+    """Oracle: walk one row from the root ``i``; ``x <= threshold`` goes left."""
     while tree.column[i] >= 0:
         i = tree.left[i] if row[tree.column[i]] <= tree.threshold[i] else tree.right[i]
     return int(i)
@@ -427,31 +428,140 @@ def _tied_problem(draw):
     return X, y, hyper, draw(st.booleans())
 
 
-@settings(max_examples=80)
+@settings(max_examples=oracle_examples(80))
 @given(_tied_problem())
 def test_tree_apply_matches_descent_and_layout_invariants(problem):
     X, y, hyper, forest = problem
     m = make_matrix(X, y)
-    trees = train_forest(m, hyper, seed=1).trees if forest else (train_tree(m, hyper).tree,)
-    for tree in trees:
-        splits = np.flatnonzero(tree.column >= 0)
-        left, right = tree.left[splits], tree.right[splits]
-        assert np.array_equal(left, splits + 1)
-        assert np.array_equal(tree.left[tree.leaves], tree.leaves)
-        assert np.array_equal(tree.right[tree.leaves], tree.leaves)
-        assert np.array_equal(tree.n[left] + tree.n[right], tree.n[splits])
-        assert np.array_equal(tree.depth[left], tree.depth[splits] + 1)
-        assert np.array_equal(tree.depth[right], tree.depth[splits] + 1)
-        visited = _preorder(tree)
-        assert visited == list(range(len(tree.n)))
-        assert tree.leaves.tolist() == [i for i in visited if tree.column[i] < 0]  # left to right
-        # training values plus rows that sit exactly on each split threshold
-        on_threshold = np.repeat(tree.threshold[splits], X.shape[1]).reshape(-1, X.shape[1])
-        queries = np.vstack([X, on_threshold, X + 0.5])
-        assert tree.apply(queries).tolist() == [_descend(tree, row) for row in queries]
-        if not forest:  # a single tree is grown on X itself: its rows reach the leaves' n
-            reached = np.bincount(tree.apply(X), minlength=len(tree.n))
-            assert np.array_equal(reached[tree.leaves], tree.n[tree.leaves])
+    tree = (train_forest(m, hyper, seed=1) if forest else train_tree(m, hyper)).tree
+    assert len(tree.roots) == (hyper["n_trees"] if forest else 1)
+    splits = np.flatnonzero(tree.column >= 0)
+    left, right = tree.left[splits], tree.right[splits]
+    assert np.array_equal(left, splits + 1)
+    assert np.array_equal(tree.left[tree.leaves], tree.leaves)
+    assert np.array_equal(tree.right[tree.leaves], tree.leaves)
+    assert np.array_equal(tree.n[left] + tree.n[right], tree.n[splits])
+    assert np.array_equal(tree.depth[left], tree.depth[splits] + 1)
+    assert np.array_equal(tree.depth[right], tree.depth[splits] + 1)
+    visited = [i for root in tree.roots for i in _preorder(tree, root)]  # tree after tree
+    assert visited == list(range(len(tree.n)))
+    assert tree.leaves.tolist() == [i for i in visited if tree.column[i] < 0]  # left to right
+    # training values plus rows that sit exactly on each split threshold
+    on_threshold = np.repeat(tree.threshold[splits], X.shape[1]).reshape(-1, X.shape[1])
+    queries = np.vstack([X, on_threshold, X + 0.5])
+    assert tree.apply(queries).tolist() == [
+        [_descend(tree, row, root) for row in queries] for root in tree.roots]
+    if not forest:  # a single tree is grown on X itself: its rows reach the leaves' n
+        reached = np.bincount(tree.apply(X)[0], minlength=len(tree.n))
+        assert np.array_equal(reached[tree.leaves], tree.n[tree.leaves])
+
+
+# --- the packed node table against its trees, cut apart and walked alone -------
+
+
+def _cut(table) -> list:
+    """Oracle: one single-tree ``Tree`` per root of ``table``, its node
+    indices rebased to start at 0."""
+    trees = []
+    for start, end in zip(table.roots, [*table.roots[1:], len(table.n)]):
+        part = {f.name: getattr(table, f.name)[start:end] for f in fields(Tree)}
+        trees.append(Tree(**part | {"left": part["left"] - start, "right": part["right"] - start}))
+    return trees
+
+
+def _pack(trees) -> Tree:
+    """Oracle: single-tree ``Tree``s one after another in one table, their
+    node indices rebased to where each tree starts."""
+    starts = np.cumsum([0] + [len(tree.n) for tree in trees[:-1]])
+    part = {f.name: np.concatenate([getattr(tree, f.name) for tree in trees]) for f in fields(Tree)}
+    shift = np.repeat(starts, [len(tree.n) for tree in trees])
+    return Tree(**part | {"left": part["left"] + shift, "right": part["right"] + shift})
+
+
+def _walk(tree, X) -> np.ndarray:
+    """Oracle: the leaf each row of ``X`` reaches in the single tree
+    ``tree``, all rows stepping together from node 0."""
+    rows = np.arange(len(X))
+    column = np.maximum(tree.column, 0)
+    node = np.zeros(len(X), dtype=np.intp)
+    for _ in range(tree.depth.max()):
+        go_left = X[rows, column[node]] <= tree.threshold[node]
+        node = np.where(go_left, tree.left[node], tree.right[node])
+    return node
+
+
+def _split_gains(tree):
+    """Oracle: (column, Gini decrease weighted by the node's share of the
+    root's rows) of each split of the single tree ``tree``, in preorder."""
+    s = np.flatnonzero(tree.column >= 0)
+    left, right, n = tree.left[s], tree.right[s], tree.n[s]
+    child_gini = tree.n[left] / n * tree.gini[left] + tree.n[right] / n * tree.gini[right]
+    return tree.column[s], n / tree.n[0] * (tree.gini[s] - child_gini)
+
+
+def _per_tree_export(kind, columns, trees) -> str:
+    """Oracle: ``export_model`` text of a tree or forest, written tree by
+    tree; a forest heads each tree with ``tree\t<t>`` and indents it."""
+    lines = [f"kind\t{kind}"]
+    indent = int(kind == "forest")
+    for t, tree in enumerate(trees):
+        if indent:
+            lines.append(f"tree\t{t}")
+        for i in range(len(tree.n)):
+            pad = "  " * (indent + int(tree.depth[i]))
+            stats = f"n={tree.n[i]} gini={float(tree.gini[i])!r}"
+            if tree.column[i] >= 0:
+                lines.append(f"{pad}split column={columns[tree.column[i]]} "
+                             f"threshold={float(tree.threshold[i])!r} {stats}")
+            else:
+                lines.append(f"{pad}leaf {stats} prob={float(tree.prob[i])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _table_problem(draw):
+    """``_tied_problem`` with up to two continuous columns beside its tied
+    ones, and a forest of 1-5 trees."""
+    X, y, hyper, forest = draw(_tied_problem())
+    continuous = draw(hnp.arrays(np.float64, (len(X), draw(st.integers(0, 2))),
+                                 elements=st.floats(-1e3, 1e3)))
+    hyper |= {"n_trees": draw(st.integers(1, 5)),
+              "max_features_fraction": draw(st.sampled_from([0.5, 1.0]))}
+    return np.hstack([X, continuous]), y, hyper, forest
+
+
+@settings(max_examples=oracle_examples(80))
+@given(_table_problem(), st.integers(0, 5))
+def test_packed_table_equals_its_trees_walked_alone(problem, seed):
+    X, y, hyper, forest = problem
+    m = make_matrix(X, y)
+    model = train_forest(m, hyper, seed=seed) if forest else train_tree(m, hyper)
+    table, trees = model.tree, _cut(model.tree)
+    assert len(trees) == (hyper["n_trees"] if forest else 1)
+    for tree in trees:  # each tree's nodes are one contiguous preorder run
+        assert np.count_nonzero(tree.depth == 0) == 1
+        assert _preorder(tree) == list(range(len(tree.n)))
+        for child in (tree.left, tree.right):
+            assert ((0 <= child) & (child < len(tree.n))).all()
+    packed = _pack(trees)
+    for f in fields(Tree):
+        assert np.array_equal(getattr(packed, f.name), getattr(table, f.name), equal_nan=True)
+    queries = np.vstack([X, X + 0.5])
+    walked = np.stack([_walk(tree, queries) for tree in trees])
+    assert np.array_equal(table.apply(queries), walked + table.roots[:, None])
+    stacked = np.stack([tree.prob[leaf] for tree, leaf in zip(trees, walked)])
+    expected = stacked.mean(axis=0) if forest else stacked[0]
+    assert np.array_equal(model.predict(make_matrix(queries, np.zeros(len(queries)))), expected)
+    assert export_model(model) == _per_tree_export(model.kind, m.column_names, trees)
+    # bootstrap samples keep every root's n equal; a tree grown on half the
+    # rows shows that each split is weighed by its own root's n
+    half = train_tree(make_matrix(X[::2], y[::2]), hyper).tree
+    for trees in (trees, [*trees, half]):
+        total = np.zeros(m.n_columns)
+        for tree in trees:  # one running sum in preorder, tree after tree
+            np.add.at(total, *_split_gains(tree))
+        packed = TrainedModel("forest", m.column_names, tree=_pack(trees))
+        assert np.array_equal(impurity_weights(packed).weights, total / len(trees))
 
 
 # --- presorted CART against the per-node argsort oracle -------------------------
@@ -506,8 +616,9 @@ def _reference_gini(n_pos, n):
 
 
 def _reference_grow_tree(X, y, max_depth, min_samples_leaf, rng=None, mtry=None,
-                         force_root=False) -> Tree:
-    """Oracle: CART grown recursively on copies of each node's rows."""
+                         force_root=False) -> list:
+    """Oracle: CART grown recursively on copies of each node's rows, one
+    ``[depth, column, threshold, right, n, gini, prob]`` per node."""
     nodes = []
 
     def grow(X, y, depth, forced=False):
@@ -536,6 +647,11 @@ def _reference_grow_tree(X, y, max_depth, min_samples_leaf, rng=None, mtry=None,
         grow(X[~mask], y[~mask], depth + 1)
 
     grow(X, y, 0, force_root)
+    return nodes
+
+
+def _reference_table(nodes) -> Tree:
+    """Oracle: the single-tree ``Tree`` of ``_reference_grow_tree``'s nodes."""
     depth, column, threshold, right, n, gini, prob = map(np.array, zip(*nodes))
     left = np.arange(len(nodes)) + (column >= 0)
     return Tree(depth, column, threshold, left, right, n, gini, prob)
@@ -544,14 +660,15 @@ def _reference_grow_tree(X, y, max_depth, min_samples_leaf, rng=None, mtry=None,
 def _reference_export(kind, m, hyper, seed):
     """Oracle: ``export_model`` text (or the ValueError) of a model trained
     by the reference CART; forest trees grow on a copy of their bootstrap
-    rows, and the llm's leaves are fitted by ``train_llm`` itself."""
+    rows, one at a time, and are packed into one table; the llm's leaves are
+    fitted by ``train_llm`` itself."""
     X, y = m.rows, m.labels.astype(np.float64)
     h = models.with_defaults(hyper)
     depth, min_leaf = int(h["max_depth"]), int(h["min_samples_leaf"])
     try:
         if kind == "tree":
-            return export_model(TrainedModel(
-                "tree", m.column_names, tree=_reference_grow_tree(X, y, depth, min_leaf)))
+            tree = _reference_table(_reference_grow_tree(X, y, depth, min_leaf))
+            return export_model(TrainedModel("tree", m.column_names, tree=tree))
         if kind == "forest":
             n, p = X.shape
             mtry = max(1, int(np.ceil(float(h["max_features_fraction"]) * p)))
@@ -559,11 +676,14 @@ def _reference_export(kind, m, hyper, seed):
             for t in range(int(h["n_trees"])):
                 rng = np.random.default_rng(seed + t)
                 idx = rng.integers(0, n, size=n)
-                trees.append(_reference_grow_tree(X[idx], y[idx], depth, min_leaf, rng, mtry))
-            return export_model(TrainedModel("forest", m.column_names, trees=tuple(trees)))
+                trees.append(_reference_table(
+                    _reference_grow_tree(X[idx], y[idx], depth, min_leaf, rng, mtry)))
+            return export_model(TrainedModel("forest", m.column_names, tree=_pack(trees)))
 
-        def grow(X, y, max_depth, min_samples_leaf, force_root):
-            return _reference_grow_tree(X, y, max_depth, min_samples_leaf, force_root=force_root)
+        def grow(nodes, X, y, max_depth, min_samples_leaf, force_root):
+            nodes.extend(_reference_grow_tree(X, y, max_depth, min_samples_leaf,
+                                              force_root=force_root))
+            return nodes
 
         with patch.object(models, "_grow_tree", grow):
             return export_model(train_llm(m, hyper))
@@ -608,7 +728,7 @@ def _mixed_problem(draw):
     return np.column_stack(columns), y, hyper
 
 
-@settings(max_examples=150)
+@settings(max_examples=oracle_examples(150))
 @given(
     st.one_of(_tied_problem().map(lambda problem: problem[:3]), _mixed_problem()),
     st.sampled_from([1, 5, 64, models.SEARCH_BLOCK]),  # sorted values per search block
