@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from xpop.eventlog import format_schema_config, serialize_csv
+from xpop.eventlog import decoded_lines, format_schema_config, serialize_csv
 from xpop.guidelines import QUESTION_ORDER, Questionnaire, interactive_guide, recommend
 from xpop.harness import (
     BenchmarkConfig,
@@ -118,8 +118,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with reading(args.input), open(args.input, encoding="utf-8", newline="") as fh:
-        records = [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row]
+    with reading(args.input):
+        lines = decoded_lines(Path(args.input).read_bytes())
+        records = [(n, row) for n, row in enumerate(csv.reader(lines), start=1) if row]
         if not records:
             raise ValueError("row 1: no header")
         (_, header), *records = records

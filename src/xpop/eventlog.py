@@ -186,24 +186,31 @@ def format_schema_config(schema: AttributeSchema) -> str:
 
 
 def _as_text_stream(stream: Union[str, bytes, IO]) -> Iterable[str]:
-    """The lines of ``stream``. Bytes are decoded as UTF-8 chunk by chunk,
-    without a leading byte-order mark; an invalid byte is a ParseError that
-    names its row."""
+    """The lines of ``stream``, bytes read by ``decoded_lines``."""
     data = stream if isinstance(stream, (str, bytes)) else stream.read()
-    return io.StringIO(data) if isinstance(data, str) else _decoded_lines(data)
+    return io.StringIO(data) if isinstance(data, str) else decoded_lines(data)
 
 
-def _decoded_lines(data: bytes) -> Iterator[str]:
+def decoded_lines(data: bytes) -> Iterator[str]:
+    """The lines of ``data`` decoded as UTF-8 chunk by chunk, without a
+    leading byte-order mark. An invalid byte is a ParseError that names its
+    CSV row, raised once the complete lines before it are yielded, so an
+    error in an earlier row is met first."""
+    yielded = 0
     try:
-        yield from io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+        for yielded, line in enumerate(
+                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""), 1):
+            yield line
     except UnicodeDecodeError:  # its position counts from its chunk
         try:  # only now the whole log, to place the first bad byte
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # the rows of the text before it, with a stand-in for it that
-            # counts the row it sits in even when it starts one
-            before = io.StringIO(data[:exc.start].decode("utf-8-sig") + "?", newline="")
-            row = sum(1 for _ in csv.reader(before))
+            # the lines before it, then its own line cut at it, with a
+            # stand-in for it so that line counts even when it starts one
+            text = data[:exc.start].decode("utf-8-sig") + "?"
+            lines = io.StringIO(text, newline="").readlines()
+            yield from lines[yielded:-1]  # the complete lines not yet read
+            row = sum(1 for _ in csv.reader(lines))
             raise ParseError(f"row {row}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
         raise
 

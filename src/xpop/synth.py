@@ -179,8 +179,6 @@ def synth_schema(spec: SynthSpec) -> AttributeSchema:
 # whatever the number of cases.
 _BLOCK_WORDS = 1 << 16
 _HALF = np.uint64(0xFFFFFFFF)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_MASK128 = (1 << 128) - 1
 
 
 def _stream(spec: SynthSpec, schema: AttributeSchema) -> tuple[list, list]:
@@ -240,56 +238,14 @@ def _decode(words: np.ndarray, word, shift, low, n) -> tuple[np.ndarray, np.ndar
     return value, _redraws(product, n)
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """The (state, increment) that ``PCG64(seed)`` starts from, for uint64
-    seeds, vectorised: numpy's ``SeedSequence`` hashes the seed's two 32-bit
-    words into a pool of four and draws four 64-bit words from it (a seed
-    and a stream for PCG's ``srandom``, O'Neill 2014)."""
-    u32, hash_a = np.uint32, 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ u32(hash_a)
-        hash_a = hash_a * 0x931E8875 & 0xFFFFFFFF
-        value = value * u32(hash_a)
-        return value ^ (value >> u32(16))
-
-    def mix(x, y):
-        value = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
-        return value ^ (value >> u32(16))
-
-    zero = np.zeros(len(seeds), dtype=u32)
-    words = (seeds & _HALF).astype(u32), (seeds >> 32).astype(u32), zero, zero
-    pool = [hashmix(w) for w in words]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_b, halves = 0x8B51F9DD, []
-    for i in range(8):
-        value = pool[i % 4] ^ u32(hash_b)
-        hash_b = hash_b * 0x58F38DED & 0xFFFFFFFF
-        value = value * u32(hash_b)
-        halves.append((value ^ (value >> u32(16))).astype(np.uint64))
-    seed_hi, seed_lo, inc_hi, inc_lo = ((halves[2 * j] | halves[2 * j + 1] << 32).tolist()
-                                        for j in range(4))
-    states = []  # srandom: state = inc, then += seed, then one LCG step
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
-
-
 def _raw_words(seeds: np.ndarray, k: int) -> np.ndarray:
     """The first ``k`` raw words of ``default_rng(seed)``'s bit generator,
-    one row per uint64 seed: each seed's state set on one ``PCG64``, then
-    one ``random_raw``."""
-    bits, rows = np.random.PCG64(0), []
-    for state, inc in _pcg64_states(seeds):
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        rows.append(bits.random_raw(k))
-    return np.array(rows, dtype=np.uint64).reshape(len(seeds), k)
+    one row per uint64 seed: numpy's own ``PCG64(seed)``, then one
+    ``random_raw``."""
+    words = np.empty((len(seeds), k), dtype=np.uint64)
+    for row, seed in zip(words, seeds.tolist()):  # a Python int keeps a seed >= 2**63 whole
+        row[:] = np.random.PCG64(seed).random_raw(k)
+    return words
 
 
 def generate_log(spec: SynthSpec) -> EventLog:
@@ -304,14 +260,13 @@ def generate_log(spec: SynthSpec) -> EventLog:
     This order is the stream contract that the golden files pin: a change to
     it moves their bytes.
 
-    The draws are not made one numpy call at a time. Each case's PCG64
-    starts from the state numpy's seeding gives it (``_pcg64_states``, for
-    all cases at once) and yields its raw words in one ``random_raw``. The
-    draws are decoded from those words for a block of cases at once, by the
-    rules that numpy's ``integers`` and ``random`` follow (``_layout``). A
-    case in which numpy would reject a bounded draw and draw again is made
-    by numpy's own calls instead. The tests pin the seeding and the decoded
-    stream against live numpy."""
+    The draws are not made one numpy call at a time. Each case's words come
+    from numpy's own ``PCG64(seed)`` in one ``random_raw``. The draws are
+    decoded from those words for a block of cases at once, by the rules
+    that numpy's ``integers`` and ``random`` follow (``_layout``). A case in
+    which numpy would reject a bounded draw and draw again is made by
+    numpy's own calls instead. The tests pin the decoded stream against
+    live numpy."""
     schema = synth_schema(spec)
     case_draws, event_draws = _stream(spec, schema)
     n_case, n_event, longest = len(case_draws), len(event_draws), spec.max_trace_length

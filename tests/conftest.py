@@ -20,8 +20,8 @@ settings.register_profile("xpop", deadline=None)
 settings.load_profile("xpop")
 # A deeper run of the oracles CI names (--hypothesis-profile xpop-oracle):
 # the synth stream oracles, because the decoder in `synth` mirrors numpy's
-# seeding, `integers` and `random`, so it is checked against whichever numpy
-# is installed; the bridge copy-text oracle; and the tree oracles that the
+# `integers` and `random`, so it is checked against whichever numpy is
+# installed; the bridge copy-text oracle; and the tree oracles that the
 # packed node table rests on (presorted CART against the per-node argsort,
 # apply against a row's descent, the table against its trees walked alone).
 settings.register_profile("xpop-oracle", settings.get_profile("xpop"), max_examples=500)

@@ -163,7 +163,18 @@ def test_cli_report_missing_input(tmp_path, capsys):
 def test_cli_report_input_not_utf8(tmp_path, capsys):
     path = tmp_path / "report.csv"
     path.write_bytes(b"a,b\n\xff,1\n")
-    _assert_file_error(capsys, ["report", "--input", str(path)], path, "can't decode byte 0xff")
+    _assert_file_error(capsys, ["report", "--input", str(path)], path,
+                       "row 2: invalid UTF-8 byte 0xff")
+
+
+def test_cli_report_drops_a_leading_bom(tmp_path, capsys):
+    path = tmp_path / "report.csv"
+    tables = []
+    for data in (b"a,b\n1,2\n", b"\xef\xbb\xbfa,b\n1,2\n"):
+        path.write_bytes(data)
+        assert main(["report", "--input", str(path)]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1] and tables[0].startswith("a")
 
 
 def test_cli_bench_missing_config(tmp_path, capsys):

@@ -302,6 +302,26 @@ def test_invalid_utf8_byte_is_reported_by_row_past_the_first_chunk(basic_schema)
     assert len(parse_csv(b"\xef\xbb\xbf" + data, basic_schema)) == 1000
 
 
+@pytest.mark.parametrize("good, bad, reason", [
+    ("", "", "row {byte}: invalid UTF-8 byte 0xff"),
+    ("2024-01-01 10:00:00", "soon", "row {bad}: unparseable timestamp 'soon'"),  # the bulk re-check
+    ("web,1.0", "web,x", "row {bad}: non-numeric value 'x' in column 'amount'"),
+], ids=["byte_only", "earlier_timestamp", "earlier_cell"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "row_spans_lines"])
+@pytest.mark.parametrize("pad", [0, 900], ids=["first_chunk", "past_the_first_chunk"])
+def test_invalid_utf8_byte_does_not_hide_an_earlier_bad_row(basic_schema, good, bad, reason,
+                                                            quoted, pad):
+    rows = [f"c{i},A,2024-01-01 10:00:00,ok,web,1.0,r1,{i}.0" for i in range(pad + 8)]
+    rows[pad + 1] = rows[pad + 1].replace(good, bad, 1)
+    # the byte's line up to it is read, whole or as a quoted cell's first line
+    cell = '"w\ne\udcffb"' if quoted else "w\udcffb"
+    rows[pad + 5] = f"c{pad + 5},A,2024-01-01 10:00:00,ok,{cell},1.0,r1,5.0"
+    data = _csv(*rows).encode("utf-8", "surrogateescape")
+    reason = reason.format(bad=pad + 3, byte=pad + 7)
+    with pytest.raises(ParseError, match=f"^{re.escape(reason)}$"):
+        parse_csv(data, basic_schema)
+
+
 def test_schema_config_round_trip(basic_schema):
     text = format_schema_config(basic_schema)
     again = parse_schema_config(text)

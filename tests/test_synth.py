@@ -357,13 +357,16 @@ def test_every_case_drawn_by_numpy_calls_is_the_reference_stream(monkeypatch):
         _assert_same_log(log, _reference_generate_log(spec))
 
 
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
 def _pcg64_emitting(word: int) -> np.random.PCG64:
     """A PCG64 whose next raw word is ``word``: its XSL-RR output is inverted
     (``hi ^ lo`` rotated right by ``hi >> 58``) and one LCG step undone."""
     hi, inc = 0x0123456789ABCDEF, 0x5851F42D4C957F2D
     rot, mask = hi >> 58, 2**64 - 1
     lo = hi ^ ((word << rot | word >> (64 - rot)) & mask)
-    state = ((hi << 64 | lo) - inc) * pow(synth._PCG_MULT, -1, 2**128) % 2**128
+    state = ((hi << 64 | lo) - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
     bits = np.random.PCG64(0)
     bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                   "has_uint32": 0, "uinteger": 0}
@@ -384,12 +387,9 @@ def test_a_draw_numpy_rejects_is_flagged():
     assert high_half[1].tolist() == [[True, False]]
 
 
-@given(st.integers(0, 2**64 - 1))
-@example(0)
-@example(2**32 - 1)
-@example(2**32)
-@example(2**64 - 1)
-def test_pcg64_states_are_numpys_seeding(seed):
-    expected = np.random.PCG64(seed).state["state"]
-    assert synth._pcg64_states(np.array([seed], dtype=np.uint64)) == [
-        (expected["state"], expected["inc"])]
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_raw_words_are_default_rngs_words(seed):
+    words = synth._raw_words(np.array([seed, 7], dtype=np.uint64), 5)
+    assert words.dtype == np.uint64 and words.shape == (2, 5)
+    for row, s in zip(words, (seed, 7)):
+        assert row.tolist() == np.random.default_rng(s).bit_generator.random_raw(5).tolist()
