@@ -31,7 +31,7 @@ from xpop.harness import (
 from xpop.models import auc, export_model
 from xpop.preprocess import aggregate_encode, extract_prefixes, fit_vocabulary
 from xpop.seeds import derive_seed
-from xpop.synth import generate_log, synth_schema
+from xpop.synth import generate_log
 
 
 def _load_cfg(args) -> BenchmarkConfig:
@@ -53,18 +53,16 @@ def cmd_synth(args) -> int:
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "log.csv").write_text(serialize_csv(log), encoding="utf-8")
-    (out / "schema.cfg").write_text(
-        format_schema_config(synth_schema(cfg.synth)), encoding="utf-8"
-    )
+    (out / "schema.cfg").write_text(format_schema_config(log.schema), encoding="utf-8")
     print(f"wrote {out / 'log.csv'} and {out / 'schema.cfg'}")
     return 0
 
 
 def cmd_encode(args) -> int:
-    schema, log = read_log(args.log, args.schema)
+    log = read_log(args.log, args.schema)
     with reading(args.log):  # e.g. an unlabelled case
         vocab = fit_vocabulary(log)
-        matrix = aggregate_encode(extract_prefixes(log, args.max_prefix), schema, vocab)
+        matrix = aggregate_encode(extract_prefixes(log, args.max_prefix), vocab)
     text = matrix.export_csv()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

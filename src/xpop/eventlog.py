@@ -186,9 +186,12 @@ def format_schema_config(schema: AttributeSchema) -> str:
 
 
 def _as_text_stream(stream: Union[str, bytes, IO]) -> Iterable[str]:
-    """The lines of ``stream``, bytes read by ``decoded_lines``."""
+    """The lines of ``stream``: bytes read by ``decoded_lines``; text, like
+    them, without a leading byte-order mark."""
     data = stream if isinstance(stream, (str, bytes)) else stream.read()
-    return io.StringIO(data) if isinstance(data, str) else decoded_lines(data)
+    if isinstance(data, str):
+        return io.StringIO(data.removeprefix("\ufeff"))
+    return decoded_lines(data)
 
 
 def decoded_lines(data: bytes) -> Iterator[str]:

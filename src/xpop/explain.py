@@ -10,10 +10,12 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from xpop.eventlog import ParseError, decoded_lines
 from xpop.models import (
     ConstantLeaf, TrainedModel, _check_two_classes, checked_predict, score_copies,
 )
@@ -84,13 +86,12 @@ def pi_copies(m: EncodedMatrix, seed: int, repeats: int = 1) -> Iterator[dict[in
 def permutation_importance(
     predictor,
     m: EncodedMatrix,
-    labels: np.ndarray,
     seed: int,
     repeats: int = 1,
     base_scores: Optional[np.ndarray] = None,
     scores: Optional[Iterator[np.ndarray]] = None,
 ) -> WeightVector:
-    """Per-column change in MSE after an excluded-value permutation.
+    """Per-column change in MSE against ``m.labels`` after an excluded-value permutation.
 
     The draw for each row excludes the row's current value; the effect is
     averaged over `repeats` independent permutations. Per-column seeds are
@@ -102,7 +103,7 @@ def permutation_importance(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    y = np.asarray(labels, dtype=np.float64)
+    y = m.labels.astype(np.float64)
     _check_two_classes(y)
     base = _mse(y, _base_scores(predictor, m, base_scores))
     if scores is None:
@@ -146,13 +147,14 @@ def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:
 
     Signature columns absent from the file get weight 0 (with a warning);
     file columns absent from the signature, or named twice, are an error.
+    The file is read by ``decoded_lines``, as a log is.
     """
     signature = tuple(signature)
     index = {name: i for i, name in enumerate(signature)}
     weights = np.zeros(len(signature))
     seen = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    try:
+        for lineno, row in enumerate(csv.reader(decoded_lines(Path(path).read_bytes())), start=1):
             if not row:
                 continue
             if len(row) != 2:
@@ -170,6 +172,8 @@ def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:
                 raise ValueError(f"{path}:{lineno}: non-finite weight for {name!r}")
             weights[index[name]] = abs(value)
             seen.add(name)
+    except ParseError as exc:  # an invalid byte, named with its row
+        raise ValueError(f"{path}: {exc}") from None
     absent = [name for name in signature if name not in seen]
     if absent:
         warnings.warn(

@@ -25,7 +25,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from xpop.eventlog import (
-    AttributeSchema,
     EventLog,
     label_eventually_followed_by,
     parse_csv,
@@ -52,6 +51,7 @@ from xpop.models import (
     with_defaults,
 )
 from xpop.preprocess import (
+    TYPES,
     EncodedMatrix,
     aggregate_encode,
     extract_prefixes,
@@ -208,7 +208,7 @@ def load_config(path: str | Path) -> BenchmarkConfig:
     becomes a one-line ValueError."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
         return _read_config(parser)
     except configparser.Error as exc:
@@ -328,18 +328,18 @@ def reading(path):
         raise
 
 
-def read_log(log_path, schema_path) -> tuple[AttributeSchema, EventLog]:
-    """The schema config at ``schema_path`` and the CSV log it describes."""
+def read_log(log_path, schema_path) -> EventLog:
+    """The CSV log at ``log_path``, described by the schema config at ``schema_path``."""
     with reading(schema_path):
-        schema = parse_schema_config(Path(schema_path).read_text(encoding="utf-8"))
+        schema = parse_schema_config(Path(schema_path).read_text(encoding="utf-8-sig"))
     with reading(log_path), open(log_path, "rb") as fh:
-        return schema, parse_csv(fh, schema)
+        return parse_csv(fh, schema)
 
 
 def load_log(cfg: BenchmarkConfig) -> EventLog:
     if cfg.synth is not None:
         return generate_log(cfg.synth)
-    _, log = read_log(cfg.log_path, cfg.schema_path)
+    log = read_log(cfg.log_path, cfg.schema_path)
     if cfg.label_rule is not None:
         log = label_eventually_followed_by(log, *cfg.label_rule)
     return log
@@ -349,9 +349,8 @@ def prepare_matrices(cfg: BenchmarkConfig) -> tuple[EncodedMatrix, EncodedMatrix
     log = load_log(cfg)
     train_log, test_log = temporal_split(log, cfg.train_ratio)
     vocab = fit_vocabulary(train_log)
-    schema = log.schema
-    train_m = aggregate_encode(extract_prefixes(train_log, cfg.max_prefix), schema, vocab)
-    test_m = aggregate_encode(extract_prefixes(test_log, cfg.max_prefix), schema, vocab)
+    train_m = aggregate_encode(extract_prefixes(train_log, cfg.max_prefix), vocab)
+    test_m = aggregate_encode(extract_prefixes(test_log, cfg.max_prefix), vocab)
     return train_m, test_m
 
 
@@ -400,7 +399,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
                 pi_copies(test_m, pi_seed, cfg.pi_repeats), fc_copies(test_m, fc_seed)))
             try:
                 w_pi = permutation_importance(
-                    model, test_m, test_m.labels, seed=pi_seed,
+                    model, test_m, seed=pi_seed,
                     repeats=cfg.pi_repeats, base_scores=scores, scores=stream,
                 )
                 w_e = MODELS[spec.kind][1](spec, model)
@@ -439,12 +438,9 @@ _COLUMNS = {
     "log": lambda r: r.log_id,
     "model": lambda r: r.model_id,
     "auc": lambda r: _fmt(r.auc),
-    "C_control": lambda r: _fmt(r.parsimony and int(r.parsimony.control), "d"),
-    "C_case": lambda r: _fmt(r.parsimony and int(r.parsimony.case), "d"),
-    "C_event": lambda r: _fmt(r.parsimony and int(r.parsimony.event), "d"),
-    "FC_control": lambda r: _fmt(r.fc and r.fc.control),
-    "FC_case": lambda r: _fmt(r.fc and r.fc.case),
-    "FC_event": lambda r: _fmt(r.fc and r.fc.event),
+    **{f"C_{t}": lambda r, t=t: _fmt(r.parsimony and int(getattr(r.parsimony, t)), "d")
+       for t in TYPES},
+    **{f"FC_{t}": lambda r, t=t: _fmt(r.fc and getattr(r.fc, t)) for t in TYPES},
     "IRC": lambda r: _fmt(r.irc),
     "LOD@10": lambda r: _fmt(r.lod_at_10),
     "excluded_reason": lambda r: r.excluded_reason,

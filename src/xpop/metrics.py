@@ -18,16 +18,16 @@ import numpy as np
 
 from xpop.explain import WeightVector, _base_scores, permute_column
 from xpop.models import average_ranks, score_copies
-from xpop.preprocess import CASE, CONTROL, EVENT, ColumnMeta, EncodedMatrix
+from xpop.preprocess import TYPES, ColumnMeta, EncodedMatrix
 
 BINARIZE_THRESHOLD = 0.5
 PARSIMONY_EPS = 1e-9
 
-_TYPE_ORDINAL = {CONTROL: 0, CASE: 1, EVENT: 2}
-
 
 @dataclass(frozen=True)
 class TypedMetric:
+    """A value per attribute type, named and ordered as ``TYPES``, then the total."""
+
     control: float
     case: float
     event: float
@@ -47,9 +47,9 @@ class MetricsReport:
 
 
 def _type_counts(columns: Sequence[ColumnMeta], selected: np.ndarray) -> tuple[int, int, int]:
-    """(control, case, event) counts among the selected column indices."""
+    """The counts of each of ``TYPES`` among the selected column indices."""
     counts = Counter(columns[i].attribute_type for i in selected.tolist())
-    return counts[CONTROL], counts[CASE], counts[EVENT]
+    return tuple(counts[t] for t in TYPES)
 
 
 def parsimony(
@@ -63,16 +63,16 @@ def parsimony(
 
 
 def _present(m: EncodedMatrix) -> list[str]:
-    """The attribute types that own a column of ``m``, in ``_TYPE_ORDINAL`` order."""
-    return [t for t in _TYPE_ORDINAL if m.columns_of_type(t)]
+    """The attribute types that own a column of ``m``, in ``TYPES`` order."""
+    return [t for t in TYPES if m.columns_of_type(t)]
 
 
 def fc_copies(m: EncodedMatrix, seed: int) -> Iterator[dict[int, np.ndarray]]:
     """The copies ``functional_complexity`` scores: one per attribute type
-    present, in ``_TYPE_ORDINAL`` order, with every column of the type given
-    an excluded-value permutation drawn from seed + the type's ordinal."""
+    present, in ``TYPES`` order, with every column of the type given an
+    excluded-value permutation drawn from seed + the type's index in ``TYPES``."""
     for attribute_type in _present(m):
-        rng = np.random.default_rng(seed + _TYPE_ORDINAL[attribute_type])
+        rng = np.random.default_rng(seed + TYPES.index(attribute_type))
         yield {i: permute_column(m.rows[:, i], m.distinct[i], rng)
                for i in m.columns_of_type(attribute_type)}
 
@@ -95,12 +95,12 @@ def functional_complexity(
     original = _base_scores(predictor, m, base_scores) >= BINARIZE_THRESHOLD
     if scores is None:
         scores = score_copies(predictor, m, fc_copies(m, seed))
-    values = dict.fromkeys(_TYPE_ORDINAL, math.nan)
+    values = dict.fromkeys(TYPES, math.nan)
     for attribute_type in present:
         permuted = next(scores) >= BINARIZE_THRESHOLD
         values[attribute_type] = float((original != permuted).mean())
     total = float(np.mean([values[t] for t in present])) if present else math.nan
-    return TypedMetric(values[CONTROL], values[CASE], values[EVENT], total)
+    return TypedMetric(*values.values(), total)
 
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:

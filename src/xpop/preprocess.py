@@ -12,6 +12,7 @@ row. Columns are tagged with the attribute type they derive from:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -24,6 +25,8 @@ from xpop.eventlog import AttributeSchema, EventLog
 CONTROL = "control"
 CASE = "case"
 EVENT = "event"
+# the attribute types in report order; FC seeds type t with seed + TYPES.index(t)
+TYPES = (CONTROL, CASE, EVENT)
 
 TIMESTAMP_FEATURES = ("timesincelastevent", "timesincecasestart", "timesincemidnight")
 STATS = ("min", "max", "mean", "sum", "std")
@@ -86,12 +89,19 @@ class EncodedMatrix:
                 + _csv_lines([*self.csv_cells(), labels], self.n_rows))
 
     def csv_header(self) -> str:
-        """The bridge's header line: one ``name:type`` cell per column."""
-        return ",".join(f"{c.name}:{c.attribute_type}" for c in self.columns) + "\n"
+        """The bridge's header line: one ``name:type`` cell per column, each
+        an RFC 4180 field (``_csv_field``)."""
+        return ",".join(_csv_field(f"{c.name}:{c.attribute_type}") for c in self.columns) + "\n"
 
     def csv_cells(self) -> list[list[str]]:
         """Each column's cells as shortest-form decimals (``_decimals``)."""
         return [_decimals(column) for column in self.rows.T]
+
+
+def _csv_field(cell: str) -> str:
+    """``cell`` as an RFC 4180 field: in double quotes, its own doubled, when
+    it holds a comma, a double quote or a line break; else as it is."""
+    return '"' + cell.replace('"', '""') + '"' if re.search(r'[,"\r\n]', cell) else cell
 
 
 def _decimals(values) -> list[str]:
@@ -195,9 +205,9 @@ def _columns(schema: AttributeSchema, vocab: Vocabulary) -> tuple[ColumnMeta, ..
     return tuple(cols)
 
 
-def aggregate_encode(log: EventLog, schema: AttributeSchema, vocab: Vocabulary) -> EncodedMatrix:
+def aggregate_encode(log: EventLog, vocab: Vocabulary) -> EncodedMatrix:
     """Aggregation encoding of every prefix of every trace of ``log`` (cut
-    by ``extract_prefixes``) against a fitted vocabulary.
+    by ``extract_prefixes``) under its own schema, against a fitted vocabulary.
 
     Unseen categorical values contribute to no column; std is the sample
     standard deviation (0 for single-event prefixes). Rows are ordered by
@@ -214,6 +224,7 @@ def aggregate_encode(log: EventLog, schema: AttributeSchema, vocab: Vocabulary) 
     sums each series pairwise as a 1-D array of its k values is: a running
     sum or Welford update would round differently.
     """
+    schema = log.schema
     columns = _columns(schema, vocab)
     name_index = {c.name: i for i, c in enumerate(columns)}
 

@@ -19,6 +19,7 @@ from typing import ClassVar, get_type_hints
 import numpy as np
 
 from xpop.eventlog import AttributeSchema, EventLog, Trace, eventually_followed_label
+from xpop.preprocess import CASE, CONTROL, EVENT
 from xpop.seeds import derive_seed
 
 _BASE_TIME = datetime(2024, 1, 1, 8, 0, 0)
@@ -36,7 +37,7 @@ class Rule:
 @dataclass(frozen=True)
 class ControlPresence(Rule):
     activity: str
-    dominant_type = "control"
+    dominant_type = CONTROL
 
     def label(self, log: EventLog, trace: Trace) -> int:
         return 1 if self.activity in log.activities[trace.events].tolist() else 0
@@ -46,7 +47,7 @@ class ControlPresence(Rule):
 class ControlFollows(Rule):
     first: str
     second: str
-    dominant_type = "control"
+    dominant_type = CONTROL
 
     def label(self, log: EventLog, trace: Trace) -> int:
         return eventually_followed_label(log.activities[trace.events].tolist(),
@@ -57,7 +58,7 @@ class ControlFollows(Rule):
 class CaseThreshold(Rule):
     attribute: str
     threshold: float
-    dominant_type = "case"
+    dominant_type = CASE
 
     def label(self, log: EventLog, trace: Trace) -> int:
         return 1 if float(trace.statics[self.attribute]) > self.threshold else 0
@@ -67,7 +68,7 @@ class CaseThreshold(Rule):
 class EventMeanThreshold(Rule):
     attribute: str
     threshold: float
-    dominant_type = "event"
+    dominant_type = EVENT
 
     def label(self, log: EventLog, trace: Trace) -> int:
         mean = float(np.mean(log.dynamics[self.attribute][trace.events]))
@@ -137,7 +138,7 @@ class SynthSpec:
         if self.min_trace_length < 1 or self.max_trace_length < self.min_trace_length:
             raise ValueError("invalid trace length range")
         rule = self.rule
-        if rule.dominant_type == "control":
+        if rule.dominant_type == CONTROL:
             activities = [getattr(rule, f.name) for f in fields(rule)]
             for activity in activities:
                 if activity not in self.alphabet():
@@ -145,7 +146,7 @@ class SynthSpec:
             if len(set(activities)) < len(activities):
                 raise ValueError("rule activities must differ")
         else:
-            role = "static_numeric" if rule.dominant_type == "case" else "dynamic_numeric"
+            role = "static_numeric" if rule.dominant_type == CASE else "dynamic_numeric"
             numerics = getattr(synth_schema(self), role)
             if rule.attribute not in numerics:
                 raise ValueError(f"rule attribute {rule.attribute!r} is not a {role} "

@@ -18,12 +18,13 @@ from xpop.synth import CaseThreshold, SynthSpec
 # host an example's wall time says nothing about its correctness.
 settings.register_profile("xpop", deadline=None)
 settings.load_profile("xpop")
-# A deeper run of the oracles CI names (--hypothesis-profile xpop-oracle):
-# the synth stream oracles, because the decoder in `synth` mirrors numpy's
-# `integers` and `random`, so it is checked against whichever numpy is
-# installed; the bridge copy-text oracle; and the tree oracles that the
-# packed node table rests on (presorted CART against the per-node argsort,
-# apply against a row's descent, the table against its trees walked alone).
+# A deeper run of the tests marked oracle, which CI selects with
+# `-m oracle --hypothesis-profile xpop-oracle`: the synth stream oracles,
+# because the decoder in `synth` mirrors numpy's `integers` and `random`, so
+# it is checked against whichever numpy is installed; the bridge copy-text
+# oracle; and the tree oracles that the packed node table rests on
+# (presorted CART against the per-node argsort, apply against a row's
+# descent, the table against its trees walked alone).
 settings.register_profile("xpop-oracle", settings.get_profile("xpop"), max_examples=500)
 
 
@@ -53,6 +54,8 @@ def make_matrix(X, labels, types=None, names=None) -> EncodedMatrix:
 # An exported logistic regression (``export_model`` text, argv[1]) scored out
 # of process over the bridge. With argv[2], each launch appends one line there.
 BRIDGE_SCRIPT = """\
+import csv
+import io
 import math
 import sys
 
@@ -69,11 +72,11 @@ with open(sys.argv[1], encoding="utf-8") as fh:
         else:
             params[parts[0]] = (float(parts[1]), float(parts[2]), float(parts[3]))
 
-lines = sys.stdin.read().splitlines()
-names = [h.split(":")[0] for h in lines[0].split(",")]
-for line in lines[1:]:
+rows = csv.reader(io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline=""))
+names = [h.rsplit(":", 1)[0] for h in next(rows)]  # a cell's type follows its last ':'
+for row in rows:
     z = intercept
-    for name, cell in zip(names, line.split(",")):
+    for name, cell in zip(names, row):
         mean, std, coef = params[name]
         z += (float(cell) - mean) / std * coef
     print(1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z)))

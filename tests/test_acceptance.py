@@ -182,7 +182,7 @@ def test_criterion_04_pi_null_and_signal():
     predictor = StubPredictor(lambda row: table[row[0]], m.column_names)
 
     repeats = 1000
-    wv = permutation_importance(predictor, m, y, seed=7, repeats=repeats)
+    wv = permutation_importance(predictor, m, seed=7, repeats=repeats)
     nulls_zero = wv.weights[1] == 0.0 and wv.weights[2] == 0.0
 
     # exhaustively enumerated expectation and variance of the column-0 effect
@@ -216,8 +216,8 @@ def _fc_ground_truth(spec, max_prefix, forest_seed):
     log = generate_log(spec)
     train_log, test_log = temporal_split(log, 0.8)
     vocab = fit_vocabulary(train_log)
-    train_m = aggregate_encode(extract_prefixes(train_log, max_prefix), log.schema, vocab)
-    test_m = aggregate_encode(extract_prefixes(test_log, max_prefix), log.schema, vocab)
+    train_m = aggregate_encode(extract_prefixes(train_log, max_prefix), vocab)
+    test_m = aggregate_encode(extract_prefixes(test_log, max_prefix), vocab)
     model = train_forest(train_m, {"n_trees": 20}, seed=forest_seed)
     score = auc(test_m.labels, model.predict(test_m))
     fc = functional_complexity(model, test_m, seed=101)
@@ -282,7 +282,7 @@ def test_criterion_05_planted_type_leads_fc_and_pi(rule, kind):
     scores = model.predict(test_m)
     fc = functional_complexity(model, test_m, derive_seed(model_seed, 2), base_scores=scores)
     fc_type = max(("control", "case", "event"), key=lambda t: getattr(fc, t))
-    w_pi = permutation_importance(model, test_m, test_m.labels, derive_seed(model_seed, 1),
+    w_pi = permutation_importance(model, test_m, derive_seed(model_seed, 1),
                                   base_scores=scores)
     top = test_m.columns[int(np.argmax(w_pi.weights))]
     pi_type = top.attribute_type
@@ -469,8 +469,8 @@ def test_criterion_09_encoding_golden(basic_schema):
     log = parse_csv(_GOLDEN_CSV, basic_schema)
     vocab = fit_vocabulary(log)
     prefixes = extract_prefixes(log, 3)
-    aggregate_encode(prefixes, basic_schema, vocab)  # warm-up outside timing
-    matrix, elapsed = _fastest_of_5(lambda: aggregate_encode(prefixes, basic_schema, vocab))
+    aggregate_encode(prefixes, vocab)  # warm-up outside timing
+    matrix, elapsed = _fastest_of_5(lambda: aggregate_encode(prefixes, vocab))
 
     expected = np.array(_GOLDEN_ROWS, dtype=np.float64)
     names_ok = matrix.column_names == (

@@ -288,6 +288,12 @@ def test_bytes_stream_accepted(basic_schema):
     assert len(log) == 1
 
 
+def test_leading_bom_is_dropped_from_text_as_from_bytes(basic_schema):
+    text = _csv("c1,A,2024-01-01 10:00:00,ok,web,1.0,r1,1.0")
+    assert parse_csv("\ufeff" + text, basic_schema) == parse_csv(text, basic_schema)
+    assert parse_csv(io.StringIO("\ufeff" + text), basic_schema) == parse_csv(text, basic_schema)
+
+
 def test_invalid_utf8_byte_is_reported_by_row_past_the_first_chunk(basic_schema):
     # a quoted cell spans two lines, so rows and lines differ; the bad byte
     # lies far past the decoder's first chunk, in a multi-byte sequence cut short

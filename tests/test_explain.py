@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import math
 import pathlib
 import shlex
 import sys
 import tempfile
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import StubPredictor, bridge_config, make_matrix
+from xpop.eventlog import AttributeSchema, EventLog, Trace
 from xpop.explain import (
     WeightVector,
     coefficient_weights,
@@ -33,7 +37,7 @@ from xpop.models import (
     train_logreg,
     train_tree,
 )
-from xpop.preprocess import EncodedMatrix
+from xpop.preprocess import EncodedMatrix, aggregate_encode, extract_prefixes, fit_vocabulary
 from xpop.seeds import derive_seed
 
 # --- excluded-value permutation ----------------------------------------------
@@ -87,7 +91,7 @@ def _lookup_case():
 
 def test_pi_decoy_columns_are_exactly_zero():
     m, predictor, y = _lookup_case()
-    wv = permutation_importance(predictor, m, y, seed=10)
+    wv = permutation_importance(predictor, m, seed=10)
     assert wv.weights[1] == 0.0
     assert wv.weights[2] == 0.0
     assert wv.weights[0] > 0.0
@@ -114,16 +118,16 @@ def test_pi_signal_column_matches_enumerated_expectation():
     )
     repeats = 800
     sigma = float(np.sqrt(per_row_var.sum() / len(y) ** 2 / repeats))
-    wv = permutation_importance(predictor, m, y, seed=99, repeats=repeats)
+    wv = permutation_importance(predictor, m, seed=99, repeats=repeats)
     assert abs(wv.weights[0] - expected) < 4 * sigma
 
 
 def test_pi_deterministic_for_fixed_seed_and_column_seed_independence():
     m, predictor, y = _lookup_case()
-    a = permutation_importance(predictor, m, y, seed=5, repeats=3)
-    b = permutation_importance(predictor, m, y, seed=5, repeats=3)
+    a = permutation_importance(predictor, m, seed=5, repeats=3)
+    b = permutation_importance(predictor, m, seed=5, repeats=3)
     assert np.array_equal(a.weights, b.weights)
-    c = permutation_importance(predictor, m, y, seed=6, repeats=3)
+    c = permutation_importance(predictor, m, seed=6, repeats=3)
     assert not np.array_equal(a.weights, c.weights)
 
 
@@ -132,7 +136,7 @@ def test_pi_single_distinct_column_gets_zero():
     y = (X[:, 1] > 10).astype(int)
     m = make_matrix(X, y)
     predictor = StubPredictor(lambda row: float(row[1] > 10), m.column_names)
-    wv = permutation_importance(predictor, m, y, seed=0)
+    wv = permutation_importance(predictor, m, seed=0)
     assert wv.weights[0] == 0.0
     assert wv.weights[1] > 0.0
 
@@ -140,19 +144,19 @@ def test_pi_single_distinct_column_gets_zero():
 def test_pi_input_matrix_is_not_mutated():
     m, predictor, y = _lookup_case()
     before = np.asarray(m.rows).copy()
-    permutation_importance(predictor, m, y, seed=1, repeats=2)
+    permutation_importance(predictor, m, seed=1, repeats=2)
     assert np.array_equal(np.asarray(m.rows), before)
 
 
 def test_pi_rejects_bad_arguments():
     m, predictor, y = _lookup_case()
     with pytest.raises(ValueError, match="repeats"):
-        permutation_importance(predictor, m, y, seed=0, repeats=0)
+        permutation_importance(predictor, m, seed=0, repeats=0)
     with pytest.raises(ValueError, match="single class"):
-        permutation_importance(predictor, m, np.zeros(m.n_rows), seed=0)
+        permutation_importance(predictor, make_matrix(m.rows, np.zeros(m.n_rows)), seed=0)
     stranger = StubPredictor(lambda row: 0.5, ("other",))
     with pytest.raises(ValueError, match="signature"):
-        permutation_importance(stranger, m, y, seed=0)
+        permutation_importance(stranger, m, seed=0)
 
 
 # --- perturbation engine ----------------------------------------------------------
@@ -186,7 +190,7 @@ def test_pi_and_fc_take_each_column_domain_from_the_matrix(monkeypatch):
         return _unique(values, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", counted)
-    permutation_importance(_stub(m), m, m.labels, seed=1, repeats=2)
+    permutation_importance(_stub(m), m, seed=1, repeats=2)
     functional_complexity(_stub(m), m, seed=2)
     assert len(over_rows) == m.n_columns
 
@@ -221,10 +225,10 @@ def test_batched_pi_equals_per_column_loop(m, make):
     predictor = make(m)
     rows, labels = m.rows.copy(), m.labels.copy()
     expected = _pi_reference(predictor, m, m.labels, seed=17, repeats=3)
-    wv = permutation_importance(predictor, m, m.labels, seed=17, repeats=3)
+    wv = permutation_importance(predictor, m, seed=17, repeats=3)
     assert wv.weights.tobytes() == expected.tobytes()
     shared = permutation_importance(
-        predictor, m, m.labels, seed=17, repeats=3, base_scores=predictor.predict(m)
+        predictor, m, seed=17, repeats=3, base_scores=predictor.predict(m)
     )
     assert shared.weights.tobytes() == expected.tobytes()
     assert np.array_equal(m.rows, rows) and np.array_equal(m.labels, labels)
@@ -268,7 +272,7 @@ def test_pi_with_base_scores_calls_once_per_chunk():
     for m in (SMALL, WIDE):
         predictor = CountingPredictor(m.column_names)
         permutation_importance(
-            predictor, m, m.labels, seed=0, repeats=3, base_scores=np.full(m.n_rows, 0.5)
+            predictor, m, seed=0, repeats=3, base_scores=np.full(m.n_rows, 0.5)
         )
         varying = sum(len(np.unique(m.rows[:, i])) >= 2 for i in range(m.n_columns))
         assert predictor.calls == [m.n_rows] * (varying * 3)
@@ -284,7 +288,7 @@ def test_engine_rejects_wrong_score_count_and_bad_base():
     with pytest.raises(ValueError, match="scores for"):
         list(score_copies(ShortPredictor(m.column_names), m, [{}]))
     with pytest.raises(ValueError, match="base_scores"):
-        permutation_importance(_stub(m), m, m.labels, seed=0, base_scores=np.zeros(2))
+        permutation_importance(_stub(m), m, seed=0, base_scores=np.zeros(2))
 
 
 class ShortBasePredictor(CountingPredictor):
@@ -305,7 +309,7 @@ def test_pi_and_fc_check_the_base_scores_they_predict():
     m = make_matrix(X.rows, X.labels, types=["control", "case", "event"])
     message = r"^predictor returned \(1,\) scores for 20 rows$"
     with pytest.raises(ValueError, match=message):
-        permutation_importance(ShortBasePredictor(m), m, m.labels, seed=0)
+        permutation_importance(ShortBasePredictor(m), m, seed=0)
     with pytest.raises(ValueError, match=message):
         functional_complexity(ShortBasePredictor(m), m, seed=0)
 
@@ -468,7 +472,7 @@ def test_bridge_stacked_launch_sends_header_then_each_copy_in_draw_order(tmp_pat
     received = tmp_path / "stdin.csv"
     model = external_model(shlex.join([sys.executable, str(script), str(received)]),
                            m.column_names)
-    permutation_importance(model, m, m.labels, seed=5, repeats=2,
+    permutation_importance(model, m, seed=5, repeats=2,
                            base_scores=np.full(m.n_rows, 0.5))
     blocks = []
     for i in range(m.n_columns):
@@ -511,6 +515,52 @@ def test_perturbed_scores_equal_each_copy_scored_alone(shifts):
         assert received.read_text(encoding="utf-8") == sent
         assert [s.tobytes() for s in scores] == [external_predict(command, c).tobytes()
                                                  for c in alone]
+
+
+# Copies its stdin to argv[1] and scores each CSV record after the header 0.5.
+CSV_COPYING_SCORER = """\
+import csv
+import io
+import sys
+
+data = sys.stdin.buffer.read()
+with open(sys.argv[1], "wb") as fh:
+    fh.write(data)
+for row in list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))[1:]:
+    print(0.5)
+"""
+
+_awkward_names = st.lists(st.text(st.sampled_from('a,"\n\r:'), min_size=1, max_size=4),
+                          min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=20)
+@given(_awkward_names, _awkward_names)
+def test_matrix_csv_parses_back_whatever_its_column_names_hold(activities, values):
+    # activity and categorical values with commas, quotes, line breaks and
+    # colons: the header cells are quoted, and a cell's type follows its last ':'
+    schema = AttributeSchema({"case": "case_id", "act": "activity", "time": "timestamp",
+                              "outcome": "label", "d": "dynamic_categorical"})
+    n = 2 * len(activities)  # two events a case
+    traces = tuple(Trace(f"c{i}", {}, range(2 * i, 2 * i + 2), i % 2) for i in range(n // 2))
+    log = EventLog(traces, schema, activities * 2,
+                   [datetime(2024, 1, 1) + timedelta(hours=i) for i in range(n)],
+                   {"d": [values[i % len(values)] for i in range(n)]})
+    m = aggregate_encode(extract_prefixes(log, 2), fit_vocabulary(log))
+    named = [(c.name, c.attribute_type) for c in m.columns]
+
+    header, *rows = csv.reader(io.StringIO(m.export_csv(), newline=""))
+    assert [tuple(cell.rsplit(":", 1)) for cell in header[:-1]] == named
+    assert header[-1] == "label" and len(rows) == m.n_rows
+    assert {len(row) for row in rows} == {m.n_columns + 1}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        script, received = pathlib.Path(tmp, "copy.py"), pathlib.Path(tmp, "stdin.csv")
+        script.write_text(CSV_COPYING_SCORER, encoding="utf-8")
+        external_predict(shlex.join([sys.executable, str(script), str(received)]), m)
+        header, *rows = csv.reader(io.StringIO(received.read_bytes().decode("utf-8"), newline=""))
+    assert [tuple(cell.rsplit(":", 1)) for cell in header] == named
+    assert len(rows) == m.n_rows and {len(row) for row in rows} == {m.n_columns}
 
 
 # --- intrinsic weights -----------------------------------------------------------
@@ -630,6 +680,19 @@ def test_load_external_weights_errors(tmp_path):
     repeated.write_text("a,1\nb,2\na,5\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad4\.csv:3: duplicate column 'a'$"):
         load_external_weights(str(repeated), ("a", "b"))
+
+
+def test_load_external_weights_reads_through_the_log_decoder(tmp_path):
+    # a byte-order mark is dropped; an invalid byte is named with its row,
+    # after the rows before it are checked
+    path = tmp_path / "w.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,0.5\nb,-2.0\n")
+    assert load_external_weights(str(path), ("a", "b")).weights.tolist() == [0.5, 2.0]
+    path.write_bytes(b'a,0.5\n"b\n",1\nb,2\xff\n')
+    with pytest.raises(ValueError, match=r"^.*w\.csv: row 3: invalid UTF-8 byte 0xff$"):
+        load_external_weights(str(path), ("a", "b\n", "b"))
+    with pytest.raises(ValueError, match=r"w\.csv:1: unknown column 'a'$"):
+        load_external_weights(str(path), ("b",))
 
 
 # --- weight vector invariants --------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import make_matrix
 from xpop import harness, models
+from xpop.eventlog import format_schema_config, serialize_csv
 from xpop.explain import WeightVector
 from xpop.harness import (
     MODELS,
@@ -25,6 +26,7 @@ from xpop.harness import (
     load_config,
     parse_rule,
     prepare_matrices,
+    read_log,
     render_report,
     run_benchmark,
     train_model,
@@ -38,6 +40,7 @@ from xpop.synth import (
     ControlPresence,
     EventMeanThreshold,
     SynthSpec,
+    generate_log,
 )
 
 
@@ -187,6 +190,18 @@ def test_load_config_requires_explicit_seed(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ValueError, match="explicit seed"):
         load_config(path)
+
+
+def test_config_and_schema_files_drop_a_byte_order_mark(tmp_path):
+    log = generate_log(SynthSpec(n_cases=10, seed=2))
+    (tmp_path / "log.csv").write_text(serialize_csv(log), encoding="utf-8")
+    config = "[data]\nseed = 4\nsynth_cases = 10\n[model m]\nkind = logreg\n"
+    schema = format_schema_config(log.schema)
+    for prefix in ("", "\ufeff"):
+        (tmp_path / "bench.cfg").write_text(prefix + config, encoding="utf-8")
+        assert load_config(tmp_path / "bench.cfg").synth == SynthSpec(n_cases=10, seed=4)
+        (tmp_path / "schema.cfg").write_text(prefix + schema, encoding="utf-8")
+        assert read_log(tmp_path / "log.csv", tmp_path / "schema.cfg") == log
 
 
 def test_load_config_missing_file(tmp_path):

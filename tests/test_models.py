@@ -428,6 +428,7 @@ def _tied_problem(draw):
     return X, y, hyper, draw(st.booleans())
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(80))
 @given(_tied_problem())
 def test_tree_apply_matches_descent_and_layout_invariants(problem):
@@ -530,6 +531,7 @@ def _table_problem(draw):
     return np.hstack([X, continuous]), y, hyper, forest
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(80))
 @given(_table_problem(), st.integers(0, 5))
 def test_packed_table_equals_its_trees_walked_alone(problem, seed):
@@ -728,6 +730,7 @@ def _mixed_problem(draw):
     return np.column_stack(columns), y, hyper
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(150))
 @given(
     st.one_of(_tied_problem().map(lambda problem: problem[:3]), _mixed_problem()),

@@ -103,7 +103,7 @@ def test_prefix_counts(basic_schema):
     prefixes = extract_prefixes(log, 3)
     assert len(prefixes) == 5
     assert [len(t) for t in prefixes.traces] == [1, 2, 3, 3, 3]
-    matrix = aggregate_encode(prefixes, basic_schema, fit_vocabulary(log))
+    matrix = aggregate_encode(prefixes, fit_vocabulary(log))
     assert matrix.n_rows == 12
     lengths = matrix.rows[:, matrix.columns_of_type(CONTROL)].sum(axis=1)  # one A per event
     assert lengths.tolist() == [1, 1, 2, 1, 2, 3, 1, 2, 3, 1, 2, 3]
@@ -115,7 +115,7 @@ def test_prefix_events_are_true_prefixes(basic_schema):
         for i, a in enumerate("ABC")
     ]
     log = _parse(rows, basic_schema)
-    matrix = aggregate_encode(extract_prefixes(log, 10), basic_schema, fit_vocabulary(log))
+    matrix = aggregate_encode(extract_prefixes(log, 10), fit_vocabulary(log))
     acts = matrix.rows[:, [matrix.column_names.index(f"act={a}") for a in "ABC"]]
     assert acts.tolist() == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
     assert matrix.rows[:, matrix.columns_of_type(CONTROL)].sum(axis=1).tolist() == [1, 2, 3]
@@ -179,7 +179,7 @@ def golden(basic_schema):
     ]
     log = _parse(rows, basic_schema)
     vocab = fit_vocabulary(log)
-    return aggregate_encode(extract_prefixes(log, 3), basic_schema, vocab)
+    return aggregate_encode(extract_prefixes(log, 3), vocab)
 
 
 def test_golden_matrix_shape_and_layout(golden):
@@ -254,7 +254,7 @@ def test_unseen_categories_contribute_nothing(basic_schema):
     train = _parse(["c1,A,2024-01-01 10:00:00,ok,web,1.0,r1,1.0"], basic_schema)
     vocab = fit_vocabulary(train)
     fresh = _parse(["c9,Z,2024-01-01 12:00:00,ok,fax,2.0,r9,4.0"], basic_schema)
-    matrix = aggregate_encode(extract_prefixes(fresh, 1), basic_schema, vocab)
+    matrix = aggregate_encode(extract_prefixes(fresh, 1), vocab)
     assert _col(matrix, "act=A")[0] == 0.0
     assert _col(matrix, "channel=web")[0] == 0.0
     assert _col(matrix, "resource=r1")[0] == 0.0
@@ -276,7 +276,7 @@ def test_unseen_value_cannot_land_in_another_attributes_column():
                         ["A"], [datetime(2024, 1, 1)], {"a": [a], "a=b": [a_b]})
 
     vocab = fit_vocabulary(log("u", "v", "x", "c"))
-    matrix = aggregate_encode(extract_prefixes(log("t=v", "w", "b=c", "y"), 1), schema, vocab)
+    matrix = aggregate_encode(extract_prefixes(log("t=v", "w", "b=c", "y"), 1), vocab)
     assert set(matrix.column_names) >= {"s=u", "s=t=v", "a=x", "a=b=c"}
     assert matrix.rows[0, matrix.columns_of_type(CASE)].tolist() == [0.0, 0.0]
     for name in ("a=x", "a=b=c"):
@@ -293,13 +293,13 @@ def test_duplicate_encoded_column_names_are_rejected():
     log = parse_csv("case,act,time,outcome,timesincecasestart\n"
                     "c1,A,2024-01-01 10:00:00,ok,0\n", schema)
     with pytest.raises(ValueError, match="'timesincecasestart_min' appears twice"):
-        aggregate_encode(extract_prefixes(log, 1), schema, fit_vocabulary(log))
+        aggregate_encode(extract_prefixes(log, 1), fit_vocabulary(log))
 
 
 def test_control_frequencies_monotone_in_prefix_length():
     log = generate_log(SynthSpec(n_cases=30, label_noise=0.0, seed=7))
     vocab = fit_vocabulary(log)
-    matrix = aggregate_encode(extract_prefixes(log, 6), log.schema, vocab)
+    matrix = aggregate_encode(extract_prefixes(log, 6), vocab)
     control = matrix.columns_of_type(CONTROL)
     # rows in (case id, prefix length) order; every activity is in the vocabulary
     lengths = [min(len(t), 6) for t in sorted(log.traces, key=lambda t: t.case_id)]
@@ -312,8 +312,8 @@ def test_control_frequencies_monotone_in_prefix_length():
 def test_encoding_is_deterministic():
     log = generate_log(SynthSpec(n_cases=25, label_noise=0.2, seed=9))
     vocab = fit_vocabulary(log)
-    a = aggregate_encode(extract_prefixes(log, 4), log.schema, vocab)
-    b = aggregate_encode(extract_prefixes(log, 4), log.schema, vocab)
+    a = aggregate_encode(extract_prefixes(log, 4), vocab)
+    b = aggregate_encode(extract_prefixes(log, 4), vocab)
     assert np.array_equal(a.rows, b.rows)
     assert a.columns == b.columns
 
@@ -416,7 +416,7 @@ def _reference_encode(log, max_prefix, names, vocab):
 @given(_oracle_log(), st.integers(1, 64))
 def test_aggregate_encode_equals_per_prefix_reference_bitwise(log, max_prefix):
     vocab = fit_vocabulary(dataclasses.replace(log, traces=log.traces[:1]))
-    matrix = aggregate_encode(extract_prefixes(log, max_prefix), log.schema, vocab)
+    matrix = aggregate_encode(extract_prefixes(log, max_prefix), vocab)
     rows, labels = _reference_encode(log, max_prefix, matrix.column_names, vocab)
     assert matrix.rows.tobytes() == rows.tobytes()
     assert matrix.labels.tolist() == labels
@@ -428,7 +428,7 @@ def test_case_keeps_the_statics_of_its_earliest_event(basic_schema, times, sign)
     # of its earliest event (a tie keeps the first row), as a stable sort does
     log = _parse([f"c1,A,2024-01-01 {times[0]}:00,ok,web,-0.0,r1,1.0",
                   f"c1,B,2024-01-01 {times[1]}:00,ok,web,0.0,r1,1.0"], basic_schema)
-    m = aggregate_encode(extract_prefixes(log, 2), basic_schema, fit_vocabulary(log))
+    m = aggregate_encode(extract_prefixes(log, 2), fit_vocabulary(log))
     amount = m.rows[:, m.column_names.index("amount")]
     assert np.signbit(amount).tolist() == [np.signbit(sign)] * 2
 
@@ -438,7 +438,7 @@ def test_unlabelled_trace_is_rejected_naming_the_case(basic_schema):
                    basic_schema, ["A"], [datetime(2024, 1, 1)],
                    {"resource": ["r1"], "cost": [1.0]})
     with pytest.raises(ValueError, match="'c7'"):
-        aggregate_encode(extract_prefixes(log, 2), basic_schema, fit_vocabulary(log))
+        aggregate_encode(extract_prefixes(log, 2), fit_vocabulary(log))
 
 
 def test_matrix_is_read_only(golden):
@@ -510,6 +510,7 @@ _EDGES = np.array([[-0.0, 5e-324, 1e16, 1e-7],
                    [3.0, -2.2250738585072014e-308, 2.0**53, -1e-7]])
 
 
+@pytest.mark.oracle
 @given(_matrix_and_copy())
 @example((_EDGES, {}))
 @example((_EDGES, {1: np.array([-0.0, 1e16]), 3: np.array([4.0, 5e-324])}))

@@ -325,6 +325,7 @@ _WIDE = SynthSpec(n_cases=40, alphabet_size=26, min_trace_length=10, max_trace_l
                   n_dynamic_numeric=4, rule=CaseThreshold("s_num1", 0.5), seed=1)
 
 
+@pytest.mark.oracle
 @given(synth_specs())
 @example(_WIDE)
 @example(dataclasses.replace(_WIDE, label_noise=0.25, seed=2))
@@ -339,6 +340,7 @@ def test_generate_log_draws_the_reference_stream(spec):
     _assert_same_log(generate_log(spec), _reference_generate_log(spec))
 
 
+@pytest.mark.oracle
 def test_every_case_drawn_by_numpy_calls_is_the_reference_stream(monkeypatch):
     # as if numpy rejected some bounded draw in every case: each case is then
     # made by numpy's own scalar calls, and nothing decoded from the raw
