@@ -7,14 +7,13 @@ Stochastic commands require an explicit seed (from the config or --seed).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from xpop.eventlog import decoded_lines, format_schema_config, serialize_csv
+from xpop.eventlog import csv_records, format_schema_config, serialize_csv
 from xpop.guidelines import QUESTION_ORDER, Questionnaire, interactive_guide, recommend
 from xpop.harness import (
     BenchmarkConfig,
@@ -117,8 +116,7 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     with reading(args.input):
-        lines = decoded_lines(Path(args.input).read_bytes())
-        records = [(n, row) for n, row in enumerate(csv.reader(lines), start=1) if row]
+        records = [(n, row) for n, row in csv_records(Path(args.input).read_bytes()) if row]
         if not records:
             raise ValueError("row 1: no header")
         (_, header), *records = records

@@ -3,9 +3,9 @@
 An event log stores its events by column: activity, timestamp and one
 column per dynamic (per-event) attribute. Each case is a trace that holds
 its case id and static (per-case) attributes once and names the range of
-positions its events take in the columns. The
-accepted interchange format is RFC 4180 CSV with a header row, UTF-8,
-comma delimiter.
+positions its events take in the columns. Every CSV file xpop reads or
+writes is RFC 4180 with a header row, UTF-8, comma delimiter: read by
+``csv_records``, quoted by ``csv_column`` and joined by ``csv_lines``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain, repeat
-from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+from itertools import chain, count, pairwise, repeat
+from typing import IO, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -185,37 +185,62 @@ def format_schema_config(schema: AttributeSchema) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_text_stream(stream: Union[str, bytes, IO]) -> Iterable[str]:
-    """The lines of ``stream``: bytes read by ``decoded_lines``; text, like
-    them, without a leading byte-order mark."""
-    data = stream if isinstance(stream, (str, bytes)) else stream.read()
-    if isinstance(data, str):
-        return io.StringIO(data.removeprefix("\ufeff"))
-    return decoded_lines(data)
-
-
-def decoded_lines(data: bytes) -> Iterator[str]:
-    """The lines of ``data`` decoded as UTF-8 chunk by chunk, without a
-    leading byte-order mark. An invalid byte is a ParseError that names its
-    CSV row, raised once the complete lines before it are yielded, so an
-    error in an earlier row is met first."""
-    yielded = 0
-    try:
-        for yielded, line in enumerate(
-                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""), 1):
-            yield line
-    except UnicodeDecodeError:  # its position counts from its chunk
-        try:  # only now the whole log, to place the first bad byte
+def csv_records(data: str | bytes) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record of ``data`` with its row number, from 1, without a
+    leading byte-order mark; a CR, an LF or a CRLF ends a record. Bytes are
+    checked by one UTF-8 decode. An invalid byte, or a record the csv module
+    refuses (a field over its size limit), is a ParseError naming its row,
+    raised after the records before that row, so an earlier bad row is met first."""
+    if isinstance(data, bytes):
+        try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # the lines before it, then its own line cut at it, with a
-            # stand-in for it so that line counts even when it starts one
-            text = data[:exc.start].decode("utf-8-sig") + "?"
-            lines = io.StringIO(text, newline="").readlines()
-            yield from lines[yielded:-1]  # the complete lines not yet read
-            row = sum(1 for _ in csv.reader(lines))
-            raise ParseError(f"row {row}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
-        raise
+            # the text before the byte plus a stand-in, so that its row counts
+            # even when the byte starts one: every record but the last, whose row is kept
+            last = 1
+            for record, (last, _) in pairwise(csv_records(data[:exc.start].decode("utf-8") + "?")):
+                yield record
+            raise ParseError(f"row {last}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+        # read by chunks: a whole-text StringIO holds 4 bytes per character
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    else:
+        lines = io.StringIO(data.removeprefix("\ufeff"), newline="")
+    rows = count(1)  # zip draws the row number before the record it pairs
+    try:
+        yield from zip(rows, csv.reader(lines))
+    except csv.Error as exc:
+        raise ParseError(f"row {next(rows) - 1}: {exc}") from None
+
+
+def csv_column(cells: list[str]) -> list[str]:
+    """``cells`` as RFC 4180 fields: a cell that holds a comma, a double
+    quote, a CR or an LF in double quotes, its own doubled; any other as it
+    is. A column with no such cell is returned as it is."""
+    if not _needs_quotes("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def csv_lines(columns: Sequence[Sequence[str]], n_rows: int) -> str:
+    """``n_rows`` LF-terminated CSV lines from fields given column by
+    column (each quoted as ``csv_column`` quotes it, where it needs it)."""
+    if not columns:
+        return "\n" * n_rows
+    return "".join([line + "\n" for line in map(",".join, zip(*columns))])
+
+
+def decoded_text(data: bytes) -> str:
+    """``data`` decoded as UTF-8, without a leading byte-order mark. An
+    invalid byte is a ParseError that names its line."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
 
 
 def _parse_numeric(value: str, column: str, row_number: int) -> float:
@@ -271,10 +296,9 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
     timestamp goes through ``strptime``. Both accept the same strings, and
     an error still names the first row whose timestamp ``strptime`` rejects.
     """
-    text = _as_text_stream(stream)
-    reader = csv.reader(text)
+    reader = csv_records(stream if isinstance(stream, (str, bytes)) else stream.read())
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise ParseError("empty file: missing header row") from None
 
@@ -311,7 +335,7 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
     # case id -> (its number, earliest timestamp, that row's statics, raw label)
     first: dict[str, tuple[int, object, dict[str, object], str | None]] = {}
     try:
-        for row_number, row in enumerate(reader, start=2):
+        for row_number, row in reader:
             if len(row) != len(header):
                 raise ParseError(
                     f"row {row_number}: expected {len(header)} cells, got {len(row)}"
@@ -345,7 +369,7 @@ def parse_csv(stream: Union[str, bytes, IO], schema: AttributeSchema) -> EventLo
                 first[case_id] = (number, ts, statics, label)
             case_of_row.append(number)
         times = np.array(stamps, dtype="datetime64[us]")
-    except (ValueError, csv.Error):
+    except ValueError:
         if bulk:  # an earlier row's timestamp, not yet checked, fails first
             _check_stamps(stamps, fmt)
         raise
@@ -397,11 +421,7 @@ def serialize_csv(log: EventLog) -> str:
     for c, values in log.dynamics.items():
         columns[c] = list(map(repr if c in numeric else str, values[events].tolist()))
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(schema.column_roles)
-    writer.writerows(zip(*(columns[c] for c in schema.column_roles)))
-    return out.getvalue()
+    return csv_lines([csv_column([c, *columns[c]]) for c in schema.column_roles], len(events) + 1)
 
 
 def eventually_followed_label(activities: Sequence[str], a: str, b: str) -> int:

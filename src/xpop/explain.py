@@ -7,7 +7,6 @@ are collapsed to absolute values at the source.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from xpop.eventlog import ParseError, decoded_lines
+from xpop.eventlog import ParseError, csv_records
 from xpop.models import (
     ConstantLeaf, TrainedModel, _check_two_classes, checked_predict, score_copies,
 )
@@ -147,14 +146,14 @@ def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:
 
     Signature columns absent from the file get weight 0 (with a warning);
     file columns absent from the signature, or named twice, are an error.
-    The file is read by ``decoded_lines``, as a log is.
+    The file is read by ``csv_records``, as a log is.
     """
     signature = tuple(signature)
     index = {name: i for i, name in enumerate(signature)}
     weights = np.zeros(len(signature))
     seen = set()
     try:
-        for lineno, row in enumerate(csv.reader(decoded_lines(Path(path).read_bytes())), start=1):
+        for lineno, row in csv_records(Path(path).read_bytes()):
             if not row:
                 continue
             if len(row) != 2:
@@ -172,7 +171,7 @@ def load_external_weights(path: str, signature: Sequence[str]) -> WeightVector:
                 raise ValueError(f"{path}:{lineno}: non-finite weight for {name!r}")
             weights[index[name]] = abs(value)
             seen.add(name)
-    except ParseError as exc:  # an invalid byte, named with its row
+    except ParseError as exc:  # an invalid byte or a refused record, named with its row
         raise ValueError(f"{path}: {exc}") from None
     absent = [name for name in signature if name not in seen]
     if absent:

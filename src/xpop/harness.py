@@ -11,8 +11,6 @@ model does not perturb the randomness of other cells.
 from __future__ import annotations
 
 import configparser
-import csv
-import io
 import math
 import numbers
 import re
@@ -26,6 +24,9 @@ import numpy as np
 
 from xpop.eventlog import (
     EventLog,
+    csv_column,
+    csv_lines,
+    decoded_text,
     label_eventually_followed_by,
     parse_csv,
     parse_schema_config,
@@ -208,8 +209,7 @@ def load_config(path: str | Path) -> BenchmarkConfig:
     becomes a one-line ValueError."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            parser.read_file(fh)
+        parser.read_file(decoded_text(Path(path).read_bytes()).splitlines())
         return _read_config(parser)
     except configparser.Error as exc:
         raise ValueError(_config_error(exc)) from None
@@ -331,7 +331,7 @@ def reading(path):
 def read_log(log_path, schema_path) -> EventLog:
     """The CSV log at ``log_path``, described by the schema config at ``schema_path``."""
     with reading(schema_path):
-        schema = parse_schema_config(Path(schema_path).read_text(encoding="utf-8-sig"))
+        schema = parse_schema_config(decoded_text(Path(schema_path).read_bytes()))
     with reading(log_path), open(log_path, "rb") as fh:
         return parse_csv(fh, schema)
 
@@ -468,11 +468,7 @@ def render_report(reports: Sequence[MetricsReport], fmt: str = "table") -> str:
     header = list(_COLUMNS)
     rows = [[cell(r) for cell in _COLUMNS.values()] for r in reports]
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return out.getvalue()
+        return csv_lines([csv_column(list(column)) for column in zip(header, *rows)], len(rows) + 1)
     if fmt == "table":
         return format_table(header, rows)
     raise ValueError(f"unknown report format {fmt!r}")

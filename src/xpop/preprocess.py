@@ -12,7 +12,6 @@ row. Columns are tagged with the attribute type they derive from:
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -20,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from xpop.eventlog import AttributeSchema, EventLog
+from xpop.eventlog import AttributeSchema, EventLog, csv_column, csv_lines
 
 CONTROL = "control"
 CASE = "case"
@@ -86,36 +85,22 @@ class EncodedMatrix:
         header = self.csv_header()[:-1]
         labels = [str(int(label)) for label in self.labels.tolist()]
         return (f"{header}{',' if header else ''}label\n"
-                + _csv_lines([*self.csv_cells(), labels], self.n_rows))
+                + csv_lines([*self.csv_cells(), labels], self.n_rows))
 
     def csv_header(self) -> str:
         """The bridge's header line: one ``name:type`` cell per column, each
-        an RFC 4180 field (``_csv_field``)."""
-        return ",".join(_csv_field(f"{c.name}:{c.attribute_type}") for c in self.columns) + "\n"
+        an RFC 4180 field (``csv_column``)."""
+        return ",".join(csv_column([f"{c.name}:{c.attribute_type}" for c in self.columns])) + "\n"
 
     def csv_cells(self) -> list[list[str]]:
         """Each column's cells as shortest-form decimals (``_decimals``)."""
         return [_decimals(column) for column in self.rows.T]
 
 
-def _csv_field(cell: str) -> str:
-    """``cell`` as an RFC 4180 field: in double quotes, its own doubled, when
-    it holds a comma, a double quote or a line break; else as it is."""
-    return '"' + cell.replace('"', '""') + '"' if re.search(r'[,"\r\n]', cell) else cell
-
-
 def _decimals(values) -> list[str]:
     """Each value as a float64's shortest round-trip decimal (``repr``): the
     cell format of ``EncodedMatrix.export_csv``."""
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
-
-
-def _csv_lines(cells: Sequence[Sequence[str]], n_rows: int) -> str:
-    """``n_rows`` LF-terminated CSV lines from cell strings given column by
-    column (``EncodedMatrix.csv_cells``)."""
-    if not cells:
-        return "\n" * n_rows
-    return "".join([line + "\n" for line in map(",".join, zip(*cells))])
 
 
 def copy_csv_rows(cells: Sequence[list[str]], copy: Mapping[int, np.ndarray], n_rows: int) -> str:
@@ -126,7 +111,7 @@ def copy_csv_rows(cells: Sequence[list[str]], copy: Mapping[int, np.ndarray], n_
     columns = list(cells)
     for column, values in copy.items():
         columns[column] = _decimals(np.broadcast_to(values, n_rows))
-    return _csv_lines(columns, n_rows)
+    return csv_lines(columns, n_rows)
 
 
 def temporal_split(log: EventLog, train_ratio: float) -> tuple[EventLog, EventLog]:

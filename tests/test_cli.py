@@ -485,6 +485,42 @@ def test_cli_encode_invalid_utf8_names_log_row_and_byte(tmp_path, config_path, c
     _assert_file_error(capsys, argv, log, f"row {row}: invalid UTF-8 byte 0xff")
 
 
+@pytest.mark.parametrize("command", ["encode", "bench", "report"])
+def test_cli_field_over_the_csv_limit_names_its_file_and_row(tmp_path, config_path, capsys,
+                                                             command):
+    out = tmp_path / "synth"
+    main(["synth", "--config", config_path, "--out", str(out)])
+    path = out / "log.csv"
+    if command == "report":
+        path = tmp_path / "report.csv"
+        path.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = "x" * 131073 + lines[2]  # the csv module's field size limit is 131072
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"[data]\nseed = 1\nlog = {path}\nschema = {out / 'schema.cfg'}\n"
+                      "\n[model lr]\nkind = logreg\n", encoding="utf-8")
+    argv = {"encode": ["encode", "--log", str(path), "--schema", str(out / "schema.cfg"),
+                       "--max-prefix", "3"],
+            "bench": ["bench", "--config", str(config)],
+            "report": ["report", "--input", str(path)]}[command]
+    _assert_file_error(capsys, argv, path, "row 3: field larger than field limit (131072)")
+
+
+@pytest.mark.parametrize("bom, line", [(b"", 1), (b"", 4), (b"\xef\xbb\xbf", 1)],
+                         ids=["line_1", "line_4", "after_a_bom"])
+@pytest.mark.parametrize("name", ["bench.cfg", "schema.cfg"])
+def test_cli_config_and_schema_name_the_line_of_an_invalid_byte(tmp_path, capsys, name, bom,
+                                                                line):
+    config = _csv_config(tmp_path, ["c1,A,2024-01-01 10:00:00,ok"])
+    path = tmp_path / name
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(bom + b"\n".join(lines))
+    _assert_file_error(capsys, ["bench", "--config", str(config)], path,
+                       f"{path}: line {line}: invalid UTF-8 byte 0xff")
+
+
 def test_cli_metrics_prints_the_bench_table_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "from_config"
     config = tmp_path / "bench.cfg"

@@ -346,14 +346,21 @@ def test_serialize_parse_round_trip():
 
 def _reference_serialize_csv(log):
     """Oracle: the writer as it was before columns were built whole, one
-    dict merge and one ``writerow`` per event."""
+    dict merge and one ``writerow`` per event. Each row is written with a
+    CRLF terminator, so ``csv.writer`` quotes a cell holding a CR as well as
+    one holding an LF, and that row's CRLF is then swapped for an LF."""
     schema = log.schema
     negative = "regular" if schema.positive_label != "regular" else "non_deviant"
     numeric = set(schema.static_numeric + schema.dynamic_numeric)
 
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(schema.column_roles)
+
+    def writerow(cells):
+        row = io.StringIO()
+        csv.writer(row, lineterminator="\r\n").writerow(cells)
+        out.write(row.getvalue().removesuffix("\r\n") + "\n")
+
+    writerow(schema.column_roles)
     fmt = schema.timestamp_format
     times = log.timestamps.tolist()  # naive datetimes in UTC
     if "%z" in fmt.lower():  # an offset directive writes +0000 (%z) or UTC (%Z)
@@ -372,32 +379,36 @@ def _reference_serialize_csv(log):
             row = case | {c: column[i] for c, column in text.items()}
             row[schema.activity_column] = activities[i]
             row[schema.timestamp_column] = times[i].strftime(fmt)
-            writer.writerow(row[c] for c in schema.column_roles)
+            writerow(row[c] for c in schema.column_roles)
     return out.getvalue()
 
 
 @st.composite
-def _logs_to_write(draw):
+def _logs_to_write(draw, labelled=False):
     """Synth logs cut as a split or prefixes cut them (some traces, in any
     order, each a prefix of its events), with text that needs quoting, with
     or without a label column, one trace perhaps unlabelled, and a timestamp
-    format with or without an offset."""
+    format with or without an offset. A ``labelled`` log keeps only what
+    CSV carries: a label column and a label on every case, an event in
+    every trace, no empty text (it reads back as MISSING) and timestamps to
+    the second."""
     base = generate_log(SynthSpec(n_cases=draw(st.integers(0, 8)), label_noise=0.25,
                                   seed=draw(st.integers(0, 99))))
     roles = dict(base.schema.column_roles)
-    if draw(st.booleans()):
+    if not labelled and draw(st.booleans()):
         del roles["label"]
-    schema = AttributeSchema(roles, draw(st.sampled_from(
-        [DEFAULT_TIMESTAMP_FORMAT, "%Y-%m-%dT%H:%M:%S%z", "%d.%m.%Y %H:%M %Z"])),
-        draw(st.sampled_from(["deviant", "regular"])))
-    texts = st.text(st.sampled_from('a ,"\n\r\'é'), max_size=3)
+    formats = [DEFAULT_TIMESTAMP_FORMAT, "%Y-%m-%dT%H:%M:%S%z", "%d.%m.%Y %H:%M %Z"]
+    schema = AttributeSchema(roles, draw(st.sampled_from(formats[:2] if labelled else formats)),
+                             draw(st.sampled_from(["deviant", "regular"])))
+    texts = st.text(st.sampled_from('a ,"\n\r\'é'), min_size=int(labelled), max_size=3)
     renamed = st.sampled_from("ABCDE") | st.sampled_from(("c0", "c1"))
     rename = draw(st.dictionaries(renamed, texts))
     traces = draw(st.permutations(base.traces))[: draw(st.integers(0, len(base)))]
-    unlabelled = draw(st.integers(-1, len(traces) - 1))
+    unlabelled = -1 if labelled else draw(st.integers(-1, len(traces) - 1))
     traces = tuple(
         Trace(t.case_id, {c: rename.get(v, v) for c, v in t.statics.items()},
-              t.events[: draw(st.integers(0, len(t)))], None if i == unlabelled else t.label)
+              t.events[: draw(st.integers(int(labelled), len(t)))],
+              None if i == unlabelled else t.label)
         for i, t in enumerate(traces))
     dynamics = {c: [rename.get(v, v) for v in values.tolist()]
                 for c, values in base.dynamics.items()}
@@ -414,6 +425,57 @@ def test_serialize_csv_writes_what_the_row_writer_wrote(log):
             serialize_csv(log)
     else:
         assert serialize_csv(log) == expected
+
+
+@given(_logs_to_write(labelled=True))
+def test_serialize_then_parse_gives_the_log_back(log):
+    assert parse_csv(serialize_csv(log), log.schema) == log
+
+
+_LINE_SCHEMA = AttributeSchema({"case": "case_id", "act": "activity", "time": "timestamp",
+                                "outcome": "label", "resource": "dynamic_categorical"})
+
+
+@st.composite
+def _texts_with_line_ends(draw):
+    """Log text whose records end in an LF, a CR or a CRLF, with cells that
+    hold commas, quotes and line breaks, quoted or not."""
+    cell = st.text(st.sampled_from('a ,"\r\né'), max_size=3)
+    quoted = st.builds(lambda c: '"' + c.replace('"', '""') + '"', cell)
+    rows = [f"c{draw(st.integers(0, 2))},A,2024-01-01 10:00:0{i % 10},ok,"
+            + draw(cell | quoted) for i in range(draw(st.integers(0, 6)))]
+    ends = st.sampled_from(["\n", "\r", "\r\n"])
+    return "".join(row + draw(ends) for row in ["case,act,time,outcome,resource", *rows])
+
+
+@given(_texts_with_line_ends())
+def test_parse_csv_reads_a_text_as_its_utf8_bytes(text):
+    def outcome(data):
+        try:
+            return parse_csv(data, _LINE_SCHEMA)
+        except ParseError as exc:
+            return str(exc)
+
+    assert outcome(text) == outcome(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_a_cr_or_a_crlf_ends_a_record_as_an_lf_does(basic_schema, end):
+    text = _csv(*(f"c{i},A,2024-01-01 10:00:00,ok,web,1.0,r1,{i}.0" for i in range(3)))
+    log = parse_csv(text, basic_schema)
+    assert parse_csv(text.replace("\n", end), basic_schema) == log
+    assert parse_csv(text.replace("\n", end).encode("utf-8"), basic_schema) == log
+
+
+def test_oversized_field_names_its_row_before_a_later_invalid_byte(basic_schema):
+    # the csv module refuses a field over 131072 characters; row 3 holds one
+    rows = [f"c{i},A,2024-01-01 10:00:00,ok,web,1.0,r1,{i}.0" for i in range(8)]
+    rows[1] = rows[1].replace("web", "w" * 131073)
+    rows[5] = rows[5].replace("web", "w\udcffb")  # an invalid byte in row 7
+    data = _csv(*rows).encode("utf-8", "surrogateescape")
+    for log in (data, data.replace(b"\xff", b"").decode("utf-8")):
+        with pytest.raises(ParseError, match=r"^row 3: field larger than field limit \(131072\)$"):
+            parse_csv(log, basic_schema)
 
 
 def _trace_with(activities, basic_schema):

@@ -693,6 +693,11 @@ def test_load_external_weights_reads_through_the_log_decoder(tmp_path):
         load_external_weights(str(path), ("a", "b\n", "b"))
     with pytest.raises(ValueError, match=r"w\.csv:1: unknown column 'a'$"):
         load_external_weights(str(path), ("b",))
+    # a record the csv module refuses, a field over its size limit, is named by its row
+    path.write_text("a,0.5\nb,1\n" + "c" * 131073 + ",2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^.*w\.csv: row 3: field larger than field limit "
+                                         r"\(131072\)$"):
+        load_external_weights(str(path), ("a", "b"))
 
 
 # --- weight vector invariants --------------------------------------------------------

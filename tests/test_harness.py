@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import make_matrix
 from xpop import harness, models
-from xpop.eventlog import format_schema_config, serialize_csv
+from xpop.eventlog import csv_records, format_schema_config, serialize_csv
 from xpop.explain import WeightVector
 from xpop.harness import (
     MODELS,
@@ -415,6 +415,18 @@ def test_every_report_row_has_a_cell_per_column():
     assert rows[0] == REPORT_HEADER.split(",")
     assert len(rows) == len(reports) + 1
     assert all(len(row) == len(rows[0]) == 12 for row in rows)
+
+
+_report_texts = st.text(st.sampled_from('a ,"\n\ré'), max_size=4)
+
+
+@given(st.lists(st.tuples(_report_texts, _report_texts, _report_texts), max_size=4))
+def test_report_csv_reads_back_cell_for_cell(cells):
+    reports = [MetricsReport(log, model, None, excluded_reason=reason)
+               for log, model, reason in cells]
+    rows = [REPORT_HEADER.split(","), *([log, model, *[""] * 9, reason]
+                                        for log, model, reason in cells)]
+    assert list(csv_records(render_report(reports, "csv"))) == list(enumerate(rows, 1))
 
 
 def test_render_table_is_aligned():

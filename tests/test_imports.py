@@ -1,6 +1,7 @@
-"""Every name a module under ``src/xpop/`` imports is used in that module.
+"""Every name a module under ``src/xpop/`` imports is used in that module,
+and only ``eventlog`` imports ``csv``.
 
-A static check with ``ast`` (no linter is a dependency): a name counts as
+Static checks with ``ast`` (no linter is a dependency): a name counts as
 used when it appears as an identifier, as the base of an attribute access,
 or, in a package ``__init__``, in ``__all__``.
 """
@@ -43,3 +44,23 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level modules ``source`` imports."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_only_eventlog_imports_csv():
+    # every CSV file is read and written by eventlog's codec, so the csv
+    # dialect is decided in one module
+    assert imported_modules("import csv.x\nfrom io import y\n") == {"csv", "io"}
+    importers = [p.name for p in sorted(SRC.glob("*.py"))
+                 if "csv" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert importers == ["eventlog.py"]
