@@ -16,7 +16,7 @@ import numpy as np
 
 from xpop.eventlog import ParseError, csv_records
 from xpop.models import (
-    ConstantLeaf, TrainedModel, _check_two_classes, checked_predict, score_copies,
+    ConstantLeaf, TrainedModel, _check_two_classes, checked_predict, read_columns, score_copies,
 )
 from xpop.preprocess import EncodedMatrix
 
@@ -67,16 +67,23 @@ def _base_scores(predictor, m: EncodedMatrix, base_scores) -> np.ndarray:
     return base
 
 
-def _varying(m: EncodedMatrix) -> list[tuple[int, np.ndarray]]:
-    """(index, distinct values) of each column of ``m`` with two or more."""
-    return [(i, distinct) for i, distinct in enumerate(m.distinct) if len(distinct) >= 2]
+def _scored(predictor, m: EncodedMatrix) -> list[tuple[int, np.ndarray]]:
+    """(index, distinct values) of each column of ``m`` with two or more
+    distinct values that ``predictor`` reads (``read_columns``)."""
+    read = read_columns(predictor)
+    return [(i, distinct) for i, distinct in enumerate(m.distinct)
+            if len(distinct) >= 2 and (read is None or i in read)]
 
 
-def pi_copies(m: EncodedMatrix, seed: int, repeats: int = 1) -> Iterator[dict[int, np.ndarray]]:
+def pi_copies(
+    predictor, m: EncodedMatrix, seed: int, repeats: int = 1
+) -> Iterator[dict[int, np.ndarray]]:
     """The copies ``permutation_importance`` scores, in (column, repeat)
     order: ``repeats`` excluded-value permutations of each column of ``m``
-    that holds two or more distinct values, drawn from seed + column index."""
-    for i, distinct in _varying(m):
+    that holds two or more distinct values and that ``predictor`` reads,
+    drawn from seed + column index. A column it does not read has no copy,
+    and no other column's draws move."""
+    for i, distinct in _scored(predictor, m):
         rng = np.random.default_rng(seed + i)
         for _ in range(repeats):
             yield {i: permute_column(m.rows[:, i], distinct, rng)}
@@ -95,10 +102,14 @@ def permutation_importance(
     The draw for each row excludes the row's current value; the effect is
     averaged over `repeats` independent permutations. Per-column seeds are
     derived as seed + column index, so columns can run in parallel.
+    Exactly the copies of ``pi_copies(predictor, m, seed, repeats)`` are
+    drawn and scored. A column with one distinct value, or one the
+    predictor does not read (``read_columns``), gets weight 0.0 without a
+    copy: the copy would score the same bits as ``m``.
     ``base_scores``, when given, are the predictor's scores of ``m``.
     ``scores``, when given, is a started ``score_copies`` stream whose
-    next arrays score ``pi_copies(m, seed, repeats)``; exactly those are
-    drawn from it, and later copies in it are left to its next reader.
+    next arrays score those copies; exactly those are drawn from it, and
+    later copies in it are left to its next reader.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -106,9 +117,9 @@ def permutation_importance(
     _check_two_classes(y)
     base = _mse(y, _base_scores(predictor, m, base_scores))
     if scores is None:
-        scores = score_copies(predictor, m, pi_copies(m, seed, repeats))
+        scores = score_copies(predictor, m, pi_copies(predictor, m, seed, repeats))
     weights = np.zeros(m.n_columns)
-    for i, _ in _varying(m):
+    for i, _ in _scored(predictor, m):
         total = 0.0
         for _ in range(repeats):
             total += _mse(y, next(scores)) - base

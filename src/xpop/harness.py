@@ -396,7 +396,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
             pi_seed, fc_seed = derive_seed(model_seed, 1), derive_seed(model_seed, 2)
             # PI's copies, then FC's, in one stream: one launch for an external model
             stream = score_copies(model, test_m, chain(
-                pi_copies(test_m, pi_seed, cfg.pi_repeats), fc_copies(test_m, fc_seed)))
+                pi_copies(model, test_m, pi_seed, cfg.pi_repeats),
+                fc_copies(model, test_m, fc_seed)))
             try:
                 w_pi = permutation_importance(
                     model, test_m, seed=pi_seed,

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from xpop.explain import WeightVector, _base_scores, permute_column
-from xpop.models import average_ranks, score_copies
+from xpop.models import average_ranks, read_columns, score_copies
 from xpop.preprocess import TYPES, ColumnMeta, EncodedMatrix
 
 BINARIZE_THRESHOLD = 0.5
@@ -67,11 +67,21 @@ def _present(m: EncodedMatrix) -> list[str]:
     return [t for t in TYPES if m.columns_of_type(t)]
 
 
-def fc_copies(m: EncodedMatrix, seed: int) -> Iterator[dict[int, np.ndarray]]:
+def _permuted_types(predictor, m: EncodedMatrix) -> list[str]:
+    """The attribute types of ``m`` that own a column ``predictor`` reads
+    (``read_columns``), in ``TYPES`` order."""
+    read = read_columns(predictor)
+    return [t for t in _present(m)
+            if read is None or not read.isdisjoint(m.columns_of_type(t))]
+
+
+def fc_copies(predictor, m: EncodedMatrix, seed: int) -> Iterator[dict[int, np.ndarray]]:
     """The copies ``functional_complexity`` scores: one per attribute type
-    present, in ``TYPES`` order, with every column of the type given an
-    excluded-value permutation drawn from seed + the type's index in ``TYPES``."""
-    for attribute_type in _present(m):
+    of ``m`` that owns a column ``predictor`` reads, in ``TYPES`` order,
+    with every column of the type given an excluded-value permutation drawn
+    from seed + the type's index in ``TYPES``. A type without a read column
+    has no copy, and no other type's draws move."""
+    for attribute_type in _permuted_types(predictor, m):
         rng = np.random.default_rng(seed + TYPES.index(attribute_type))
         yield {i: permute_column(m.rows[:, i], m.distinct[i], rng)
                for i in m.columns_of_type(attribute_type)}
@@ -87,16 +97,19 @@ def functional_complexity(
     """Per attribute type, the fraction of binarized predictions that change
     after simultaneously permuting every column of that type (``fc_copies``).
     A type without columns reads NaN; the total is the mean over the types
-    present. The copies of all types are scored in one ``score_copies``
-    stream: ``scores`` when given, a started stream whose next arrays score
-    ``fc_copies(m, seed)`` (exactly those are drawn from it), else one of
-    its own. ``base_scores``, when given, are the predictor's scores of ``m``."""
+    present. Exactly the copies of ``fc_copies(predictor, m, seed)`` are
+    drawn and scored: a type whose columns the predictor does not read
+    (``read_columns``) reads 0.0 without a copy, since its copy would score
+    the same bits as ``m``. They are scored in one ``score_copies`` stream:
+    ``scores`` when given, a started stream whose next arrays score those
+    copies (exactly those are drawn from it), else one of its own.
+    ``base_scores``, when given, are the predictor's scores of ``m``."""
     present = _present(m)
     original = _base_scores(predictor, m, base_scores) >= BINARIZE_THRESHOLD
     if scores is None:
-        scores = score_copies(predictor, m, fc_copies(m, seed))
-    values = dict.fromkeys(TYPES, math.nan)
-    for attribute_type in present:
+        scores = score_copies(predictor, m, fc_copies(predictor, m, seed))
+    values = dict.fromkeys(TYPES, math.nan) | dict.fromkeys(present, 0.0)
+    for attribute_type in _permuted_types(predictor, m):
         permuted = next(scores) >= BINARIZE_THRESHOLD
         values[attribute_type] = float((original != permuted).mean())
     total = float(np.mean([values[t] for t in present])) if present else math.nan

@@ -482,6 +482,17 @@ def predict_proba(model: TrainedModel, m: EncodedMatrix) -> np.ndarray:
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
+def read_columns(predictor) -> Optional[frozenset[int]]:
+    """The indices of the columns whose values can move ``predictor``'s
+    scores: for a ``tree`` or ``forest``, the columns its trees split on,
+    since a row's leaves depend on nothing else. None, meaning every column,
+    for any other predictor: ``logreg``, ``llm`` (its leaf regressions read
+    every column), ``external``, or any object with ``predict``."""
+    if isinstance(predictor, TrainedModel) and predictor.kind in ("tree", "forest"):
+        return frozenset(predictor.tree.column[predictor.tree.column >= 0].tolist())
+    return None
+
+
 def checked_predict(predictor, m: EncodedMatrix) -> np.ndarray:
     """``predictor``'s scores of ``m`` as float64, refused unless there is
     one per row."""

@@ -22,9 +22,11 @@ settings.load_profile("xpop")
 # `-m oracle --hypothesis-profile xpop-oracle`: the synth stream oracles,
 # because the decoder in `synth` mirrors numpy's `integers` and `random`, so
 # it is checked against whichever numpy is installed; the bridge copy-text
-# oracle; and the tree oracles that the packed node table rests on
+# oracle; the tree oracles that the packed node table rests on
 # (presorted CART against the per-node argsort, apply against a row's
-# descent, the table against its trees walked alone).
+# descent, the table against its trees walked alone); and PI and FC of a
+# tree or forest, which skip the columns it never splits on, against the
+# same model scored on every copy.
 settings.register_profile("xpop-oracle", settings.get_profile("xpop"), max_examples=500)
 
 

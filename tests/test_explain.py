@@ -5,17 +5,20 @@ import dataclasses
 import io
 import math
 import pathlib
+import re
 import shlex
 import sys
 import tempfile
 from datetime import datetime, timedelta
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import StubPredictor, bridge_config, make_matrix
+from conftest import StubPredictor, bridge_config, make_matrix, oracle_examples
 from xpop.eventlog import AttributeSchema, EventLog, Trace
 from xpop.explain import (
     WeightVector,
@@ -24,21 +27,27 @@ from xpop.explain import (
     load_external_weights,
     permutation_importance,
     permute_column,
+    pi_copies,
 )
-from xpop import harness
-from xpop.harness import ModelSpec, prepare_matrices, run_benchmark
-from xpop.metrics import functional_complexity
+from xpop import harness, models
+from xpop.harness import BenchmarkConfig, ModelSpec, prepare_matrices, run_benchmark
+from xpop.metrics import fc_copies, functional_complexity
 from xpop.models import (
+    export_model,
     external_model,
     external_predict,
+    read_columns,
     score_copies,
     train_forest,
     train_llm,
     train_logreg,
     train_tree,
 )
-from xpop.preprocess import EncodedMatrix, aggregate_encode, extract_prefixes, fit_vocabulary
+from xpop.preprocess import (
+    TYPES, EncodedMatrix, aggregate_encode, extract_prefixes, fit_vocabulary,
+)
 from xpop.seeds import derive_seed
+from xpop.synth import CaseThreshold, SynthSpec
 
 # --- excluded-value permutation ----------------------------------------------
 
@@ -561,6 +570,113 @@ def test_matrix_csv_parses_back_whatever_its_column_names_hold(activities, value
         header, *rows = csv.reader(io.StringIO(received.read_bytes().decode("utf-8"), newline=""))
     assert [tuple(cell.rsplit(":", 1)) for cell in header] == named
     assert len(rows) == m.n_rows and {len(row) for row in rows} == {m.n_columns}
+
+
+# --- only the columns a tree or forest reads are drawn ---------------------------
+
+
+class Opaque:
+    """A model behind ``predict`` and ``columns`` alone, so ``read_columns``
+    gives None and every copy of every column is drawn and scored."""
+
+    def __init__(self, model):
+        self.columns = model.columns
+        self.predict = model.predict
+
+
+def _split_columns(model) -> frozenset[int]:
+    """Oracle: the columns the ``split`` lines of the model's export name."""
+    names = re.findall(r"split column=(\S+) ", export_model(model))
+    return frozenset(model.columns.index(name) for name in names)
+
+
+def test_read_columns_are_the_split_columns_of_tree_kinds_and_none_otherwise():
+    m = SMALL
+    for model in (train_tree(m, {"max_depth": 2}), train_tree(m), _forest(m)):
+        read = read_columns(model)
+        assert read == _split_columns(model) and read
+    assert read_columns(train_tree(m, {"max_depth": 2})) < set(range(m.n_columns))
+    leaf = train_tree(make_matrix(m.rows, np.zeros(m.n_rows)))  # one class: a depth-0 leaf
+    assert read_columns(leaf) == frozenset()
+    for predictor in (train_logreg(m), train_llm(m), external_model("scorer", m.column_names),
+                      _stub(m), Opaque(train_tree(m))):
+        assert read_columns(predictor) is None
+
+
+def _bits(metric) -> bytes:
+    return np.array(dataclasses.astuple(metric)).tobytes()
+
+
+@st.composite
+def _unread_problem(draw):
+    """A tied matrix of random attribute types whose last column repeats its
+    first (a tree, which splits on the lowest of tied columns, never reads
+    it), labels of both classes, and a tree or forest trained on it."""
+    n = draw(st.integers(8, 30))
+    p = draw(st.integers(2, 5))
+    X = draw(hnp.arrays(np.float64, (n, p), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    y[:2] = 0, 1
+    types = draw(st.lists(st.sampled_from(TYPES), min_size=p + 1, max_size=p + 1))
+    m = make_matrix(np.column_stack([X, X[:, 0]]), y, types=types)
+    hyper = {"max_depth": draw(st.sampled_from([1, 2, 3, 6])),
+             "min_samples_leaf": draw(st.integers(1, 3)),
+             "n_trees": draw(st.integers(1, 4))}
+    if draw(st.booleans()):
+        return m, train_forest(m, hyper, seed=draw(st.integers(0, 5)))
+    return m, train_tree(m, hyper)
+
+
+@pytest.mark.oracle
+@settings(max_examples=oracle_examples(30))
+@given(_unread_problem(), st.integers(0, 100), st.sampled_from([1, 2]))
+def test_unread_columns_skipped_give_the_bits_of_every_copy_scored(problem, seed, repeats):
+    m, model = problem
+    opaque = Opaque(model)
+    read = read_columns(model)
+    if model.kind == "tree" and len(m.distinct[0]) >= 2:
+        assert m.n_columns - 1 not in read
+    drawn = len(list(pi_copies(model, m, seed, repeats)))
+    varying = [i for i in range(m.n_columns) if len(m.distinct[i]) >= 2]
+    assert drawn == repeats * len(read.intersection(varying))
+    assert len(list(pi_copies(opaque, m, seed, repeats))) == repeats * len(varying)
+    pi = permutation_importance(model, m, seed, repeats)
+    assert pi.weights.tobytes() == permutation_importance(opaque, m, seed, repeats).weights.tobytes()
+    assert _bits(functional_complexity(model, m, seed)) == \
+        _bits(functional_complexity(opaque, m, seed))
+    joint = []
+    for predictor in (model, opaque):  # PI's copies, then FC's, as run_benchmark streams them
+        stream = score_copies(predictor, m, chain(
+            pi_copies(predictor, m, seed, repeats), fc_copies(predictor, m, seed + 1)))
+        base = predictor.predict(m)
+        w_pi = permutation_importance(predictor, m, seed, repeats, base_scores=base, scores=stream)
+        fc = functional_complexity(predictor, m, seed + 1, base_scores=base, scores=stream)
+        assert next(stream, None) is None
+        joint.append((w_pi.weights.tobytes(), _bits(fc)))
+    assert joint[0] == joint[1]
+
+
+@pytest.mark.parametrize("kind, hyper", [("tree", {"max_depth": 3}),
+                                         ("forest", {"n_trees": 3, "max_depth": 2})])
+def test_tree_kind_cell_predicts_once_per_read_copy(kind, hyper, monkeypatch):
+    cfg = BenchmarkConfig(
+        seed=5, max_prefix=4, models=(ModelSpec("dt", kind, hyper),), pi_repeats=2,
+        synth=SynthSpec(n_cases=200, rule=CaseThreshold("s_num1", 0.5), seed=5))
+    calls = []
+
+    def counted(model, m, _predict=models.predict_proba):
+        calls.append(model)
+        return _predict(model, m)
+
+    monkeypatch.setattr(models, "predict_proba", counted)
+    (report,) = run_benchmark(cfg)
+    assert report.excluded_reason == ""
+    _, m = prepare_matrices(cfg)
+    read = read_columns(calls[0])
+    varying = [i for i in range(m.n_columns) if len(m.distinct[i]) >= 2]
+    typed = [t for t in TYPES if read.intersection(m.columns_of_type(t))]
+    assert len(calls) == 1 + len(read.intersection(varying)) * cfg.pi_repeats + len(typed)
+    assert len(calls) < 1 + len(varying) * cfg.pi_repeats + len(TYPES)  # some were skipped
 
 
 # --- intrinsic weights -----------------------------------------------------------
