@@ -71,8 +71,8 @@ def _scored(predictor, m: EncodedMatrix) -> list[tuple[int, np.ndarray]]:
     """(index, distinct values) of each column of ``m`` with two or more
     distinct values that ``predictor`` reads (``read_columns``)."""
     read = read_columns(predictor)
-    return [(i, distinct) for i, distinct in enumerate(m.distinct)
-            if len(distinct) >= 2 and (read is None or i in read)]
+    columns = range(m.n_columns) if read is None else sorted(read)
+    return [(i, m.distinct[i]) for i in columns if len(m.distinct[i]) >= 2]
 
 
 def pi_copies(

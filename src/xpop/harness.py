@@ -41,6 +41,7 @@ from xpop.explain import (
 from xpop.metrics import MetricsReport, fc_copies, functional_complexity, irc, lod_at_k, parsimony
 from xpop.models import (
     HYPER,
+    Launch,
     TrainedModel,
     auc,
     external_model,
@@ -358,72 +359,122 @@ def train_model(spec: ModelSpec, train_m: EncodedMatrix, seed: int) -> TrainedMo
     return MODELS[spec.kind][0](spec, train_m, seed)
 
 
-def score_models(cfg: BenchmarkConfig, train_m: EncodedMatrix,
-                 test_m: EncodedMatrix) -> Iterator[tuple]:
+def _xai_seeds(model_seed: int) -> tuple[int, int]:
+    """A cell's PI seed and FC seed."""
+    return derive_seed(model_seed, 1), derive_seed(model_seed, 2)
+
+
+def _copies(cfg: BenchmarkConfig, model: TrainedModel, test_m: EncodedMatrix, model_seed: int):
+    """A cell's PI copies, then its FC copies, in one stream: one launch for an external model."""
+    pi_seed, fc_seed = _xai_seeds(model_seed)
+    return chain(pi_copies(model, test_m, pi_seed, cfg.pi_repeats),
+                 fc_copies(model, test_m, fc_seed))
+
+
+def score_models(cfg: BenchmarkConfig, train_m: EncodedMatrix, test_m: EncodedMatrix,
+                 launches: Optional[dict[str, Launch | Exception]] = None) -> Iterator[tuple]:
     """Each model's cell in config order, ``(spec, seed, model, test scores,
     test AUC, error)``: the model is trained with its seed and scores ``test_m``
-    once. A failed step leaves ``error: <reason>`` and None in the middle three."""
+    once. A failed step leaves ``error: <reason>`` and None in the middle three.
+
+    With ``launches``, an external cell may first start its copies launch
+    (its PI copies, then its FC copies) and file it there under its model's
+    name, then run its test launch. It does so only when no copies launch
+    it started before still runs, so a test launch never waits for one;
+    a cell that fails stops its copies launch. A copies launch that fails
+    to start is filed as its exception, and the cell keeps its AUC."""
+    previous = None  # the last copies launch started here
     for idx, spec in enumerate(cfg.models):
         seed = derive_seed(cfg.seed, idx)
+        launch = None
         try:
             model = train_model(spec, train_m, seed)
+            if (launches is not None and model.kind == "external"
+                    and not (previous is not None and previous.running())):
+                try:
+                    launch = Launch(model.command, test_m, _copies(cfg, model, test_m, seed))
+                except Exception as exc:  # an XAI fault, reported when the copies are read
+                    launches[spec.name] = exc
+                else:
+                    launches[spec.name] = previous = launch
             scores = model.predict(test_m)
             cell = (spec, seed, model, scores, auc(test_m.labels, scores), "")
         except Exception as exc:  # per-cell fault isolation
+            if launch is not None:
+                launch.stop()
             cell = (spec, seed, None, None, None, f"error: {exc}")
         yield cell
 
 
 def run_benchmark(cfg: BenchmarkConfig) -> list[MetricsReport]:
+    """Each model's ``MetricsReport``, in config order.
+
+    An external model is scored in two launches of its command, at most
+    two running at once. Its copies launch starts just before its test
+    launch (``score_models``), unless an earlier cell's copies launch still
+    runs: then it starts only once the cell computes its XAI metrics. An
+    early copies launch runs on while the test scores are read and later
+    cells are scored. Its scores are read only if the log's mean AUC lets
+    the cell compute its XAI metrics; otherwise, or when the cell fails, it
+    is stopped unread. No launch outlives the call."""
     train_m, test_m = prepare_matrices(cfg)
+    launches: dict[str, Launch | Exception] = {}  # model name -> its early copies launch
+    try:
+        # Each model scores the test matrix once; AUC, PI and FC share the scores.
+        cells = list(score_models(cfg, train_m, test_m, launches))
+        aucs = [a for _, _, _, _, a, _ in cells if a is not None]
+        mean_auc = float(np.mean(aucs)) if aucs else math.nan
 
-    # Each model scores the test matrix once; AUC, PI and FC share the scores.
-    cells = list(score_models(cfg, train_m, test_m))
-    aucs = [a for _, _, _, _, a, _ in cells if a is not None]
-    mean_auc = float(np.mean(aucs)) if aucs else math.nan
+        if math.isnan(mean_auc) or mean_auc < AUC_FLOOR:
+            low_auc = "avg AUC below 50"
+        elif mean_auc < XAI_FLOOR:
+            low_auc = "avg AUC below 75"
+        else:
+            low_auc = ""
 
-    if math.isnan(mean_auc) or mean_auc < AUC_FLOOR:
-        low_auc = "avg AUC below 50"
-    elif mean_auc < XAI_FLOOR:
-        low_auc = "avg AUC below 75"
-    else:
-        low_auc = ""
-
-    reports = []
-    for spec, model_seed, model, scores, model_auc, error in cells:
-        reason = error or low_auc
-        if not reason:
-            pi_seed, fc_seed = derive_seed(model_seed, 1), derive_seed(model_seed, 2)
-            # PI's copies, then FC's, in one stream: one launch for an external model
-            stream = score_copies(model, test_m, chain(
-                pi_copies(model, test_m, pi_seed, cfg.pi_repeats),
-                fc_copies(model, test_m, fc_seed)))
-            try:
-                w_pi = permutation_importance(
-                    model, test_m, seed=pi_seed,
-                    repeats=cfg.pi_repeats, base_scores=scores, scores=stream,
-                )
-                w_e = MODELS[spec.kind][1](spec, model)
-                pars = parsimony(w_e, test_m.columns)
-                fc = functional_complexity(
-                    model, test_m, fc_seed, base_scores=scores, scores=stream
-                )
+        reports = []
+        for spec, model_seed, model, scores, model_auc, error in cells:
+            reason = error or low_auc
+            if not reason:
+                pi_seed, fc_seed = _xai_seeds(model_seed)
                 try:
-                    rank_corr = irc(w_pi, w_e)
-                except ValueError:
-                    rank_corr = None  # degenerate ranking: reported as undefined
-                lod = lod_at_k(w_pi, w_e, test_m.columns, k=10)
-                reports.append(
-                    MetricsReport(cfg.log_id, spec.name, model_auc, parsimony=pars,
-                                  fc=fc, irc=rank_corr, lod_at_10=lod)
-                )
-                continue
-            except Exception as exc:
-                reason = f"error: {exc}"
-        reports.append(
-            MetricsReport(cfg.log_id, spec.name, model_auc, excluded_reason=reason)
-        )
-    return reports
+                    launch = launches.get(spec.name)
+                    if launch is None:
+                        copies = _copies(cfg, model, test_m, model_seed)
+                        stream = score_copies(model, test_m, copies)
+                    elif isinstance(launch, Launch):
+                        stream = iter(launch.copy_scores())
+                    else:
+                        raise launch
+                    w_pi = permutation_importance(
+                        model, test_m, seed=pi_seed,
+                        repeats=cfg.pi_repeats, base_scores=scores, scores=stream,
+                    )
+                    w_e = MODELS[spec.kind][1](spec, model)
+                    pars = parsimony(w_e, test_m.columns)
+                    fc = functional_complexity(
+                        model, test_m, fc_seed, base_scores=scores, scores=stream
+                    )
+                    try:
+                        rank_corr = irc(w_pi, w_e)
+                    except ValueError:
+                        rank_corr = None  # degenerate ranking: reported as undefined
+                    lod = lod_at_k(w_pi, w_e, test_m.columns, k=10)
+                    reports.append(
+                        MetricsReport(cfg.log_id, spec.name, model_auc, parsimony=pars,
+                                      fc=fc, irc=rank_corr, lod_at_10=lod)
+                    )
+                    continue
+                except Exception as exc:
+                    reason = f"error: {exc}"
+            reports.append(
+                MetricsReport(cfg.log_id, spec.name, model_auc, excluded_reason=reason)
+            )
+        return reports
+    finally:
+        for launch in launches.values():
+            if isinstance(launch, Launch):
+                launch.stop()
 
 
 def _fmt(value, spec: str = ".6f") -> str:

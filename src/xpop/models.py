@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import select
 import shlex
+import signal
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -265,8 +269,9 @@ def _best_split(
     min_samples_leaf: int,
 ) -> Optional[tuple[float, int, float]]:
     """Best (gain, column, threshold) of a node whose rows, sorted by column
-    ``j``, are ``order[j]``; ``n_pos`` of them are positive and ``gini`` is
-    their impurity. Ties go to the lowest column, then the lowest threshold.
+    ``j``, are ``order[j]``; ``n_pos`` of them are positive (``y``: int8
+    labels in {0, 1}) and ``gini`` is their impurity. Ties go to the lowest
+    column, then the lowest threshold.
 
     ``columns`` (ascending) are searched in blocks of at most
     ``SEARCH_BLOCK`` sorted values, and gains are taken only at value
@@ -278,16 +283,19 @@ def _best_split(
     if first >= stop:
         return best
     width = max(1, SEARCH_BLOCK // n)
+    index = np.int32 if X.size < 2**31 else np.intp  # holds every flat index of X
+    stride, offsets = index(X.shape[1]), columns.astype(index)
     for start in range(0, len(columns), width):
         block = columns[start:start + width]
         rows = order.take(block, axis=0)
-        values = X.take(rows * np.intp(X.shape[1]) + block[:, None])  # intp: no int32 overflow
+        values = X.take(rows * stride + offsets[start:start + width, None])
         at = np.flatnonzero(values[:, first + 1:stop + 1] > values[:, first:stop])
         if at.size == 0:
             continue
         r, i = np.divmod(at, stop - first)
         i += first
-        pos_left = np.cumsum(y.take(rows), axis=1)[r, i]
+        # exact integer counts: the gains' float64 bits are those of float counts
+        pos_left = np.cumsum(y.take(rows), axis=1, dtype=np.int32)[r, i]
         n_left = i + 1
         n_right = n - n_left
         gains = (gini - n_left / n * _gini(pos_left, n_left)
@@ -340,6 +348,7 @@ def _grow_tree(
         raise ValueError("cannot grow a tree on 0 rows")
     sample = rng is not None and mtry is not None and mtry < p
     all_columns = np.arange(p)
+    labels = y.astype(np.int8)  # gathered and counted narrow by the split search
     go_left = np.zeros(n_rows, dtype=bool)
 
     def searches(n: int, n_pos: float, depth: int, forced: bool = False) -> bool:
@@ -358,7 +367,7 @@ def _grow_tree(
         if order is None:
             continue
         cols = np.sort(rng.choice(p, size=mtry, replace=False)) if sample else all_columns
-        split = _best_split(X, y, order, cols, n_pos, node[5], min_samples_leaf)
+        split = _best_split(X, labels, order, cols, n_pos, node[5], min_samples_leaf)
         if split is None:
             if force_root and depth == 0:
                 raise ValueError("no legal forced split")
@@ -508,21 +517,18 @@ def score_copies(
     """Scores of copies of ``m``, drawn one at a time from ``copies``, one
     array per copy, in order. A copy maps column indices to replacement
     values; its other columns keep ``m``'s values. An external model scores
-    all copies in one launch (``external_predict``), split back by ``m``'s
-    row count; any other predictor (a ``TrainedModel`` or any object with
-    ``predict``) gets one ``checked_predict`` per copy, built as its own
-    ``EncodedMatrix`` that shares ``m``'s labels. Neither holds a copy past
+    all copies in one ``Launch``, split back by ``m``'s row count; any other
+    predictor (a ``TrainedModel`` or any object with ``predict``) gets one
+    ``checked_predict`` per copy, built as its own ``EncodedMatrix`` that
+    shares ``m``'s labels. Neither holds a copy past
     its scoring or writing."""
     if isinstance(predictor, TrainedModel) and predictor.kind == "external":
-        drawn = 0
-
-        def counted(copy: Mapping[int, np.ndarray]) -> Mapping[int, np.ndarray]:
-            nonlocal drawn
-            drawn += 1
-            return copy
-
-        scores = external_predict(predictor.command, m, map(counted, copies))
-        yield from scores.reshape(drawn, m.n_rows)
+        launch = Launch(predictor.command, m, copies)
+        try:
+            scores = launch.copy_scores()
+        finally:
+            launch.stop()
+        yield from scores
     else:
 
         def scored(copy: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -541,46 +547,153 @@ def external_predict(
     timeout: float = 300.0,
 ) -> np.ndarray:
     """Score rows through an external command over the stdin/stdout bridge,
-    in one launch that ``timeout`` seconds bound.
+    in one launch that ``timeout`` seconds from its start bound: a
+    ``Launch``, waited for and stopped.
 
     stdin: a regular file holding CSV without the label column, ``m``'s
     header and then, one copy under another, the rows of each of ``copies``
     (column maps as in ``score_copies``) or, without copies, of ``m``;
-    stdout: one probability in [0, 1] per row sent, LF-terminated; exit
-    code 0 required. ``m``'s cells are formatted once, and each copy's rows
-    are written as it is drawn, with only its own columns formatted anew.
-    Nothing is launched when no row is to be sent. A bench cell launches
-    twice: once without copies for the test scores, and once with its
-    permutation-importance copies in (column, repeat) order followed by one
-    functional-complexity copy per attribute type (control, case, event).
+    stdout: one probability in [0, 1] per row sent, each line ended by LF
+    (a CR before it is dropped); exit code 0 required. ``m``'s cells are
+    formatted once, and each copy's rows are written as it is drawn, with
+    only its own columns formatted anew. Nothing is launched when no row is
+    to be sent. A bench cell launches twice (``harness.run_benchmark``):
+    its copies launch, a ``Launch`` most often started just before the
+    other, sends its permutation-importance copies in (column, repeat)
+    order followed by one functional-complexity copy per attribute type
+    (control, case, event); its test launch, this function without copies,
+    sends the test rows.
     """
-    cells = m.csv_cells()
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as stdin:
-        stdin.write(m.csv_header())
-        n_rows = 0
-        for copy in [{}] if copies is None else copies:
-            stdin.write(copy_csv_rows(cells, copy, m.n_rows))
-            n_rows += m.n_rows
-            del copy  # freed before the next one is drawn
-        if n_rows == 0:
+    launch = Launch(command, m, copies, timeout)
+    try:
+        return launch.scores()
+    finally:
+        launch.stop()
+
+
+class Launch:
+    """A started launch of an external command over the bridge (the
+    protocol of ``external_predict``), which runs while its caller goes on.
+
+    Its stdin, stdout and stderr are temporary files, so the command never
+    waits for a reader. It runs in a session of its own, and ``timeout``
+    seconds from its start bound it. ``scores`` waits for it, checks its
+    output and returns one score per row sent, the rows of ``n_copies``
+    copies, and ``copy_scores`` the same split by copy; ``stop`` kills its
+    process group, so also any process the command started, waits for it
+    and closes its files, and may be called again. Call ``scores`` before
+    ``stop``. Nothing is launched when no row is to be sent."""
+
+    def __init__(
+        self,
+        command: str,
+        m: EncodedMatrix,
+        copies: Optional[Iterable[Mapping[int, np.ndarray]]] = None,
+        timeout: float = 300.0,
+    ) -> None:
+        self.timeout = timeout
+        self.n_copies = 0
+        self.copy_rows = m.n_rows
+        self.proc: Optional[subprocess.Popen] = None
+        self.output: list = []  # the stdout and stderr files
+        cells = m.csv_cells()
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as stdin:
+            stdin.write(m.csv_header())
+            for copy in [{}] if copies is None else copies:
+                stdin.write(copy_csv_rows(cells, copy, m.n_rows))
+                self.n_copies += 1
+                del copy  # freed before the next one is drawn
+            if self.n_copies * m.n_rows == 0:
+                return
+            stdin.seek(0)  # flushes, and the child reads from the start
+            self.output = [tempfile.TemporaryFile(), tempfile.TemporaryFile()]
+            try:
+                self.proc = subprocess.Popen(
+                    shlex.split(command), stdin=stdin, stdout=self.output[0],
+                    stderr=self.output[1], start_new_session=True)
+            except BaseException:
+                self.stop()
+                raise
+        self.deadline = time.monotonic() + timeout
+
+    def running(self) -> bool:
+        """Whether the command was started and has not exited yet."""
+        return self.proc is not None and self.proc.poll() is None
+
+    def scores(self) -> np.ndarray:
+        """One score per row sent, once the process has exited 0 within its
+        deadline; else a ``BridgeError`` says what went wrong."""
+        if self.proc is None:
             return np.empty(0, dtype=np.float64)
-        stdin.seek(0)  # flushes, and the child reads from the start
-        try:
-            proc = subprocess.run(
-                shlex.split(command), stdin=stdin, capture_output=True, timeout=timeout
+        if not _exits_within(self.proc, max(0.0, self.deadline - time.monotonic())):
+            self.stop()
+            raise BridgeError(f"external command timed out after {self.timeout}s")
+        stdout, stderr = self.output
+        if self.proc.returncode != 0:
+            stderr.seek(0)
+            raise BridgeError(
+                f"external command exited with {self.proc.returncode}: "
+                f"{stderr.read().decode('utf-8', 'replace').strip()}"
             )
+        stdout.seek(0)
+        return _parse_scores(stdout.read(), self.n_copies * self.copy_rows)
+
+    def copy_scores(self) -> np.ndarray:
+        """``scores``, one row of scores per copy sent."""
+        return self.scores().reshape(self.n_copies, self.copy_rows)
+
+    def stop(self) -> None:
+        """Kill the process group if any of it still runs, wait for the
+        command and close its files."""
+        if self.proc is not None:
+            try:
+                os.killpg(self.proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the command and all it started have exited
+            self.proc.wait()
+        for file in self.output:
+            file.close()
+
+
+def _exits_within(proc: subprocess.Popen, timeout: float) -> bool:
+    """Whether ``proc`` exits within ``timeout`` seconds; it is reaped if so.
+    On Linux the wait wakes as the process exits (a pidfd); elsewhere
+    ``Popen.wait`` polls with sleeps that grow to 50 ms, which can add tens
+    of milliseconds to a short launch."""
+    if proc.returncode is not None:
+        return True  # reaped: its pid may belong to another process now
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        try:
+            proc.wait(timeout)
         except subprocess.TimeoutExpired:
-            raise BridgeError(f"external command timed out after {timeout}s") from None
-    if proc.returncode != 0:
-        raise BridgeError(
-            f"external command exited with {proc.returncode}: "
-            f"{proc.stderr.decode('utf-8', 'replace').strip()}"
-        )
-    lines = proc.stdout.decode("utf-8").splitlines()
+            return False
+        return True
+    try:
+        if not select.select([pidfd], [], [], timeout)[0]:
+            return False
+    finally:
+        os.close(pidfd)
+    proc.wait()
+    return True
+
+
+def _parse_scores(stdout: bytes, n_rows: int) -> np.ndarray:
+    """The ``n_rows`` probabilities of a bridge command's stdout: lines
+    ended by LF only, the last LF optional, each a decimal in [0, 1]
+    between optional whitespace."""
+    lines = stdout.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # the last line's LF
     if len(lines) != n_rows:
         raise BridgeError(f"line count mismatch: expected {n_rows}, got {len(lines)}")
     scores = np.empty(n_rows, dtype=np.float64)
-    for i, line in enumerate(lines):
+    for i, raw in enumerate(lines):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise BridgeError(f"line {i + 1}: not UTF-8: {raw!r}") from None
         try:
             value = float(line.strip())
         except ValueError:

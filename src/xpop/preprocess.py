@@ -73,12 +73,9 @@ class EncodedMatrix:
         return [i for i, c in enumerate(self.columns) if c.attribute_type == attribute_type]
 
     @cached_property
-    def distinct(self) -> tuple[np.ndarray, ...]:
-        """Each column's sorted distinct values, computed once; read-only like ``rows``."""
-        distinct = tuple(np.unique(column) for column in self.rows.T)
-        for values in distinct:
-            values.setflags(write=False)
-        return distinct
+    def distinct(self) -> DistinctValues:
+        """Each column's sorted distinct values, by column index."""
+        return DistinctValues(self.rows)
 
     def export_csv(self) -> str:
         """``csv_header`` and ``label``, then each row's ``csv_cells`` and label."""
@@ -95,6 +92,26 @@ class EncodedMatrix:
     def csv_cells(self) -> list[list[str]]:
         """Each column's cells as shortest-form decimals (``_decimals``)."""
         return [_decimals(column) for column in self.rows.T]
+
+
+class DistinctValues(Sequence):
+    """Each column's sorted distinct values, computed on the column's first
+    use and kept; read-only like the rows they come from."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self._rows = rows
+        self._values: list = [None] * rows.shape[1]
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, column: int) -> np.ndarray:
+        values = self._values[column]
+        if values is None:
+            values = np.unique(self._rows[:, column])
+            values.setflags(write=False)
+            self._values[column] = values
+        return values
 
 
 def _decimals(values) -> list[str]:

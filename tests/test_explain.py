@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import io
 import math
+import os
 import pathlib
 import re
 import shlex
+import signal
+import subprocess
 import sys
 import tempfile
+import time
 from datetime import datetime, timedelta
 from itertools import chain
 
@@ -334,17 +339,21 @@ def test_bridge_cell_launches_two_processes(tmp_path):
     assert len(launches.read_text(encoding="utf-8").splitlines()) == 2
 
 
-# Runs the command after argv[3], saving each launch's stdin as
-# <argv[1]>/<launch number>.csv. Launch number argv[2] misbehaves instead:
-# with argv[3] "exit" it exits 1, with "short" it prints one line.
+# Runs the command in argv[5:], saving each launch's stdin as
+# <argv[1]>/<role>.csv, where the role is 1 for the test launch, which sends
+# argv[2] rows, and 2 for the copies launch, which sends more. The launch of
+# role argv[3] misbehaves instead: with argv[4] "exit" it exits 1, with
+# "short" it prints one line. Launches may overlap, so the role is read from
+# the rows sent, not from the launches seen so far.
 RECORDING_WRAPPER = """\
 import pathlib
 import subprocess
 import sys
 
-out, bad, how = pathlib.Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-n = len(list(out.glob("*.csv"))) + 1
+out, test_rows = pathlib.Path(sys.argv[1]), int(sys.argv[2])
+bad, how = int(sys.argv[3]), sys.argv[4]
 data = sys.stdin.buffer.read()
+n = 1 if data.count(b"\\n") - 1 == test_rows else 2
 (out / f"{n}.csv").write_bytes(data)
 if n == bad and how == "exit":
     sys.stderr.write("refused launch 2\\n")
@@ -352,7 +361,7 @@ if n == bad and how == "exit":
 if n == bad and how == "short":
     print(0.5)
     sys.exit(0)
-proc = subprocess.run(sys.argv[4:], input=data, capture_output=True)
+proc = subprocess.run(sys.argv[5:], input=data, capture_output=True)
 sys.stdout.buffer.write(proc.stdout)
 sys.stderr.buffer.write(proc.stderr)
 sys.exit(proc.returncode)
@@ -374,7 +383,9 @@ def _recorded_bridge(tmp_path, bad=0, how="exit", pi_repeats=2):
     script.write_text(RECORDING_WRAPPER, encoding="utf-8")
     saved = tmp_path / "stdin"
     saved.mkdir()
-    command = shlex.join([sys.executable, str(script), str(saved), str(bad), how])
+    _, test_m = prepare_matrices(cfg)
+    command = shlex.join(
+        [sys.executable, str(script), str(saved), str(test_m.n_rows), str(bad), how])
     ext = dataclasses.replace(ext, command=f"{command} {ext.command}")
     return dataclasses.replace(cfg, models=(ext,), pi_repeats=pi_repeats), saved
 
@@ -460,6 +471,188 @@ def test_bridge_cell_line_count_error_names_the_joint_row_count(tmp_path):
     assert report.auc is not None
     assert report.excluded_reason == (
         f"error: line count mismatch: expected {copies * m.n_rows}, got 1")
+
+
+# Runs the command in argv[5:] on its stdin, noting "<role> start <time>" and
+# "<role> end <time>" lines in argv[1] around it, where the role is "test"
+# for a launch that sends argv[2] rows and "copies" for one that sends more.
+# A copies launch first sleeps argv[3] seconds, a test launch argv[4].
+TIMED_WRAPPER = """\
+import subprocess
+import sys
+import time
+
+log, test_rows = sys.argv[1], int(sys.argv[2])
+data = sys.stdin.buffer.read()
+role = "test" if data.count(b"\\n") - 1 == test_rows else "copies"
+pause = float(sys.argv[3] if role == "copies" else sys.argv[4])
+
+
+def note(event):
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(f"{role} {event} {time.time()!r}\\n")
+
+
+note("start")
+time.sleep(pause)
+proc = subprocess.run(sys.argv[5:], input=data, capture_output=True)
+sys.stdout.buffer.write(proc.stdout)
+note("end")
+sys.exit(proc.returncode)
+"""
+
+# Scores every row 0.5: at once for a launch that sends argv[1] rows (a test
+# launch), after sleeping argv[2] seconds for one that sends more (copies).
+SLEEPY_CONSTANT_SCORER = """\
+import sys
+import time
+
+rows = sys.stdin.buffer.read().count(b"\\n") - 1
+if rows > int(sys.argv[1]):
+    time.sleep(float(sys.argv[2]))
+sys.stdout.write("0.5\\n" * rows)
+"""
+
+
+def _timed_bridge(tmp_path, names=("ext",), pauses=(0.3, 0.3)):
+    """The bridge config with its ``ext`` cell under each of ``names``, then
+    ``lr``, every launch run through ``TIMED_WRAPPER`` with the copies and
+    test ``pauses``; and its log."""
+    cfg = bridge_config(tmp_path)
+    ext, lr = cfg.models
+    script = tmp_path / "timed.py"
+    script.write_text(TIMED_WRAPPER, encoding="utf-8")
+    log = tmp_path / "launches.log"
+    _, test_m = prepare_matrices(cfg)
+    wrapper = shlex.join([sys.executable, str(script), str(log), str(test_m.n_rows),
+                          *map(str, pauses)])
+    cells = [dataclasses.replace(ext, name=name, command=f"{wrapper} {ext.command}")
+             for name in names]
+    return dataclasses.replace(cfg, models=(*cells, lr)), log
+
+
+def _notes(log) -> list[tuple[str, str, float]]:
+    """(role, event, time) of each line a ``TIMED_WRAPPER`` launch noted."""
+    lines = log.read_text(encoding="utf-8").splitlines()
+    return [(role, event, float(at)) for role, event, at in map(str.split, lines)]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes the bridge starts, in start order, and how many of
+    them had not exited just after each start."""
+    procs, alive = [], []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+            alive.append(sum(proc.poll() is None for proc in procs))
+
+    monkeypatch.setattr(models.subprocess, "Popen", Recorded)
+    return procs, alive
+
+
+def test_bridge_cell_starts_its_copies_launch_before_its_test_launch_ends(tmp_path):
+    cfg, log = _timed_bridge(tmp_path)
+    report, _ = run_benchmark(cfg)
+    assert report.excluded_reason == ""
+    at = {(role, event): t for role, event, t in _notes(log)}
+    assert len(at) == 4
+    assert at["copies", "start"] < at["test", "end"]
+
+
+def test_two_bridge_cells_run_at_most_two_launches_at_once(tmp_path, started):
+    procs, alive = started
+    # the first copies launch outlasts both test launches, so the second
+    # cell's copies launch starts only when its copies are read
+    cfg, log = _timed_bridge(tmp_path, names=("ext", "ext2"), pauses=(0.6, 0.1))
+    assert [r.excluded_reason for r in run_benchmark(cfg)] == ["", "", ""]
+    assert len(procs) == 4 and max(alive) == 2
+    notes = sorted((t, role, event) for role, event, t in _notes(log))
+    copies = [event for _, role, event in notes if role == "copies"]
+    assert copies == ["start", "end", "start", "end"]
+    # the second test launch did not wait for the first copies launch
+    second_test_start = [t for t, role, event in notes if (role, event) == ("test", "start")][1]
+    first_copies_end = next(t for t, role, event in notes if (role, event) == ("copies", "end"))
+    assert second_test_start < first_copies_end
+
+
+def _sleepy_bridge(tmp_path, names=("ext",)):
+    """The bridge config's ``ext`` cell under each of ``names`` alone, scored
+    0.5 for every row (so the log reads "avg AUC below 75"), each copies
+    launch sleeping 20 s."""
+    cfg = bridge_config(tmp_path)
+    script = tmp_path / "sleepy.py"
+    script.write_text(SLEEPY_CONSTANT_SCORER, encoding="utf-8")
+    _, test_m = prepare_matrices(cfg)
+    command = shlex.join([sys.executable, str(script), str(test_m.n_rows), "20"])
+    cells = [dataclasses.replace(cfg.models[0], name=name, command=command) for name in names]
+    return dataclasses.replace(cfg, models=tuple(cells))
+
+
+def test_excluded_log_stops_the_copies_launch_unread(tmp_path, started):
+    procs, _ = started
+    cfg = _sleepy_bridge(tmp_path)
+    start = time.perf_counter()
+    (report,) = run_benchmark(cfg)
+    assert time.perf_counter() - start < 10.0
+    assert report.excluded_reason == "avg AUC below 75" and report.auc == 0.5
+    copies, test = procs
+    assert test.returncode == 0 and copies.returncode == -signal.SIGKILL
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(copies.pid, 0)
+
+
+def test_excluded_log_with_two_bridge_cells_never_waits_for_a_copies_launch(
+        tmp_path, started):
+    procs, _ = started
+    cfg = _sleepy_bridge(tmp_path, names=("ext", "ext2"))
+    start = time.perf_counter()
+    reports = run_benchmark(cfg)
+    assert time.perf_counter() - start < 10.0
+    assert [r.excluded_reason for r in reports] == ["avg AUC below 75"] * 2
+    # the second cell's copies launch is not started while the first one runs
+    copies, test, test2 = procs
+    assert [test.returncode, test2.returncode] == [0, 0]
+    assert copies.returncode == -signal.SIGKILL
+
+
+def test_bridge_cell_keeps_its_auc_when_its_copies_cannot_be_written(tmp_path, monkeypatch):
+    cfg = bridge_config(tmp_path)
+
+    def full_disk(cells, copy, n_rows, _rows=models.copy_csv_rows):
+        if copy:  # a copy's rows, not the test rows
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return _rows(cells, copy, n_rows)
+
+    monkeypatch.setattr(models, "copy_csv_rows", full_disk)
+    report, twin = run_benchmark(cfg)
+    # the in-process twin of the exported logreg has the same AUC
+    assert report.auc is not None and report.auc == twin.auc
+    assert report.excluded_reason == "error: [Errno 28] No space left on device"
+    assert twin.excluded_reason == ""
+
+
+class Interrupt(BaseException):
+    """Neither an ``Exception`` nor a cell's fault: it ends the run."""
+
+
+def test_interrupted_run_leaves_no_launch_running(tmp_path, started, monkeypatch):
+    procs, _ = started
+    cfg = _sleepy_bridge(tmp_path)
+
+    def interrupted(labels, scores):
+        raise Interrupt
+
+    monkeypatch.setattr(harness, "auc", interrupted)  # after the test launch, before the copies
+    start = time.perf_counter()
+    with pytest.raises(Interrupt):
+        run_benchmark(cfg)
+    assert time.perf_counter() - start < 10.0
+    assert len(procs) == 2 and all(proc.returncode is not None for proc in procs)
+    with pytest.raises(ChildProcessError):  # no child is left
+        os.waitpid(-1, os.WNOHANG)
 
 
 # Writes its stdin to argv[1] and scores each row by its first cell modulo 1.
@@ -677,6 +870,29 @@ def test_tree_kind_cell_predicts_once_per_read_copy(kind, hyper, monkeypatch):
     typed = [t for t in TYPES if read.intersection(m.columns_of_type(t))]
     assert len(calls) == 1 + len(read.intersection(varying)) * cfg.pi_repeats + len(typed)
     assert len(calls) < 1 + len(varying) * cfg.pi_repeats + len(TYPES)  # some were skipped
+
+
+def test_pi_and_fc_unique_no_column_outside_what_they_permute(monkeypatch):
+    # column j holds 10 * (j + 1) plus 0, 1 or 2, so a uniqued array names its
+    # column; the labels follow column 1 alone, which a stump then reads
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 3, size=(80, 6)) + 10.0 * np.arange(1, 7)
+    types = ["control", "control", "case", "case", "event", "event"]
+    m = make_matrix(X, (X[:, 1] >= 21).astype(int), types=types)
+    model = train_tree(m, {"max_depth": 1})
+    assert read_columns(model) == {1}
+    uniqued = []
+
+    def recorded(values, *args, _unique=np.unique, **kwargs):
+        if values.min() >= 10.0:  # not the labels
+            uniqued.append(int(values.min() // 10) - 1)
+        return _unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recorded)
+    permutation_importance(model, m, seed=0, repeats=2)
+    assert uniqued == [1]  # PI permutes the read column alone
+    functional_complexity(model, m, seed=0)
+    assert uniqued == [1, 0]  # FC permutes every column of the read column's type
 
 
 # --- intrinsic weights -----------------------------------------------------------

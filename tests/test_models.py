@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 import sys
 import time
 from dataclasses import fields, replace
@@ -925,6 +926,112 @@ def test_bridge_launches_nothing_for_no_rows(tmp_path):
     m = _bridge_matrix()
     assert external_predict(failing, m, []).shape == (0,)
     assert external_predict(failing, _bridge_matrix(n=0)).shape == (0,)
+
+
+def test_bridge_ends_a_line_at_lf_alone(tmp_path):
+    # str.splitlines would also end a line at \x1e, \v, \f, \x85, U+2028 ...
+    body = 'import sys\nsys.stdout.write("0.25\\x1e" + "0.25\\n" * 2)\n'
+    with pytest.raises(BridgeError, match="^line count mismatch: expected 3, got 2$"):
+        external_predict(_script(tmp_path, body), _bridge_matrix(n=3))
+    crlf = 'import sys\nsys.stdout.write("0.25\\r\\n" * 3)\n'  # strip() drops the CR
+    assert external_predict(_script(tmp_path, crlf), _bridge_matrix(n=3)).tolist() == [0.25] * 3
+
+
+def test_bridge_names_the_line_of_an_invalid_utf8_byte(tmp_path):
+    body = 'import sys\nsys.stdout.buffer.write(b"0.25\\n0.5\\xff\\n0.75\\n")\n'
+    with pytest.raises(BridgeError, match=r"^line 2: not UTF-8: b'0\.5\\xff'$"):
+        external_predict(_script(tmp_path, body), _bridge_matrix(n=3))
+
+
+SLEEPER = "import time\ntime.sleep(60)\n"
+
+
+def test_launch_runs_on_until_stopped_and_stops_again_as_a_no_op(tmp_path):
+    launch = models.Launch(_script(tmp_path, SLEEPER), _bridge_matrix())
+    assert launch.proc.poll() is None  # the caller went on while the command runs
+    launch.stop()
+    assert launch.proc.returncode == -signal.SIGKILL
+    assert all(file.closed for file in launch.output)
+    launch.stop()
+    with pytest.raises(ChildProcessError):  # killed and reaped: no child is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Starts `sleep 60` as a child of its own, writes the child's pid to argv[1]
+# and waits for it: a wrapper that runs the real scorer.
+WRAPPING_SLEEPER = """\
+import os
+import subprocess
+import sys
+
+child = subprocess.Popen(["sleep", "60"])
+with open(sys.argv[1] + ".tmp", "w") as fh:
+    fh.write(str(child.pid))
+os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+child.wait()
+"""
+
+
+def _exited(pid: int) -> bool:
+    """Whether process ``pid`` is gone or a zombie awaiting its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_launch_stop_kills_what_the_command_started(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    command = f"{_script(tmp_path, WRAPPING_SLEEPER)} {pid_file}"
+    launch = models.Launch(command, _bridge_matrix())
+    try:
+        deadline = time.monotonic() + 10.0
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        child = int(pid_file.read_text())
+    finally:
+        launch.stop()
+    deadline = time.monotonic() + 5.0
+    while not _exited(child) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _exited(child)
+
+
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="no pidfd on this platform")
+def test_launch_waits_for_its_exit_without_polling(tmp_path, monkeypatch):
+    # Popen.wait(timeout) polls waitpid(WNOHANG) with sleeps growing to 50 ms,
+    # which made a 25 ms launch read as up to 30 ms longer
+    body = "import sys, time\nsys.stdin.read()\ntime.sleep(0.2)\nprint('0.5\\n' * 10, end='')\n"
+    calls = []
+
+    def waitpid(pid, flags, _waitpid=os.waitpid):
+        calls.append(flags)
+        return _waitpid(pid, flags)
+
+    launch = models.Launch(_script(tmp_path, body), _bridge_matrix())
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    try:
+        assert launch.scores().tolist() == [0.5] * 10
+    finally:
+        launch.stop()
+    assert os.WNOHANG not in calls
+
+
+def test_launch_deadline_counts_from_its_own_start(tmp_path):
+    launch = models.Launch(_script(tmp_path, SLEEPER), _bridge_matrix(), timeout=1.0)
+    time.sleep(1.2)  # past the deadline before the scores are asked for
+    start = time.perf_counter()
+    with pytest.raises(BridgeError, match=r"^external command timed out after 1\.0s$"):
+        launch.scores()
+    assert time.perf_counter() - start < 0.8  # not a second more from the call
+    launch.stop()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class _Counting:
